@@ -32,6 +32,7 @@ from .protocol import (
     EstimationResult,
     Mode,
     Target,
+    _seed_sequence,
     combine_E1,
     estimate_energy,
     run_protocol,
@@ -49,8 +50,10 @@ class SweepGrid:
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         if not self.h_values or not self.k_values:
             raise ValueError("grid must be nonempty")
-        if min(self.h_values) <= 0 or min(self.k_values) <= 0:
-            raise ValueError("grid values must be positive")
+        if not all(v > 0 and np.isfinite(v) for v in self.h_values + self.k_values):
+            raise ValueError("grid values must be positive and finite")
+        # the largest pair has the largest h^2 + k^2 of any cell
+        ModelParams(max(self.h_values), max(self.k_values))
 
 
 def default_grid(n: int = 50, lo: float = 0.05, hi: float = 2.0) -> SweepGrid:
@@ -157,12 +160,6 @@ def sampled_calibration_matrix(
             counts = apply_noise(counts, noise, make_rng(seeds[2 * j + 1]))
         counts_list.append(counts)
     return estimate_calibration_matrix(counts_list)
-
-
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def mitigated_run(

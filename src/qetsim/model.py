@@ -37,8 +37,11 @@ class ModelParams:
     k: float
 
     def __post_init__(self) -> None:
-        if not (self.h > 0 and self.k > 0):
-            raise ValueError(f"couplings must be positive, got h={self.h}, k={self.k}")
+        # h*h rather than h**2: float ** raises OverflowError instead of giving inf
+        if not (self.h > 0 and self.k > 0 and np.isfinite(self.h * self.h + self.k * self.k)):
+            raise ValueError(
+                f"couplings must be positive with finite h^2 + k^2, got h={self.h}, k={self.k}"
+            )
 
     @property
     def r(self) -> float:

@@ -75,26 +75,12 @@ def noisy_distribution(dist: dict[str, float], noise: ReadoutNoise) -> dict[str,
 
 
 def apply_noise(
-    counts: dict[str, int] | np.ndarray,
+    counts: dict[str, int],
     noise: ReadoutNoise,
     rng: np.random.Generator,
 ) -> dict[str, int]:
-    """Flip recorded bits stochastically; accepts a counts map (integer
-    tallies) or an (n, 2) per-shot bit array. Deterministic under a fixed
-    generator state."""
-    if isinstance(counts, np.ndarray):
-        bits = counts.astype(np.uint8, copy=True)
-        if bits.ndim != 2 or bits.shape[1] != 2:
-            raise ValueError("bit array must have shape (n, 2)")
-        for q in (0, 1):
-            p_flip = np.where(
-                bits[:, q] == 0, noise.read1_given0[q], noise.read0_given1[q]
-            )
-            bits[:, q] ^= rng.random(bits.shape[0]) < p_flip
-        idx = 2 * bits[:, 0].astype(np.int64) + bits[:, 1].astype(np.int64)
-        tallies = np.bincount(idx, minlength=4)
-        return {BITSTRINGS[i]: int(c) for i, c in enumerate(tallies) if c > 0}
-
+    """Flip recorded bits stochastically in a counts map of integer tallies.
+    Deterministic under a fixed generator state."""
     a = confusion_matrix(noise)
     out = np.zeros(4, dtype=np.int64)
     for key in sorted(counts):

@@ -266,47 +266,27 @@ def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.ran
     return np.random.default_rng(seed)
 
 
-def _bits_to_counts(bits: np.ndarray) -> dict[str, int]:
-    idx = 2 * bits[:, 0].astype(np.int64) + bits[:, 1].astype(np.int64)
-    tallies = np.bincount(idx, minlength=4)
-    return {BITSTRINGS[i]: int(c) for i, c in enumerate(tallies) if c > 0}
-
-
 def run_shots(
     circuit: Circuit,
     n_shots: int,
     seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> dict[str, int]:
-    """Sample the circuit n_shots times, honoring classical bits per shot;
-    deterministic for a fixed seed. Shots are advanced in lockstep (one RNG
-    draw block per measurement step), which preserves per-shot semantics."""
+    """Sample the circuit n_shots times; deterministic for a fixed seed.
+
+    Shots are independent and each ends in one of the four classical-register
+    outcomes, so their tallies follow Multinomial(n_shots, p) with p the
+    exact_distribution of the circuit (mid-circuit measurement and classical
+    control included). One draw gives every count, in time and memory that do
+    not depend on n_shots. Only nonzero tallies are returned."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    rng = make_rng(seed)
-    states = np.zeros((n_shots, 4), dtype=complex)
-    states[:, 0] = 1.0
-    bits = np.zeros((n_shots, 2), dtype=np.uint8)
-    for step in circuit.steps:
-        if isinstance(step, MeasureZ):
-            p1 = np.abs(states[:, _ONE_COLS[step.target]]) ** 2
-            p1 = p1.sum(axis=1)
-            outcome = rng.random(n_shots) < p1
-            keep = np.where(outcome[:, None], _ONE_MASK[step.target][None, :],
-                            ~_ONE_MASK[step.target][None, :])
-            states = np.where(keep, states, 0.0)
-            norms = np.linalg.norm(states, axis=1)
-            if np.any(norms < 1e-12):
-                raise NumericalError("measurement collapse produced a null state")
-            states /= norms[:, None]
-            bits[:, step.cbit] = outcome
-        elif isinstance(step, ClassicallyControlledRy):
-            mask = bits[:, step.cbit] == step.required_value
-            if np.any(mask):
-                u = _embed_single(ry_matrix(step.theta), step.target)
-                states[mask] = states[mask] @ u.T
-        else:
-            states = states @ gate_unitary(step).T
-    return _bits_to_counts(bits)
+    p = distribution_vector(exact_distribution(circuit))
+    total = p.sum()
+    if not (np.all(np.isfinite(p)) and abs(total - 1.0) <= ATOL_DECOMP):
+        raise NumericalError(f"outcome probabilities {p} do not form a distribution")
+    # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
+    tallies = make_rng(seed).multinomial(n_shots, p / total)
+    return {BITSTRINGS[i]: int(c) for i, c in enumerate(tallies) if c > 0}
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:

@@ -34,6 +34,9 @@ def test_sweep_grid_validation():
         SweepGrid((), (1.0,))
     with pytest.raises(ValueError):
         SweepGrid((1.0,), (0.0,))
+    for bad in (np.inf, np.nan, 1e300):
+        with pytest.raises(ValueError):
+            SweepGrid((1.0, bad), (1.0,))
     grid = SweepGrid([1], [2])
     assert grid.h_values == (1.0,) and grid.k_values == (2.0,)
 

@@ -132,6 +132,14 @@ def test_run_validation_failures(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--h", "--k"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e300"])
+def test_run_rejects_unrepresentable_couplings(capsys, flag, value):
+    couplings = {"--h": "1", "--k": "1", flag: value}
+    argv = ["run", "--target", "V", *(f"{f}={v}" for f, v in couplings.items())]
+    assert invoke(capsys, argv) == (2, "")
+
+
 def test_run_numerical_failure_exit_code(capsys):
     # one-shot calibration under half-random readout collides two columns
     code = main(["run", "--h", "1", "--k", "1", "--target", "V", "--shots", "1",

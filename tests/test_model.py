@@ -63,6 +63,11 @@ def test_params_validation():
         ModelParams(0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, -0.5)
+    for bad in (np.inf, np.nan, 1e300):
+        with pytest.raises(ValueError):
+            ModelParams(bad, 1.0)
+        with pytest.raises(ValueError):
+            ModelParams(1.0, bad)
     assert ModelParams(3.0, 4.0).r == pytest.approx(5.0, abs=ATOL_ALGEBRA)
 
 

@@ -87,14 +87,6 @@ def test_apply_noise_sampled_frequencies_track_exact_channel():
         assert abs(observed.get(key, 0) / n - p) < 5 * se
 
 
-def test_apply_noise_bit_array_path():
-    bits = np.array([[0, 0]] * 500 + [[1, 1]] * 500, dtype=np.uint8)
-    out = apply_noise(bits, ReadoutNoise.symmetric(0.0, 0.0), make_rng(0))
-    assert out == {"00": 500, "11": 500}
-    with pytest.raises(ValueError):
-        apply_noise(np.zeros((5, 3), dtype=np.uint8), LIMA, make_rng(0))
-
-
 def test_apply_noise_input_validation():
     with pytest.raises(ValueError):
         apply_noise({"00": 3.5}, LIMA, make_rng(0))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qetsim.model import ModelParams
+from qetsim.protocol import Mode, Target, build_circuit
 from qetsim.simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
@@ -225,16 +227,16 @@ def test_run_shots_honors_classical_control():
     assert run_shots(untriggered, 400, 9) == {"00": 400}
 
 
-def test_sampling_matches_exact_distribution():
-    circuit = Circuit((
-        Ry(1.1, 0),
-        Cnot(0, 1),
-        Hadamard(0),
-        MeasureZ(0, 0),
-        ClassicallyControlledRy(0, 1, -0.9, 1),
-        ClassicallyControlledRy(0, 0, 0.9, 1),
-        MeasureZ(1, 1),
-    ))
+PROTOCOL_CIRCUITS = [(target, mode) for target in Target for mode in Mode]
+
+
+@pytest.mark.parametrize(
+    "target,mode", PROTOCOL_CIRCUITS, ids=[f"{t.value}-{m.value}" for t, m in PROTOCOL_CIRCUITS]
+)
+def test_sampling_matches_exact_distribution(target, mode):
+    # E0 overwrites classical bit 0; conditional H1 and V steer a classically
+    # controlled rotation from the mid-circuit outcome
+    circuit = build_circuit(ModelParams(1.0, 0.5), target, mode)
     n = 100_000
     counts = run_shots(circuit, n, 7)
     dist = exact_distribution(circuit)
@@ -242,6 +244,27 @@ def test_sampling_matches_exact_distribution():
         p = dist[key]
         se = np.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(counts.get(key, 0) / n - p) < 5 * se
+
+
+def test_run_shots_memory_does_not_grow_with_shots():
+    circuit = build_circuit(ModelParams(1.0, 1.0), Target.V, Mode.CONDITIONAL)
+    counts = run_shots(circuit, 10**12, 3)
+    assert sum(counts.values()) == 10**12
+
+
+def test_run_shots_seed_forms_agree():
+    circuit = build_circuit(ModelParams(1.0, 1.0), Target.V, Mode.DEFERRED)
+    expected = run_shots(circuit, 10_000, 5)
+    assert run_shots(circuit, 10_000, np.random.SeedSequence(5)) == expected
+    assert run_shots(circuit, 10_000, np.random.default_rng(5)) == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_run_shots_rejects_non_finite_angles(theta):
+    circuit = Circuit((Ry(theta, 0), MeasureZ(0, 0), MeasureZ(1, 1)))
+    with pytest.raises(NumericalError):
+        run_shots(circuit, 100, 1)
 
 
 def test_exact_distribution_trivial_and_normalized():
