@@ -5,6 +5,7 @@ side by side.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 import numpy as np
 
@@ -126,6 +127,14 @@ def phi_scan(
 
 EVOLUTION_COLUMNS = ("t", "h1_sim", "h1_closed", "v_sim")
 
+# Closed form of each reported quantity.
+ANALYTIC: dict[str, Callable[[ModelParams], float]] = {
+    "E0": analytic_E0,
+    "H1": analytic_H1,
+    "V": analytic_V,
+    "E1": analytic_E1,
+}
+
 
 def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
     """Free evolution of the post-measurement ensemble under the total
@@ -169,17 +178,18 @@ def mitigated_run(
     n_shots: int,
     seed: int | np.random.SeedSequence,
     noise: ReadoutNoise | None,
-    method: str = "least-squares",
-    calibration_shots: int | None = None,
-) -> tuple[EstimationResult, EstimationResult, np.ndarray]:
+    method: str | None = "least-squares",
+) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
     """One noisy run plus the full calibration-and-correction pipeline.
-    Returns (unmitigated, mitigated, estimated calibration matrix).
-    Calibration shots default to the experiment's shot count."""
+    Returns (unmitigated, mitigated, estimated calibration matrix); the
+    calibration circuits get as many shots as the run. With no method the
+    run is seeded with `seed` itself and returned twice, without a matrix."""
+    if method is None:
+        result = run_protocol(params, target, mode, n_shots, seed, noise)
+        return result, result, None
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
     unmitigated = run_protocol(params, target, mode, n_shots, run_seed, noise)
-    cal_matrix = sampled_calibration_matrix(
-        noise, calibration_shots or n_shots, cal_seed
-    )
+    cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
     scaled = {key: p * n_shots for key, p in corrected.items()}
     mitigated = estimate_energy(params, target, scaled)
@@ -197,14 +207,6 @@ class ComparisonRow:
     unmitigated_err: float
     mitigated: float
     mitigated_err: float
-
-
-_ANALYTIC = {
-    "E0": analytic_E0,
-    "H1": analytic_H1,
-    "V": analytic_V,
-    "E1": analytic_E1,
-}
 
 
 def comparison_report(
@@ -232,15 +234,10 @@ def comparison_report(
             noiseless[target.value] = clean
             if noise is None:
                 unmit[target.value] = mit[target.value] = clean
-            elif method is None:
-                u = run_protocol(params, target, mode, n_shots, seeds[3 + i], noise)
-                unmit[target.value] = mit[target.value] = u
             else:
-                u, m, _ = mitigated_run(
+                unmit[target.value], mit[target.value], _ = mitigated_run(
                     params, target, mode, n_shots, seeds[3 + i], noise, method
                 )
-                unmit[target.value] = u
-                mit[target.value] = m
         for table in (noiseless, unmit, mit):
             table["E1"] = combine_E1(table["H1"], table["V"])
         for quantity in ("E0", "H1", "V", "E1"):
@@ -248,7 +245,7 @@ def comparison_report(
                 ComparisonRow(
                     params=params,
                     quantity=quantity,
-                    analytic=float(_ANALYTIC[quantity](params)),
+                    analytic=float(ANALYTIC[quantity](params)),
                     noiseless=noiseless[quantity].mean,
                     noiseless_err=noiseless[quantity].std_error,
                     unmitigated=unmit[quantity].mean,

@@ -16,6 +16,7 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,43 +28,24 @@ from typing import Any
 import numpy as np
 
 from .analysis import (
+    ANALYTIC,
     EVOLUTION_COLUMNS,
+    ComparisonRow,
     SweepGrid,
     comparison_report,
     evolution_scan,
     heatmap,
     mitigated_run,
 )
-from .model import (
-    REPORT_PAIRS,
-    ModelParams,
-    analytic_E0,
-    analytic_E1,
-    analytic_H1,
-    analytic_V,
-)
+from .model import REPORT_PAIRS, ModelParams
 from .noise import MITIGATION_METHODS, PRESETS, ReadoutNoise, measurement_fidelity
-from .protocol import (
-    EstimationResult,
-    Mode,
-    Target,
-    combine_E1,
-    run_protocol,
-    run_protocol_E1,
-)
+from .protocol import EstimationResult, Mode, Target, combine_E1
 from .simcore import BITSTRINGS, NumericalError
 
 SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
 DEFAULT_SHOTS = 100_000
 SEED_ENV_VAR = "QET_SEED"
-
-_ANALYTIC: dict[str, Callable[[ModelParams], float]] = {
-    "E0": analytic_E0,
-    "H1": analytic_H1,
-    "V": analytic_V,
-    "E1": analytic_E1,
-}
 
 
 class ConfigError(Exception):
@@ -236,9 +218,9 @@ def parse_pairs(spec: Any) -> list[ModelParams]:
     return pairs
 
 
-def _params(opts: Options) -> ModelParams:
-    h = opts.get("h", float)
-    k = opts.get("k", float)
+def _params(opts: Options, default: float | None = None) -> ModelParams:
+    h = opts.get("h", float, default)
+    k = opts.get("k", float, default)
     try:
         return ModelParams(h, k)
     except ValueError as exc:
@@ -276,7 +258,7 @@ def cmd_run(opts: Options) -> str:
     )
     seed = opts.seed()
     params = _params(opts)
-    analytic = _ANALYTIC[target_name](params)
+    analytic = ANALYTIC[target_name](params)
 
     payload: dict[str, Any] = {
         "schema": SCHEMA,
@@ -294,38 +276,24 @@ def cmd_run(opts: Options) -> str:
         "analytic": analytic,
     }
 
-    mitigating = noise is not None and method != "none"
-    if not mitigating:
-        if target_name == "E1":
-            result = run_protocol_E1(params, mode, shots, seed, noise)
-        else:
-            result = run_protocol(params, Target(target_name), mode, shots, seed, noise)
-        payload["estimate"] = _estimate_payload(result)
-        payload["deviation_sigma"] = _deviation_sigma(result, analytic)
-        if result.components is not None:
-            payload["components"] = {
-                name: _estimate_payload(part)
-                for name, part in zip(("H1", "V"), result.components)
-            }
-        payload["counts"] = _counts_payload(result)
-        return render_json(payload) + "\n"
-
+    mitigation = None if noise is None or method == "none" else method
     if target_name == "E1":
-        sub_seeds = np.random.SeedSequence(seed).spawn(2)
+        h1_seed, v_seed = np.random.SeedSequence(seed).spawn(2)
         u_h1, m_h1, matrix = mitigated_run(
-            params, Target.H1, mode, shots, sub_seeds[0], noise, method
+            params, Target.H1, mode, shots, h1_seed, noise, mitigation
         )
         u_v, m_v, _ = mitigated_run(
-            params, Target.V, mode, shots, sub_seeds[1], noise, method
+            params, Target.V, mode, shots, v_seed, noise, mitigation
         )
         unmitigated = combine_E1(u_h1, u_v)
         result = combine_E1(m_h1, m_v)
     else:
         unmitigated, result, matrix = mitigated_run(
-            params, Target(target_name), mode, shots, seed, noise, method
+            params, Target(target_name), mode, shots, seed, noise, mitigation
         )
-    payload["measurement_fidelity"] = measurement_fidelity(matrix)
-    payload["unmitigated"] = _estimate_payload(unmitigated)
+    if matrix is not None:
+        payload["measurement_fidelity"] = measurement_fidelity(matrix)
+        payload["unmitigated"] = _estimate_payload(unmitigated)
     payload["estimate"] = _estimate_payload(result)
     payload["deviation_sigma"] = _deviation_sigma(result, analytic)
     if result.components is not None:
@@ -356,8 +324,10 @@ def cmd_sweep(opts: Options) -> str:
 def cmd_evolve(opts: Options) -> str:
     params = _params(opts)
     t_max = opts.get("t-max", float, 2.0 * math.pi / params.k)
-    if t_max <= 0.0:
-        raise ConfigError(f"t-max must be positive, got {t_max}")
+    # the total Hamiltonian's eigenvalues reach 4 r in magnitude, so every
+    # evolution phase stays finite when 4 r t-max does
+    if not (t_max > 0.0 and math.isfinite(4.0 * params.r * t_max)):
+        raise ConfigError(f"t-max must be positive with 4 r t-max finite, got {t_max}")
     t_steps = opts.get("t-steps", _positive_int, 101)
     if t_steps < 2:
         raise ConfigError(f"t-steps must be at least 2, got {t_steps}")
@@ -381,33 +351,9 @@ def cmd_report(opts: Options) -> str:
     method = None if method_name == "none" else method_name
     rows = comparison_report(params_list, shots, seed, noise, method, mode)
 
-    header = (
-        "h",
-        "k",
-        "quantity",
-        "analytic",
-        "noiseless",
-        "noiseless_err",
-        "unmitigated",
-        "unmitigated_err",
-        "mitigated",
-        "mitigated_err",
-    )
-    table = [
-        (
-            row.params.h,
-            row.params.k,
-            row.quantity,
-            row.analytic,
-            row.noiseless,
-            row.noiseless_err,
-            row.unmitigated,
-            row.unmitigated_err,
-            row.mitigated,
-            row.mitigated_err,
-        )
-        for row in rows
-    ]
+    # the params field becomes the h and k columns
+    header = ("h", "k", *(f.name for f in dataclasses.fields(ComparisonRow)[1:]))
+    table = [(row.params.h, row.params.k, *dataclasses.astuple(row)[1:]) for row in rows]
     if fmt == "csv":
         return render_csv(header, table)
     payload = {
@@ -436,13 +382,8 @@ def cmd_mitigate_demo(opts: Options) -> str:
         raise ConfigError("mitigate-demo needs a noise model, got none")
     method = opts.get("mitigation", _choice(MITIGATION_METHODS), "least-squares")
     seed = opts.seed()
-    h = opts.get("h", float, 1.0)
-    k = opts.get("k", float, 1.0)
-    try:
-        params = ModelParams(h, k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    analytic = _ANALYTIC[target_name](params)
+    params = _params(opts, 1.0)
+    analytic = ANALYTIC[target_name](params)
 
     unmitigated, mitigated, matrix = mitigated_run(
         params, Target(target_name), mode, shots, seed, noise, method

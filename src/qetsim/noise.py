@@ -20,6 +20,7 @@ from .simcore import (
     MeasureZ,
     NumericalError,
     PauliX,
+    check_counts,
     distribution_vector,
 )
 
@@ -81,14 +82,13 @@ def apply_noise(
 ) -> dict[str, int]:
     """Flip recorded bits stochastically in a counts map of integer tallies.
     Deterministic under a fixed generator state."""
+    check_counts(counts)
     a = confusion_matrix(noise)
     out = np.zeros(4, dtype=np.int64)
     for key in sorted(counts):
         c = counts[key]
-        if c != int(c) or c < 0:
-            raise ValueError(f"counts must be nonnegative integers, got {key}={c}")
-        if key not in BITSTRINGS:
-            raise ValueError(f"invalid outcome key {key!r}")
+        if c != int(c):
+            raise ValueError(f"counts must be integers, got {key}={c}")
         out += rng.multinomial(int(c), a[:, BITSTRINGS.index(key)])
     return {BITSTRINGS[i]: int(c) for i, c in enumerate(out) if c > 0}
 
@@ -111,11 +111,7 @@ def estimate_calibration_matrix(calibration_counts: list[dict[str, int]]) -> np.
         raise ValueError("need exactly 4 calibration runs, one per basis state")
     a = np.zeros((4, 4))
     for j, counts in enumerate(calibration_counts):
-        vec = distribution_vector(counts)
-        total = vec.sum()
-        if total <= 0:
-            raise ValueError(f"calibration run {j} is empty")
-        a[:, j] = vec / total
+        a[:, j] = distribution_vector(counts) / check_counts(counts)
     return a
 
 
@@ -165,14 +161,7 @@ def mitigate(
     a = np.asarray(a, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("calibration matrix must be 4x4")
-    for key in counts:
-        if key not in BITSTRINGS:
-            raise ValueError(f"invalid outcome key {key!r}")
-    y = distribution_vector(counts)
-    total = y.sum()
-    if total <= 0:
-        raise ValueError("counts must have positive total")
-    y = y / total
+    y = distribution_vector(counts) / check_counts(counts)
 
     if method == "direct":
         if not np.all(np.isfinite(a)) or np.linalg.cond(a) >= _COND_LIMIT:

@@ -15,7 +15,6 @@ import numpy as np
 from .noise import ReadoutNoise, apply_noise
 from .model import ModelParams, angles
 from .simcore import (
-    BITSTRINGS,
     Circuit,
     ClassicallyControlledRy,
     Cnot,
@@ -24,6 +23,7 @@ from .simcore import (
     Hadamard,
     MeasureZ,
     Ry,
+    check_counts,
     make_rng,
     run_shots,
 )
@@ -96,30 +96,15 @@ def build_circuit(params: ModelParams, target: Target, mode: Mode) -> Circuit:
     return Circuit(tuple(steps + tail))
 
 
-def _validate_counts(counts: dict[str, float]) -> float:
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    total = 0.0
-    for key, c in counts.items():
-        if key not in BITSTRINGS:
-            raise ValueError(f"invalid outcome key {key!r}")
-        if c < 0:
-            raise ValueError(f"negative count for {key!r}")
-        total += c
-    if total <= 0:
-        raise ValueError("counts must have positive total")
-    return total
-
-
 def estimate_Z1(counts: dict[str, float]) -> float:
     """Mean Z eigenvalue of qubit 1: sum of (1 - 2 b1) weighted by counts."""
-    total = _validate_counts(counts)
+    total = check_counts(counts)
     return sum((1 - 2 * int(key[1])) * c for key, c in counts.items()) / total
 
 
 def estimate_X0X1(counts: dict[str, float]) -> float:
     """Mean joint X eigenvalue: sum of (1 - 2 b0)(1 - 2 b1) weighted by counts."""
-    total = _validate_counts(counts)
+    total = check_counts(counts)
     return sum(
         (1 - 2 * int(key[0])) * (1 - 2 * int(key[1])) * c for key, c in counts.items()
     ) / total
@@ -136,7 +121,7 @@ def estimate_energy(
     accepted; the eigenvalue sample variance then uses the weights as given.
     """
     target = Target(target)
-    total = _validate_counts(counts)
+    total = check_counts(counts)
     h, k, r = params.h, params.k, params.r
     if target is Target.V:
         coef, const, eig_mean = 2.0 * k, 2.0 * k**2 / r, estimate_X0X1(counts)

@@ -9,6 +9,7 @@ Counts map 2-bit outcome strings "b0b1" to shot tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import numpy as np
 
 # Algebraic identities hold to ATOL_ALGEBRA; decomposition round-trips to ATOL_DECOMP.
@@ -118,13 +119,10 @@ GateStep = (
     Ry | Hadamard | PauliX | Cnot | ControlledRy | MeasureZ | ClassicallyControlledRy
 )
 
-UNITARY_STEPS = (Ry, Hadamard, PauliX, Cnot, ControlledRy)
-
 
 @dataclass(frozen=True)
 class Circuit:
     steps: tuple[GateStep, ...]
-    n_classical: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -233,30 +231,9 @@ def state_00() -> PureState:
     return s
 
 
-def apply_gate(state: PureState, step: GateStep) -> PureState:
-    """Apply a unitary step to a pure state; rejects measurement and
-    classically controlled steps (those need a classical register)."""
-    if not isinstance(step, UNITARY_STEPS):
-        raise ValueError(f"apply_gate cannot execute {type(step).__name__}")
-    return gate_unitary(step) @ state
-
-
 # Basis indices where qubit q reads 1.
 _ONE_COLS = {0: np.array([2, 3]), 1: np.array([1, 3])}
 _ONE_MASK = {q: np.isin(np.arange(4), cols) for q, cols in _ONE_COLS.items()}
-
-
-def measure_z(state: PureState, target: int, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Projective Z measurement with collapse; returns (outcome bit, new state)."""
-    _check_qubit(target)
-    p1 = float(np.sum(np.abs(state[_ONE_COLS[target]]) ** 2))
-    p0 = float(np.sum(np.abs(state) ** 2)) - p1
-    if p0 < 1e-15 and p1 < 1e-15:
-        raise NumericalError("both measurement probabilities vanish; corrupted state")
-    outcome = 1 if rng.random() < p1 else 0
-    keep = _ONE_MASK[target] if outcome else ~_ONE_MASK[target]
-    collapsed = np.where(keep, state, 0.0)
-    return outcome, collapsed / np.linalg.norm(collapsed)
 
 
 def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
@@ -322,6 +299,22 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     for _, bits, prob in branches:
         dist[f"{bits[0]}{bits[1]}"] += prob
     return dist
+
+
+def check_counts(counts: dict[str, float]) -> float:
+    """Total of a counts map (integer tallies or float weights). Raises
+    ValueError unless every key is an outcome bitstring, every count is finite
+    and nonnegative, and the total is positive and finite."""
+    total = 0.0
+    for key, c in counts.items():
+        if key not in BITSTRINGS:
+            raise ValueError(f"invalid outcome key {key!r}")
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"count for {key!r} must be finite and nonnegative, got {c}")
+        total += c
+    if not (0.0 < total < math.inf):
+        raise ValueError(f"counts must have a positive finite total, got {total}")
+    return total
 
 
 def distribution_vector(dist: dict[str, float]) -> np.ndarray:

@@ -24,7 +24,7 @@ from qetsim.model import (
     free_evolution_H1,
 )
 from qetsim.noise import PRESETS, confusion_matrix
-from qetsim.protocol import Mode, Target
+from qetsim.protocol import Mode, Target, run_protocol
 
 LIMA = PRESETS["lima-like"]
 
@@ -117,13 +117,22 @@ def test_mitigated_run_improves_estimate():
     assert mit.n_shots == unmit.n_shots == 100_000
 
 
-def test_mitigated_run_calibration_shot_override():
-    params = ModelParams(1.0, 1.0)
-    _, _, coarse = mitigated_run(
-        params, Target.V, Mode.DEFERRED, 20_000, 3, LIMA, calibration_shots=100
+def test_mitigated_run_calibrates_with_the_run_shots():
+    _, _, matrix = mitigated_run(
+        ModelParams(1.0, 1.0), Target.V, Mode.DEFERRED, 2_000, 3, LIMA
     )
-    counts_seen = coarse * 100
-    assert np.allclose(counts_seen, np.round(counts_seen), atol=1e-9)
+    cal_seed = np.random.SeedSequence(3).spawn(2)[1]
+    assert np.array_equal(matrix, sampled_calibration_matrix(LIMA, 2_000, cal_seed))
+
+
+@pytest.mark.parametrize("noise", [None, LIMA], ids=["clean", "lima-like"])
+def test_mitigated_run_without_method_is_the_plain_run(noise):
+    params = ModelParams(1.0, 1.0)
+    unmit, mit, matrix = mitigated_run(
+        params, Target.V, Mode.DEFERRED, 5_000, 3, noise, method=None
+    )
+    assert matrix is None
+    assert unmit == mit == run_protocol(params, Target.V, Mode.DEFERRED, 5_000, 3, noise)
 
 
 def test_comparison_report_collapses_without_noise():

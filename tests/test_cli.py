@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +211,11 @@ def test_evolve_output(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("t_max", ["inf", "nan", "1e308"])
+def test_evolve_rejects_unrepresentable_t_max(capsys, t_max):
+    assert invoke(capsys, ["evolve", "--h", "1", "--k", "1", f"--t-max={t_max}"]) == (2, "")
+
+
 def test_report_columns_collapse_without_noise(capsys):
     code, out = invoke(capsys, ["report", "--pairs", "1:1", "--shots", "2000",
                                 "--seed", "5", "--noise", "none", "--mitigation", "none"])
@@ -262,3 +270,30 @@ def test_mitigate_demo_output(capsys):
 def test_unknown_command_exits_nonzero(capsys):
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+# README examples: a sh block holding one qet command, then its output block;
+# a "..." line ends the quoted part of a longer output
+README_EXAMPLES = re.findall(
+    r"```sh\n(qet [^\n]*)\n```\n\n```[a-z]*\n(.*?)```",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.DOTALL,
+)
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize(
+    "command,expected", README_EXAMPLES, ids=[cmd.split()[1] for cmd, _ in README_EXAMPLES]
+)
+def test_readme_example_output(capsys, command, expected):
+    code, out = invoke(capsys, shlex.split(command)[1:])
+    assert code == 0
+    quoted = expected.splitlines()
+    if "..." in quoted:
+        quoted = quoted[: quoted.index("...")]
+        assert out.splitlines()[: len(quoted)] == quoted
+    else:
+        assert out == expected

@@ -29,9 +29,9 @@ from qetsim.simcore import (
     ATOL_DECOMP,
     Cnot,
     Ry,
-    apply_gate,
     evolve,
     expectation,
+    gate_unitary,
     is_hermitian,
     ry_matrix,
     state_00,
@@ -112,8 +112,8 @@ def test_local_term_minimum_eigenvalues():
 @pytest.mark.parametrize("params", all_params(), ids=str)
 def test_prep_circuit_reaches_ground_state(params):
     theta = angles(params).theta
-    state = apply_gate(state_00(), Ry(2.0 * theta, 0))
-    state = apply_gate(state, Cnot(0, 1))
+    state = gate_unitary(Ry(2.0 * theta, 0)) @ state_00()
+    state = gate_unitary(Cnot(0, 1)) @ state
     assert np.allclose(state, ground_state(params), atol=ATOL_ALGEBRA)
 
 

@@ -101,7 +101,7 @@ def test_estimator_formulas_on_small_counts():
 
 
 def test_estimator_validation():
-    for bad in ({}, {"xx": 3}, {"00": -1}, {"00": 0}):
+    for bad in ({}, {"xx": 3}, {"00": -1}, {"00": 0}, {"00": 1e308, "01": 1e308}):
         with pytest.raises(ValueError):
             estimate_Z1(bad)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Gate algebra, measurement collapse, sampling, and time evolution."""
+"""Gate algebra, branch enumeration, sampling, counts validation, and time
+evolution."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qetsim.model import ModelParams
-from qetsim.protocol import Mode, Target, build_circuit
+from qetsim.noise import PRESETS, apply_noise, estimate_calibration_matrix, mitigate
+from qetsim.protocol import Mode, Target, build_circuit, estimate_energy, estimate_Z1
 from qetsim.simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
@@ -21,7 +23,6 @@ from qetsim.simcore import (
     NumericalError,
     PauliX,
     Ry,
-    apply_gate,
     depth,
     distribution_vector,
     evolve,
@@ -31,7 +32,6 @@ from qetsim.simcore import (
     is_hermitian,
     is_unitary,
     make_rng,
-    measure_z,
     run_shots,
     ry_matrix,
     state_00,
@@ -70,20 +70,20 @@ def test_rotation_unitarity_random_angles(theta, target):
 
 
 def test_hadamard_action():
-    plus0 = apply_gate(state_00(), Hadamard(0))
+    plus0 = gate_unitary(Hadamard(0)) @ state_00()
     assert np.allclose(plus0, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], atol=ATOL_ALGEBRA)
-    plus1 = apply_gate(state_00(), Hadamard(1))
+    plus1 = gate_unitary(Hadamard(1)) @ state_00()
     assert np.allclose(plus1, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=ATOL_ALGEBRA)
 
 
 def test_pauli_x_and_cnot_action():
-    s = apply_gate(state_00(), PauliX(0))       # |10>
-    s = apply_gate(s, Cnot(0, 1))               # |11>
+    s = gate_unitary(PauliX(0)) @ state_00()   # |10>
+    s = gate_unitary(Cnot(0, 1)) @ s           # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
-    s = apply_gate(state_00(), PauliX(1))       # |01>
-    s = apply_gate(s, Cnot(1, 0))               # |11>
+    s = gate_unitary(PauliX(1)) @ state_00()   # |01>
+    s = gate_unitary(Cnot(1, 0)) @ s           # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
-    s = apply_gate(state_00(), Cnot(0, 1))      # control 0: no-op
+    s = gate_unitary(Cnot(0, 1)) @ state_00()  # control 0: no-op
     assert np.allclose(s, state_00(), atol=ATOL_ALGEBRA)
 
 
@@ -110,16 +110,16 @@ def test_ry_matrix_convention():
 def test_gate_sequences_preserve_norm(thetas):
     state = state_00()
     for i, theta in enumerate(thetas):
-        state = apply_gate(state, Ry(theta, i % 2))
-        state = apply_gate(state, Cnot(i % 2, 1 - i % 2))
+        state = gate_unitary(Ry(theta, i % 2)) @ state
+        state = gate_unitary(Cnot(i % 2, 1 - i % 2)) @ state
     assert abs(np.linalg.norm(state) - 1.0) < ATOL_ALGEBRA
 
 
 def test_apply_gate_rejects_non_unitary_steps():
     with pytest.raises(ValueError):
-        apply_gate(state_00(), MeasureZ(0, 0))
+        gate_unitary(MeasureZ(0, 0))
     with pytest.raises(ValueError):
-        apply_gate(state_00(), ClassicallyControlledRy(0, 1, 0.3, 1))
+        gate_unitary(ClassicallyControlledRy(0, 1, 0.3, 1))
 
 
 def test_step_index_validation():
@@ -162,35 +162,6 @@ def test_depth_layering():
         ClassicallyControlledRy(0, 1, 0.2, 1),
     ))
     assert depth(same_value) == 3
-
-
-def test_measure_z_eigenstate():
-    state = apply_gate(state_00(), PauliX(0))  # |10>
-    outcome, collapsed = measure_z(state, 0, make_rng(1))
-    assert outcome == 1
-    assert np.allclose(collapsed, state, atol=ATOL_ALGEBRA)
-    outcome, collapsed = measure_z(state, 1, make_rng(1))
-    assert outcome == 0
-    assert np.allclose(collapsed, state, atol=ATOL_ALGEBRA)
-
-
-def test_measure_z_balanced_superposition():
-    rng = make_rng(11)
-    plus = apply_gate(state_00(), Hadamard(0))
-    n = 4000
-    ones = 0
-    for _ in range(n):
-        outcome, collapsed = measure_z(plus, 0, rng)
-        ones += outcome
-        expected = [0, 0, 1, 0] if outcome else [1, 0, 0, 0]
-        assert np.allclose(collapsed, expected, atol=ATOL_ALGEBRA)
-    # 5 standard errors around p = 1/2
-    assert abs(ones / n - 0.5) < 5 * np.sqrt(0.25 / n)
-
-
-def test_measure_z_underflow():
-    with pytest.raises(NumericalError):
-        measure_z(np.zeros(4, dtype=complex), 0, make_rng(0))
 
 
 def test_run_shots_trivial_circuit():
@@ -291,6 +262,24 @@ def test_exact_distribution_overwritten_bit():
     assert dist["10"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
 
 
+# every public consumer of a counts map, each fed one non-finite count
+COUNTS_CONSUMERS = {
+    "estimate_Z1": estimate_Z1,
+    "estimate_energy": lambda c: estimate_energy(ModelParams(1.0, 1.0), Target.V, c),
+    "mitigate-direct": lambda c: mitigate(c, np.eye(4), "direct"),
+    "mitigate-least-squares": lambda c: mitigate(c, np.eye(4), "least-squares"),
+    "apply_noise": lambda c: apply_noise(c, PRESETS["lima-like"], make_rng(0)),
+    "estimate_calibration_matrix": lambda c: estimate_calibration_matrix([c] * 4),
+}
+
+
+@pytest.mark.parametrize("consumer", COUNTS_CONSUMERS.values(), ids=COUNTS_CONSUMERS.keys())
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_counts_consumers_reject_non_finite_counts(consumer, value):
+    with pytest.raises(ValueError):
+        consumer({"00": 10, "01": value})
+
+
 def test_distribution_vector_ordering():
     vec = distribution_vector({"01": 0.25, "11": 0.75})
     assert np.allclose(vec, [0.0, 0.25, 0.0, 0.75])
@@ -300,7 +289,7 @@ def test_expectation_known_values():
     rho00 = np.diag([1.0, 0, 0, 0]).astype(complex)
     assert expectation(rho00, Z0) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
     assert expectation(rho00, Z1) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
-    bell = apply_gate(apply_gate(state_00(), Hadamard(0)), Cnot(0, 1))
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
     rho_bell = np.outer(bell, bell.conj())
     assert expectation(rho_bell, X0X1) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
     assert expectation(rho_bell, Z0) == pytest.approx(0.0, abs=ATOL_ALGEBRA)
@@ -313,14 +302,14 @@ def test_expectation_rejects_imaginary_residue():
 
 
 def test_evolve_identity_at_t0():
-    bell = apply_gate(apply_gate(state_00(), Hadamard(0)), Cnot(0, 1))
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
     rho = np.outer(bell, bell.conj())
     assert np.allclose(evolve(rho, Z0 + Z1, 0.0), rho, atol=ATOL_ALGEBRA)
 
 
 def test_evolve_single_qubit_precession():
     # under H = Z0 the Bloch vector of |+> precesses: <X0>(t) = cos(2t)
-    plus = apply_gate(state_00(), Hadamard(0))
+    plus = gate_unitary(Hadamard(0)) @ state_00()
     rho = np.outer(plus, plus.conj())
     for t in (0.3, 1.0, np.sqrt(2.0)):
         rho_t = evolve(rho, Z0, t)
@@ -328,7 +317,7 @@ def test_evolve_single_qubit_precession():
 
 
 def test_evolve_preserves_trace_and_hermiticity():
-    bell = apply_gate(apply_gate(state_00(), Hadamard(0)), Cnot(0, 1))
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
     rho = np.outer(bell, bell.conj())
     h = 0.7 * Z0 + 1.3 * Z1 + 0.4 * X0X1
     rho_t = evolve(rho, h, 2.31)
