@@ -25,7 +25,6 @@ from .model import (
 from .noise import (
     ReadoutNoise,
     apply_noise,
-    build_calibration_circuits,
     estimate_calibration_matrix,
     mitigate,
 )
@@ -38,7 +37,7 @@ from .protocol import (
     estimate_energy,
     run_protocol,
 )
-from .simcore import evolve, expectation, make_rng, run_shots
+from .simcore import BITSTRINGS, evolve, expectation
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,9 @@ class SweepGrid:
             raise ValueError("grid must be nonempty")
         if not all(v > 0 and np.isfinite(v) for v in self.h_values + self.k_values):
             raise ValueError("grid values must be positive and finite")
-        # the largest pair has the largest h^2 + k^2 of any cell
+        # the smallest pair has the smallest max(h, k) and the largest pair the
+        # largest h^2 + 2 k^2 of any cell
+        ModelParams(min(self.h_values), min(self.k_values))
         ModelParams(max(self.h_values), max(self.k_values))
 
 
@@ -159,14 +160,18 @@ def sampled_calibration_matrix(
     n_shots: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
-    """Response matrix estimated the way an experiment would: run the four
-    basis-preparation circuits through the same noisy readout and tabulate."""
-    seeds = _seed_sequence(seed).spawn(8)
+    """Response matrix estimated the way an experiment would: read n_shots of
+    each basis state through the same noisy readout and tabulate. Readout
+    noise acts on the record only, so an ideal preparation of state j records
+    j on every shot before the channel."""
+    # odd children only: the even ones seeded preparation draws that used no
+    # randomness, so every seed keeps the matrix it always gave
+    seeds = _seed_sequence(seed).spawn(8)[1::2]
     counts_list = []
-    for j, circuit in enumerate(build_calibration_circuits()):
-        counts = run_shots(circuit, n_shots, seeds[2 * j])
+    for key, key_seed in zip(BITSTRINGS, seeds):
+        counts = {key: n_shots}
         if noise is not None:
-            counts = apply_noise(counts, noise, make_rng(seeds[2 * j + 1]))
+            counts = apply_noise(counts, noise, key_seed)
         counts_list.append(counts)
     return estimate_calibration_matrix(counts_list)
 

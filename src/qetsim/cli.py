@@ -40,7 +40,7 @@ from .analysis import (
 from .model import REPORT_PAIRS, ModelParams
 from .noise import MITIGATION_METHODS, PRESETS, ReadoutNoise, measurement_fidelity
 from .protocol import EstimationResult, Mode, Target, combine_E1
-from .simcore import BITSTRINGS, NumericalError
+from .simcore import BITSTRINGS, SHOT_LIMIT, NumericalError
 
 SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
@@ -151,15 +151,25 @@ class Options:
         for raw in (self._args.seed, self._file.get("seed"), os.environ.get(SEED_ENV_VAR)):
             if raw is not None and raw != "":
                 try:
-                    return int(raw)
+                    seed = int(raw)
                 except ValueError as exc:
                     raise ConfigError(f"invalid seed: {raw!r}") from exc
+                if seed < 0:
+                    raise ConfigError(f"seed must be nonnegative, got {seed}")
+                return seed
         return DEFAULT_SEED
 
 
 def _positive_int(value: Any) -> int:
     n = int(value)
     if n < 1:
+        raise ValueError(value)
+    return n
+
+
+def _shot_count(value: Any) -> int:
+    n = _positive_int(value)
+    if n >= SHOT_LIMIT:
         raise ValueError(value)
     return n
 
@@ -201,6 +211,9 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
         return (float(parts[0]),)
     if len(parts) == 3:
         lo, hi = float(parts[0]), float(parts[1])
+        # linspace warns on a non-finite span
+        if not math.isfinite(hi - lo):
+            raise ValueError(spec)
         n = _positive_int(parts[2])
         return tuple(np.linspace(lo, hi, n))
     raise ValueError(spec)
@@ -250,7 +263,7 @@ def _deviation_sigma(result: EstimationResult, analytic: float) -> float | None:
 def cmd_run(opts: Options) -> str:
     target_name = opts.get("target", _choice(("E0", "H1", "V", "E1")))
     mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _positive_int, DEFAULT_SHOTS)
+    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
     noise_spec = opts.get("noise", str, "none")
     noise = opts.get("noise", parse_noise, "none")
     method = opts.get(
@@ -340,7 +353,7 @@ def cmd_report(opts: Options) -> str:
     pairs_default = ",".join(f"{h:g}:{k:g}" for h, k in REPORT_PAIRS)
     params_list = opts.get("pairs", parse_pairs, pairs_default)
     mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _positive_int, DEFAULT_SHOTS)
+    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
     noise_spec = opts.get("noise", str, "none")
     noise = opts.get("noise", parse_noise, "none")
     method_name = opts.get(
@@ -375,7 +388,7 @@ def cmd_report(opts: Options) -> str:
 def cmd_mitigate_demo(opts: Options) -> str:
     target_name = opts.get("target", _choice(("E0", "H1", "V")), "V")
     mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _positive_int, DEFAULT_SHOTS)
+    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
     noise_spec = opts.get("noise", str, "lima-like")
     noise = opts.get("noise", parse_noise, "lima-like")
     if noise is None:

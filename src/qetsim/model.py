@@ -9,6 +9,9 @@ chosen so every term has zero mean in the ground state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import sys
+
 import numpy as np
 
 from .simcore import (
@@ -37,10 +40,20 @@ class ModelParams:
     k: float
 
     def __post_init__(self) -> None:
-        # h*h rather than h**2: float ** raises OverflowError instead of giving inf
-        if not (self.h > 0 and self.k > 0 and np.isfinite(self.h * self.h + self.k * self.k)):
+        h, k = float(self.h), float(self.k)
+        big = max(h, k)
+        # h*h rather than h**2: float ** raises OverflowError instead of giving
+        # inf. A normal max(h, k)^2 keeps r > 0 and h / r <= 1; a finite
+        # h^2 + 2 k^2 keeps the protocol angle and the energies finite.
+        if not (
+            h > 0
+            and k > 0
+            and big * big >= sys.float_info.min
+            and math.isfinite(h * h + 2.0 * k * k)
+        ):
             raise ValueError(
-                f"couplings must be positive with finite h^2 + k^2, got h={self.h}, k={self.k}"
+                "couplings must be positive with a normal max(h, k)^2 and a finite "
+                f"h^2 + 2 k^2, got h={self.h}, k={self.k}"
             )
 
     @property
@@ -187,18 +200,23 @@ def entropy_report(params: ModelParams) -> EntropyReport:
     h, k, r = params.h, params.k, params.r
     a2 = (1.0 - h / r) / 2.0
     b2 = (1.0 + h / r) / 2.0
-    s_ab = float(-a2 * np.log(a2) - b2 * np.log(b2))
+    # 0 log 0 = 0: a2 rounds to 0 once k/h is below about 1e-8
+    s_ab = float(-sum(p * np.log(p) for p in (a2, b2) if p > 0.0))
     delta_s = s_ab
     xi = float(np.arctan(k / h))
     c, s = np.cos(xi), np.sin(xi)
     e_b = -analytic_E1(params)
-    delta_s_lower_bound = float(
-        (1.0 + s**2) / (2.0 * c**3) * np.log((1.0 + c) / (1.0 - c)) * e_b / r
-    )
-    max_eb_lower_bound = float(
-        2.0 * r * (np.sqrt(4.0 - 3.0 * c**2) - 2.0 + c**2) * delta_s
-        / ((1.0 + c) * np.log(2.0 / (1.0 + c)) + (1.0 - c) * np.log(2.0 / (1.0 - c)))
-    )
+    if c == 1.0:
+        # both bounds vanish as k -> 0, where 1 - c rounds to 0 first
+        delta_s_lower_bound = max_eb_lower_bound = 0.0
+    else:
+        delta_s_lower_bound = float(
+            (1.0 + s**2) / (2.0 * c**3) * np.log((1.0 + c) / (1.0 - c)) * e_b / r
+        )
+        max_eb_lower_bound = float(
+            2.0 * r * (np.sqrt(4.0 - 3.0 * c**2) - 2.0 + c**2) * delta_s
+            / ((1.0 + c) * np.log(2.0 / (1.0 + c)) + (1.0 - c) * np.log(2.0 / (1.0 - c)))
+        )
     return EntropyReport(
         s_ab=s_ab,
         delta_s=delta_s,

@@ -2,10 +2,12 @@
 
 The channel flips each recorded classical bit independently with per-qubit
 asymmetric probabilities; it acts on the terminal record only, never on the
-quantum branch a mid-circuit outcome selected. Mitigation estimates the 4x4
-column-stochastic response matrix from four basis-preparation circuits and
-inverts it, either directly (clip and renormalize) or as a least-squares
-problem constrained to the probability simplex.
+quantum branch a mid-circuit outcome selected. An ideal preparation of basis
+state j therefore records j on every shot, and column j of the 4x4
+column-stochastic response matrix is estimated by passing those records
+through the channel. Mitigation inverts the estimated matrix, either directly
+(clip and renormalize) or as a least-squares problem constrained to the
+probability simplex.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import numpy as np
 from .simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
-    Circuit,
-    MeasureZ,
+    SHOT_LIMIT,
     NumericalError,
-    PauliX,
     check_counts,
     distribution_vector,
 )
@@ -78,30 +78,23 @@ def noisy_distribution(dist: dict[str, float], noise: ReadoutNoise) -> dict[str,
 def apply_noise(
     counts: dict[str, int],
     noise: ReadoutNoise,
-    rng: np.random.Generator,
+    seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> dict[str, int]:
-    """Flip recorded bits stochastically in a counts map of integer tallies.
-    Deterministic under a fixed generator state."""
+    """Flip recorded bits stochastically in a counts map of integer tallies
+    totalling less than 2**63. Deterministic for a fixed seed."""
     check_counts(counts)
+    for key, c in counts.items():
+        if c != int(c):
+            raise ValueError(f"counts must be integers, got {key}={c}")
+    total = sum(int(c) for c in counts.values())
+    if total >= SHOT_LIMIT:
+        raise ValueError(f"counts must total less than 2**63, got {total}")
+    rng = np.random.default_rng(seed)
     a = confusion_matrix(noise)
     out = np.zeros(4, dtype=np.int64)
     for key in sorted(counts):
-        c = counts[key]
-        if c != int(c):
-            raise ValueError(f"counts must be integers, got {key}={c}")
-        out += rng.multinomial(int(c), a[:, BITSTRINGS.index(key)])
+        out += rng.multinomial(int(counts[key]), a[:, BITSTRINGS.index(key)])
     return {BITSTRINGS[i]: int(c) for i, c in enumerate(out) if c > 0}
-
-
-def build_calibration_circuits() -> tuple[Circuit, Circuit, Circuit, Circuit]:
-    """Four circuits preparing each basis state with X gates and measuring
-    both qubits; their counts estimate the response matrix column by column."""
-    circuits = []
-    for key in BITSTRINGS:
-        steps = [PauliX(q) for q in (0, 1) if key[q] == "1"]
-        steps += [MeasureZ(0, 0), MeasureZ(1, 1)]
-        circuits.append(Circuit(tuple(steps)))
-    return tuple(circuits)
 
 
 def estimate_calibration_matrix(calibration_counts: list[dict[str, int]]) -> np.ndarray:

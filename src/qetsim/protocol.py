@@ -24,7 +24,6 @@ from .simcore import (
     MeasureZ,
     Ry,
     check_counts,
-    make_rng,
     run_shots,
 )
 
@@ -96,18 +95,14 @@ def build_circuit(params: ModelParams, target: Target, mode: Mode) -> Circuit:
     return Circuit(tuple(steps + tail))
 
 
-def estimate_Z1(counts: dict[str, float]) -> float:
-    """Mean Z eigenvalue of qubit 1: sum of (1 - 2 b1) weighted by counts."""
-    total = check_counts(counts)
-    return sum((1 - 2 * int(key[1])) * c for key, c in counts.items()) / total
-
-
-def estimate_X0X1(counts: dict[str, float]) -> float:
-    """Mean joint X eigenvalue: sum of (1 - 2 b0)(1 - 2 b1) weighted by counts."""
-    total = check_counts(counts)
-    return sum(
-        (1 - 2 * int(key[0])) * (1 - 2 * int(key[1])) * c for key, c in counts.items()
-    ) / total
+# +/-1 eigenvalue of each outcome in the Pauli operator a target reads: Z on
+# qubit 1 (H1), X0 X1 after the basis change (V), and Z on qubit 0 after the
+# completed X measurement (E0, the deposit readout).
+_EIGENVALUES: dict[Target, dict[str, int]] = {
+    Target.E0: {"00": 1, "01": 1, "10": -1, "11": -1},
+    Target.H1: {"00": 1, "01": -1, "10": 1, "11": -1},
+    Target.V: {"00": 1, "01": -1, "10": -1, "11": 1},
+}
 
 
 def estimate_energy(
@@ -118,19 +113,21 @@ def estimate_energy(
     Counts must come from the circuit built for the same target; only
     structural validity of the map is checkable here. Float-valued counts
     (for example a corrected distribution scaled by the shot count) are
-    accepted; the eigenvalue sample variance then uses the weights as given.
+    accepted if their total rounds to at least one shot; the eigenvalue
+    sample variance then uses the weights as given.
     """
     target = Target(target)
     total = check_counts(counts)
+    n_shots = round(total)
+    if n_shots < 1:
+        raise ValueError(f"counts must total at least one shot, got {total}")
     h, k, r = params.h, params.k, params.r
     if target is Target.V:
-        coef, const, eig_mean = 2.0 * k, 2.0 * k**2 / r, estimate_X0X1(counts)
-    elif target is Target.H1:
-        coef, const, eig_mean = h, h**2 / r, estimate_Z1(counts)
+        coef, const = 2.0 * k, 2.0 * k**2 / r
     else:
-        # deposit readout: Z eigenvalue of qubit 0 after the completed X measurement
         coef, const = h, h**2 / r
-        eig_mean = sum((1 - 2 * int(key[0])) * c for key, c in counts.items()) / total
+    eigenvalues = _EIGENVALUES[target]
+    eig_mean = sum(eigenvalues[key] * c for key, c in counts.items()) / total
     # eigenvalues are +/-1, so the population variance is 1 - mean^2
     var = max(1.0 - eig_mean**2, 0.0)
     if total > 1:
@@ -139,7 +136,7 @@ def estimate_energy(
     return EstimationResult(
         mean=coef * eig_mean + const,
         std_error=std_error,
-        n_shots=int(round(total)),
+        n_shots=n_shots,
         raw_counts=dict(counts),
     )
 
@@ -176,7 +173,7 @@ def run_protocol(
     shot_seed, noise_seed = _seed_sequence(seed).spawn(2)
     counts = run_shots(build_circuit(params, target, mode), n_shots, shot_seed)
     if noise is not None:
-        counts = apply_noise(counts, noise, make_rng(noise_seed))
+        counts = apply_noise(counts, noise, noise_seed)
     return estimate_energy(params, target, counts)
 
 

@@ -18,6 +18,10 @@ ATOL_DECOMP = 1e-10
 
 BITSTRINGS = ("00", "01", "10", "11")
 
+# Shot tallies are drawn and summed as int64: every shot count and every total
+# of a counts map that is resampled must stay below this.
+SHOT_LIMIT = 2**63
+
 PureState = np.ndarray      # shape (4,), complex, unit norm
 DensityMatrix = np.ndarray  # shape (4, 4), complex, Hermitian, trace 1
 Observable = np.ndarray     # shape (4, 4), complex, Hermitian
@@ -236,13 +240,6 @@ _ONE_COLS = {0: np.array([2, 3]), 1: np.array([1, 3])}
 _ONE_MASK = {q: np.isin(np.arange(4), cols) for q, cols in _ONE_COLS.items()}
 
 
-def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.random.Generator:
-    """Named reproducible generator; never touches global RNG state."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def run_shots(
     circuit: Circuit,
     n_shots: int,
@@ -255,14 +252,14 @@ def run_shots(
     exact_distribution of the circuit (mid-circuit measurement and classical
     control included). One draw gives every count, in time and memory that do
     not depend on n_shots. Only nonzero tallies are returned."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    if not 1 <= n_shots < SHOT_LIMIT:
+        raise ValueError(f"n_shots must be in [1, 2**63), got {n_shots}")
     p = distribution_vector(exact_distribution(circuit))
     total = p.sum()
     if not (np.all(np.isfinite(p)) and abs(total - 1.0) <= ATOL_DECOMP):
         raise NumericalError(f"outcome probabilities {p} do not form a distribution")
     # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
-    tallies = make_rng(seed).multinomial(n_shots, p / total)
+    tallies = np.random.default_rng(seed).multinomial(n_shots, p / total)
     return {BITSTRINGS[i]: int(c) for i, c in enumerate(tallies) if c > 0}
 
 

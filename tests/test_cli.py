@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.cli import format_float, main, parse_axis, parse_noise, render_csv, render_json
 
@@ -62,8 +66,10 @@ def test_parse_axis_forms():
     assert parse_axis("1.5") == (1.5,)
     axis = parse_axis("0.5:1.5:3")
     assert axis == (0.5, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        parse_axis("1:2")
+    # linspace would warn on a span that is not finite
+    for bad in ("1:2", "inf:-inf:2", "nan:1:2", "-1e308:1e308:3"):
+        with pytest.raises(ValueError):
+            parse_axis(bad)
 
 
 def test_run_reports_analytic_value(capsys):
@@ -161,6 +167,28 @@ def test_seed_precedence(capsys, monkeypatch):
     assert flag_wins == flagged
     _, env_wins = invoke(capsys, RUN_ARGS[:-2])
     assert env_wins != flagged
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+def test_negative_seed_is_a_config_error(capsys, tmp_path, monkeypatch, command, source):
+    argv = {"run": RUN_ARGS[:-2], "report": ["report", "--shots", "100"]}[command]
+    if source == "flag":
+        argv = argv + ["--seed", "-1"]
+    elif source == "file":
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = argv + ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("QET_SEED", "-4")
+    assert invoke(capsys, argv) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["run", "report", "mitigate-demo"])
+@pytest.mark.parametrize("shots", [str(2**63), "100000000000000000000"])
+def test_shots_past_int64_are_a_config_error(capsys, command, shots):
+    argv = {"run": RUN_ARGS[:-4], "report": ["report"], "mitigate-demo": ["mitigate-demo"]}
+    assert invoke(capsys, argv[command] + ["--shots", shots]) == (2, "")
 
 
 def test_config_file_and_flag_override(capsys, tmp_path):
@@ -265,6 +293,85 @@ def test_mitigate_demo_output(capsys):
     assert payload["analytic"] == pytest.approx(-0.374641)
     assert main(["mitigate-demo", "--noise", "none"]) == 2
     capsys.readouterr()
+
+
+# ordinary option values (None leaves the option out) and values at and past
+# the edges of each accepted domain
+EDGE_NUMBERS = ("inf", "-inf", "nan", "0", "-0.0", "1e-320", "1e-160", "1e300", "-1")
+EDGE_COUNTS = ("-1", "0", str(2**63 - 1), str(2**63), "1e300", "nan", "1.5")
+ORDINARY_OPTIONS = {
+    "h": st.sampled_from(("1", "0.4", "1.7")),
+    "k": st.sampled_from(("1", "0.4", "1.7")),
+    "t-max": st.sampled_from((None, "0.5", "3")),
+    "shots": st.sampled_from((None, "1", "7", "2000")),
+    "seed": st.sampled_from((None, "0", "12")),
+    "noise": st.sampled_from((None, "none", "lima-like", "0.02,0.03")),
+    "target": st.sampled_from(("E0", "H1", "V", "E1")),
+    "mode": st.sampled_from((None, "conditional", "deferred")),
+    "mitigation": st.sampled_from((None, "none", "direct", "least-squares")),
+}
+EDGE_OPTIONS = {
+    "h": st.sampled_from(EDGE_NUMBERS) | st.floats().map(repr),
+    "k": st.sampled_from(EDGE_NUMBERS) | st.floats().map(repr),
+    "t-max": st.sampled_from(EDGE_NUMBERS) | st.floats().map(repr),
+    "shots": st.sampled_from(EDGE_COUNTS) | st.integers(-2, 2**64).map(str),
+    "seed": st.sampled_from(EDGE_COUNTS) | st.integers(-2, 2**70).map(str),
+    "noise": st.sampled_from(
+        ("0.5,0.5", "0,0", "1,0", "inf,0", "nan,0.1", "-0.0,1e-320", "0.01,0.02,0.03", "bogus")
+    ) | st.lists(st.floats(-0.1, 1.1).map(repr), min_size=2, max_size=4).map(",".join),
+    "target": st.sampled_from(("Q", "")),
+    "mode": st.sampled_from(("sideways", "")),
+    "mitigation": st.sampled_from(("sorcery", "")),
+}
+# the options each subcommand takes; grid sizes and step counts stay small
+# because they size what is allocated
+FUZZ_COMMANDS = {
+    "run": ("h", "k", "target", "shots", "seed", "noise", "mode", "mitigation"),
+    "evolve": ("h", "k", "t-max"),
+    "report": ("shots", "seed", "noise", "mode", "mitigation"),
+    "mitigate-demo": ("h", "k", "target", "shots", "seed", "noise", "mode", "mitigation"),
+    "sweep": (),
+}
+
+
+@st.composite
+def fuzz_options(draw):
+    # one or two options at an edge, so that most runs get past validation
+    edged = draw(st.lists(st.sampled_from(tuple(EDGE_OPTIONS)), min_size=1, max_size=2))
+    return {
+        key: draw(EDGE_OPTIONS[key] if key in edged else ORDINARY_OPTIONS[key])
+        for key in EDGE_OPTIONS
+    }
+
+
+def _run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(tuple(FUZZ_COMMANDS)),
+    values=fuzz_options(),
+    n_cells=st.integers(1, 5),
+    t_steps=st.integers(2, 101),
+)
+def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, n_cells, t_steps):
+    argv = [command]
+    argv += [f"--{key}={values[key]}" for key in FUZZ_COMMANDS[command] if values[key] is not None]
+    if command == "evolve":
+        argv.append(f"--t-steps={t_steps}")
+    if command == "report":
+        argv.append(f"--pairs={values['h']}:{values['k']}")
+    if command == "sweep":
+        argv += [f"--grid-h={values['h']}:{values['k']}:{n_cells}", f"--grid-k={values['k']}"]
+    code, out = _run_quietly(argv)
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == ""
+    assert _run_quietly(argv) == (code, out)
 
 
 def test_unknown_command_exits_nonzero(capsys):

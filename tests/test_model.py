@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qetsim.model import (
     GRID_H,
@@ -68,7 +72,29 @@ def test_params_validation():
             ModelParams(bad, 1.0)
         with pytest.raises(ValueError):
             ModelParams(1.0, bad)
+    # a subnormal larger square (r = 0, or h / r > 1) and an overflowing h^2 + 2 k^2
+    for h, k in ((1e-300, 1e-300), (1e-160, 1e-300), (9e153, 9e153)):
+        with pytest.raises(ValueError):
+            ModelParams(h, k)
     assert ModelParams(3.0, 4.0).r == pytest.approx(5.0, abs=ATOL_ALGEBRA)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+    k=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
+)
+def test_closed_forms_finite_on_accepted_couplings(h, k):
+    try:
+        params = ModelParams(h, k)
+    except ValueError:
+        return
+    values = [
+        analytic_E0(params), analytic_E1(params), analytic_H1(params), analytic_V(params),
+        *dataclasses.astuple(angles(params)), *dataclasses.astuple(entropy_report(params)),
+    ]
+    assert all(np.isfinite(values))
+    assert np.all(np.isfinite(ground_state(params)))
 
 
 @pytest.mark.parametrize("params", all_params(), ids=str)
@@ -247,6 +273,14 @@ def test_entropy_report_structure(params):
 def test_entropy_limit_weak_field():
     rep = entropy_report(ModelParams(1e-8, 1.0))
     assert rep.s_ab == pytest.approx(np.log(2.0), abs=1e-6)
+
+
+def test_entropy_limit_weak_coupling():
+    # k/h = 1e-9 leaves a product ground state: no entropy, both bounds 0
+    rep = entropy_report(ModelParams(1.0, 1e-9))
+    assert rep.s_ab == 0.0
+    assert rep.delta_s_lower_bound == rep.max_eb_lower_bound == 0.0
+    assert rep.e_b == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("params", all_params(), ids=str)

@@ -12,14 +12,13 @@ from qetsim.noise import (
     PRESETS,
     ReadoutNoise,
     apply_noise,
-    build_calibration_circuits,
     confusion_matrix,
     estimate_calibration_matrix,
     measurement_fidelity,
     mitigate,
     noisy_distribution,
 )
-from qetsim.simcore import BITSTRINGS, NumericalError, distribution_vector, make_rng, run_shots
+from qetsim.simcore import BITSTRINGS, NumericalError, distribution_vector
 
 LIMA = PRESETS["lima-like"]
 
@@ -57,7 +56,7 @@ def test_zero_noise_is_identity():
     clean = ReadoutNoise.symmetric(0.0, 0.0)
     assert np.allclose(confusion_matrix(clean), np.eye(4))
     counts = {"00": 700, "11": 300}
-    assert apply_noise(counts, clean, make_rng(0)) == counts
+    assert apply_noise(counts, clean, np.random.default_rng(0)) == counts
 
 
 def test_noisy_distribution_is_matrix_action():
@@ -70,8 +69,8 @@ def test_noisy_distribution_is_matrix_action():
 
 def test_apply_noise_preserves_total_and_is_deterministic():
     counts = {"00": 40_000, "01": 25_000, "10": 25_000, "11": 10_000}
-    a = apply_noise(counts, LIMA, make_rng(8))
-    b = apply_noise(counts, LIMA, make_rng(8))
+    a = apply_noise(counts, LIMA, np.random.default_rng(8))
+    b = apply_noise(counts, LIMA, np.random.default_rng(8))
     assert a == b
     assert sum(a.values()) == 100_000
 
@@ -79,7 +78,7 @@ def test_apply_noise_preserves_total_and_is_deterministic():
 def test_apply_noise_sampled_frequencies_track_exact_channel():
     n = 200_000
     counts = {"01": n}
-    observed = apply_noise(counts, LIMA, make_rng(21))
+    observed = apply_noise(counts, LIMA, np.random.default_rng(21))
     expected = confusion_matrix(LIMA)[:, 1]
     for i, key in enumerate(BITSTRINGS):
         p = expected[i]
@@ -89,33 +88,36 @@ def test_apply_noise_sampled_frequencies_track_exact_channel():
 
 def test_apply_noise_input_validation():
     with pytest.raises(ValueError):
-        apply_noise({"00": 3.5}, LIMA, make_rng(0))
+        apply_noise({"00": 3.5}, LIMA, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        apply_noise({"0x": 1}, LIMA, make_rng(0))
+        apply_noise({"0x": 1}, LIMA, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        apply_noise({"00": -2}, LIMA, make_rng(0))
+        apply_noise({"00": -2}, LIMA, np.random.default_rng(0))
+    # int64 tallies: totals from 2**63 on would overflow or wrap
+    for too_many in ({"00": 1e300}, {"00": 2**63}, dict.fromkeys(BITSTRINGS, 2**63 - 1)):
+        with pytest.raises(ValueError):
+            apply_noise(too_many, LIMA, 0)
+    largest = apply_noise({"00": 2**63 - 2, "11": 1}, LIMA, 0)
+    assert sum(largest.values()) == 2**63 - 1
 
 
-def test_calibration_circuits_prepare_basis_states():
-    circuits = build_calibration_circuits()
-    assert len(circuits) == 4
-    for key, circuit in zip(BITSTRINGS, circuits):
-        assert run_shots(circuit, 100, 1) == {key: 100}
+def test_apply_noise_seed_forms_agree():
+    counts = {"00": 4_000, "11": 6_000}
+    expected = apply_noise(counts, LIMA, 5)
+    assert apply_noise(counts, LIMA, np.random.SeedSequence(5)) == expected
+    assert apply_noise(counts, LIMA, np.random.default_rng(5)) == expected
 
 
 def test_calibration_matrix_noiseless_is_identity():
-    counts = [run_shots(c, 1000, seed) for seed, c in enumerate(build_calibration_circuits())]
+    counts = [{key: 1000} for key in BITSTRINGS]
     assert np.allclose(estimate_calibration_matrix(counts), np.eye(4))
 
 
 def test_calibration_matrix_recovers_channel():
     n = 100_000
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     truth = confusion_matrix(LIMA)
-    counts = []
-    for j, circuit in enumerate(build_calibration_circuits()):
-        clean = run_shots(circuit, n, 100 + j)
-        counts.append(apply_noise(clean, LIMA, rng))
+    counts = [apply_noise({key: n}, LIMA, rng) for key in BITSTRINGS]
     estimated = estimate_calibration_matrix(counts)
     assert np.allclose(estimated.sum(axis=0), 1.0, atol=1e-12)
     for i in range(4):
@@ -171,7 +173,7 @@ def test_mitigate_direct_clips_and_renormalizes():
 
 def test_mitigate_least_squares_stays_on_simplex():
     a = confusion_matrix(LIMA)
-    rng = make_rng(12)
+    rng = np.random.default_rng(12)
     for _ in range(25):
         y = rng.dirichlet(np.ones(4))
         out = mitigate(dict(zip(BITSTRINGS, y)), a, "least-squares")

@@ -23,8 +23,6 @@ from qetsim.protocol import (
     Target,
     build_circuit,
     combine_E1,
-    estimate_X0X1,
-    estimate_Z1,
     estimate_energy,
     run_protocol,
     run_protocol_E1,
@@ -93,19 +91,33 @@ def test_feedforward_rotation_signs():
 
 
 def test_estimator_formulas_on_small_counts():
-    assert estimate_Z1({"00": 3, "01": 1}) == pytest.approx(0.5)
-    assert estimate_Z1({"10": 2, "11": 2}) == pytest.approx(0.0)
-    assert estimate_X0X1({"00": 2, "11": 2}) == pytest.approx(1.0)
-    assert estimate_X0X1({"01": 1, "10": 1}) == pytest.approx(-1.0)
-    assert estimate_X0X1({"00": 1, "01": 1, "10": 1, "11": 1}) == pytest.approx(0.0)
+    # E0 and H1 read h Z + h^2/r, V reads 2k X0X1 + 2k^2/r
+    params = ModelParams(1.0, 0.5)
+    h, k, r = params.h, params.k, params.r
+    cases = [
+        (Target.H1, {"00": 3, "01": 1}, 0.5 * h + h**2 / r),
+        (Target.H1, {"10": 2, "11": 2}, h**2 / r),
+        (Target.E0, {"00": 1, "01": 1, "11": 2}, h**2 / r),
+        (Target.E0, {"10": 3, "01": 1}, -0.5 * h + h**2 / r),
+        (Target.V, {"00": 2, "11": 2}, 2 * k + 2 * k**2 / r),
+        (Target.V, {"01": 1, "10": 1}, -2 * k + 2 * k**2 / r),
+        (Target.V, {"00": 1, "01": 1, "10": 1, "11": 1}, 2 * k**2 / r),
+    ]
+    for target, counts, expected in cases:
+        assert estimate_energy(params, target, counts).mean == pytest.approx(expected)
 
 
 def test_estimator_validation():
-    for bad in ({}, {"xx": 3}, {"00": -1}, {"00": 0}, {"00": 1e308, "01": 1e308}):
-        with pytest.raises(ValueError):
-            estimate_Z1(bad)
-        with pytest.raises(ValueError):
-            estimate_energy(ModelParams(1.0, 1.0), Target.V, bad)
+    # the last two round to zero shots
+    bad_counts = (
+        {}, {"xx": 3}, {"00": -1}, {"00": 0}, {"00": 1e308, "01": 1e308},
+        {"00": 0.3, "11": 0.2}, {"01": 0.5},
+    )
+    for bad in bad_counts:
+        for target in Target:
+            with pytest.raises(ValueError):
+                estimate_energy(ModelParams(1.0, 1.0), target, bad)
+    assert estimate_energy(ModelParams(1.0, 1.0), Target.V, {"00": 0.3, "11": 0.25}).n_shots == 1
 
 
 def test_estimate_energy_degenerate_counts():

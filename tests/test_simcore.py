@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qetsim.model import ModelParams
 from qetsim.noise import PRESETS, apply_noise, estimate_calibration_matrix, mitigate
-from qetsim.protocol import Mode, Target, build_circuit, estimate_energy, estimate_Z1
+from qetsim.protocol import Mode, Target, build_circuit, estimate_energy
 from qetsim.simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
@@ -31,7 +31,6 @@ from qetsim.simcore import (
     gate_unitary,
     is_hermitian,
     is_unitary,
-    make_rng,
     run_shots,
     ry_matrix,
     state_00,
@@ -177,8 +176,11 @@ def test_run_shots_determinism_and_validation():
     b = run_shots(circuit, 5000, 42)
     assert a == b
     assert sum(a.values()) == 5000
-    with pytest.raises(ValueError):
-        run_shots(circuit, 0, 1)
+    for bad in (0, 2**63, 10**20):
+        with pytest.raises(ValueError):
+            run_shots(circuit, bad, 1)
+    # the largest count an int64 tally holds is still drawn
+    assert sum(run_shots(circuit, 2**63 - 1, 1).values()) == 2**63 - 1
 
 
 def test_run_shots_honors_classical_control():
@@ -264,11 +266,10 @@ def test_exact_distribution_overwritten_bit():
 
 # every public consumer of a counts map, each fed one non-finite count
 COUNTS_CONSUMERS = {
-    "estimate_Z1": estimate_Z1,
     "estimate_energy": lambda c: estimate_energy(ModelParams(1.0, 1.0), Target.V, c),
     "mitigate-direct": lambda c: mitigate(c, np.eye(4), "direct"),
     "mitigate-least-squares": lambda c: mitigate(c, np.eye(4), "least-squares"),
-    "apply_noise": lambda c: apply_noise(c, PRESETS["lima-like"], make_rng(0)),
+    "apply_noise": lambda c: apply_noise(c, PRESETS["lima-like"], np.random.default_rng(0)),
     "estimate_calibration_matrix": lambda c: estimate_calibration_matrix([c] * 4),
 }
 
@@ -333,11 +334,3 @@ def test_evolve_rejects_non_hermitian_generator():
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
         evolve(rho, bad, 0.1)
-
-
-def test_make_rng_accepts_generator_and_seed():
-    rng = make_rng(5)
-    assert make_rng(rng) is rng
-    a = make_rng(np.random.SeedSequence(5)).random()
-    b = make_rng(np.random.SeedSequence(5)).random()
-    assert a == b
