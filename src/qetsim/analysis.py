@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    X0,
     ModelParams,
     analytic_E0,
     analytic_E1,
@@ -101,11 +102,9 @@ def phi_scan(
     g = ground_state(params)
     hams = build_hamiltonians(params)
     h_b = hams.h1 + hams.v
-    x0 = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2, dtype=complex))
-    eye = np.eye(4, dtype=complex)
     energies = np.zeros(n_points)
     for mu in (1, -1):
-        branch = ((eye + mu * x0) / 2.0) @ g
+        branch = (g + mu * (X0 @ g)) / 2.0
         c = np.cos(mu * phis)
         s = np.sin(mu * phis)
         # RY(2 mu phi) on qubit 1 acts pairwise on components (0,1) and (2,3)
@@ -187,8 +186,9 @@ def mitigated_run(
 ) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
     """One noisy run plus the full calibration-and-correction pipeline.
     Returns (unmitigated, mitigated, estimated calibration matrix); the
-    calibration circuits get as many shots as the run. With no method the
-    run is seeded with `seed` itself and returned twice, without a matrix."""
+    calibration reads as many shots of each basis state as the run. With no
+    method the run is seeded with `seed` itself and returned twice, without a
+    matrix."""
     if method is None:
         result = run_protocol(params, target, mode, n_shots, seed, noise)
         return result, result, None

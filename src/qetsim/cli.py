@@ -46,6 +46,9 @@ SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
 DEFAULT_SHOTS = 100_000
 SEED_ENV_VAR = "QET_SEED"
+# Most output rows (evolve time steps, sweep cells, points on one lo:hi:n
+# axis) a run may ask for: each row is allocated and computed up front.
+ROW_LIMIT = 10**6
 
 
 class ConfigError(Exception):
@@ -215,6 +218,8 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
         if not math.isfinite(hi - lo):
             raise ValueError(spec)
         n = _positive_int(parts[2])
+        if n > ROW_LIMIT:
+            raise ValueError(spec)
         return tuple(np.linspace(lo, hi, n))
     raise ValueError(spec)
 
@@ -240,6 +245,27 @@ def _params(opts: Options, default: float | None = None) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _sampling(
+    opts: Options, noise_default: str, methods: tuple[str, ...], method_default: str
+) -> tuple[Mode, int, ReadoutNoise | None, str, int, dict[str, Any]]:
+    """Mode, shots, noise, mitigation and seed of a sampling subcommand, and
+    their config entries in output order."""
+    mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
+    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
+    noise_spec = opts.get("noise", str, noise_default)
+    noise = opts.get("noise", parse_noise, noise_default)
+    method = opts.get("mitigation", _choice(methods), method_default)
+    seed = opts.seed()
+    config = {
+        "mode": mode.value,
+        "shots": shots,
+        "seed": seed,
+        "noise": noise_spec,
+        "mitigation": method,
+    }
+    return mode, shots, noise, method, seed, config
+
+
 def _estimate_payload(result: EstimationResult) -> dict[str, Any]:
     return {
         "mean": result.mean,
@@ -262,30 +288,16 @@ def _deviation_sigma(result: EstimationResult, analytic: float) -> float | None:
 
 def cmd_run(opts: Options) -> str:
     target_name = opts.get("target", _choice(("E0", "H1", "V", "E1")))
-    mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
-    noise_spec = opts.get("noise", str, "none")
-    noise = opts.get("noise", parse_noise, "none")
-    method = opts.get(
-        "mitigation", _choice(("none",) + MITIGATION_METHODS), "none"
+    mode, shots, noise, method, seed, config = _sampling(
+        opts, "none", ("none",) + MITIGATION_METHODS, "none"
     )
-    seed = opts.seed()
     params = _params(opts)
     analytic = ANALYTIC[target_name](params)
 
     payload: dict[str, Any] = {
         "schema": SCHEMA,
         "command": "run",
-        "config": {
-            "h": params.h,
-            "k": params.k,
-            "target": target_name,
-            "mode": mode.value,
-            "shots": shots,
-            "seed": seed,
-            "noise": noise_spec,
-            "mitigation": method,
-        },
+        "config": {"h": params.h, "k": params.k, "target": target_name, **config},
         "analytic": analytic,
     }
 
@@ -321,6 +333,8 @@ def cmd_run(opts: Options) -> str:
 def cmd_sweep(opts: Options) -> str:
     h_axis = opts.get("grid-h", parse_axis, "0.05:2:50")
     k_axis = opts.get("grid-k", parse_axis, "0.05:2:50")
+    if len(h_axis) * len(k_axis) > ROW_LIMIT:
+        raise ConfigError(f"a sweep has at most {ROW_LIMIT} cells")
     try:
         grid = SweepGrid(h_axis, k_axis)
     except ValueError as exc:
@@ -342,8 +356,8 @@ def cmd_evolve(opts: Options) -> str:
     if not (t_max > 0.0 and math.isfinite(4.0 * params.r * t_max)):
         raise ConfigError(f"t-max must be positive with 4 r t-max finite, got {t_max}")
     t_steps = opts.get("t-steps", _positive_int, 101)
-    if t_steps < 2:
-        raise ConfigError(f"t-steps must be at least 2, got {t_steps}")
+    if not 2 <= t_steps <= ROW_LIMIT:
+        raise ConfigError(f"t-steps must be in [2, {ROW_LIMIT}], got {t_steps}")
     t_values = np.linspace(0.0, t_max, t_steps)
     rows = evolution_scan(params, t_values)
     return render_csv(EVOLUTION_COLUMNS, rows)
@@ -352,15 +366,10 @@ def cmd_evolve(opts: Options) -> str:
 def cmd_report(opts: Options) -> str:
     pairs_default = ",".join(f"{h:g}:{k:g}" for h, k in REPORT_PAIRS)
     params_list = opts.get("pairs", parse_pairs, pairs_default)
-    mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
-    noise_spec = opts.get("noise", str, "none")
-    noise = opts.get("noise", parse_noise, "none")
-    method_name = opts.get(
-        "mitigation", _choice(("none",) + MITIGATION_METHODS), "least-squares"
+    mode, shots, noise, method_name, seed, config = _sampling(
+        opts, "none", ("none",) + MITIGATION_METHODS, "least-squares"
     )
     fmt = opts.get("format", _choice(("csv", "json")), "csv")
-    seed = opts.seed()
     method = None if method_name == "none" else method_name
     rows = comparison_report(params_list, shots, seed, noise, method, mode)
 
@@ -372,14 +381,7 @@ def cmd_report(opts: Options) -> str:
     payload = {
         "schema": SCHEMA,
         "command": "report",
-        "config": {
-            "pairs": [{"h": p.h, "k": p.k} for p in params_list],
-            "mode": mode.value,
-            "shots": shots,
-            "seed": seed,
-            "noise": noise_spec,
-            "mitigation": method_name,
-        },
+        "config": {"pairs": [{"h": p.h, "k": p.k} for p in params_list], **config},
         "rows": [dict(zip(header, row)) for row in table],
     }
     return render_json(payload) + "\n"
@@ -387,14 +389,11 @@ def cmd_report(opts: Options) -> str:
 
 def cmd_mitigate_demo(opts: Options) -> str:
     target_name = opts.get("target", _choice(("E0", "H1", "V")), "V")
-    mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
-    noise_spec = opts.get("noise", str, "lima-like")
-    noise = opts.get("noise", parse_noise, "lima-like")
+    mode, shots, noise, method, seed, config = _sampling(
+        opts, "lima-like", MITIGATION_METHODS, "least-squares"
+    )
     if noise is None:
         raise ConfigError("mitigate-demo needs a noise model, got none")
-    method = opts.get("mitigation", _choice(MITIGATION_METHODS), "least-squares")
-    seed = opts.seed()
     params = _params(opts, 1.0)
     analytic = ANALYTIC[target_name](params)
 
@@ -404,16 +403,7 @@ def cmd_mitigate_demo(opts: Options) -> str:
     payload = {
         "schema": SCHEMA,
         "command": "mitigate-demo",
-        "config": {
-            "h": params.h,
-            "k": params.k,
-            "target": target_name,
-            "mode": mode.value,
-            "shots": shots,
-            "seed": seed,
-            "noise": noise_spec,
-            "mitigation": method,
-        },
+        "config": {"h": params.h, "k": params.k, "target": target_name, **config},
         "calibration_matrix": [list(row) for row in matrix],
         "measurement_fidelity": measurement_fidelity(matrix),
         "analytic": analytic,

@@ -22,6 +22,7 @@ from .simcore import (
     PureState,
     expectation,
     is_unitary,
+    on_qubits,
     ry_matrix,
 )
 
@@ -85,15 +86,14 @@ class EntropyReport:
     max_eb_lower_bound: float   # entropy-based lower bound on max extractable energy
 
 
-_I2 = np.eye(2, dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
-Z0 = np.kron(_Z, _I2)
-Z1 = np.kron(_I2, _Z)
-X0 = np.kron(_X, _I2)
-X0X1 = np.kron(_X, _X)
+Z0 = on_qubits({0: _Z})
+Z1 = on_qubits({1: _Z})
+X0 = on_qubits({0: _X})
+X0X1 = on_qubits({0: _X, 1: _X})
 
 
 def build_hamiltonians(params: ModelParams) -> HamiltonianSet:
@@ -133,35 +133,29 @@ def analytic_E0(params: ModelParams) -> float:
 def analytic_E1(params: ModelParams) -> float:
     """Receiver-side mean energy after the conditional rotation (negative)."""
     h, k, r = params.h, params.k, params.r
-    two_phi = 2.0 * angles(params).phi
-    return -(h * k * np.sin(two_phi) - (h**2 + 2 * k**2) * (1.0 - np.cos(two_phi))) / r
+    phi = angles(params).phi
+    # 1 - cos(2 phi) as 2 sin^2(phi): no cancellation as h/k -> 0
+    return -(h * k * np.sin(2.0 * phi) - (h**2 + 2 * k**2) * 2.0 * np.sin(phi) ** 2) / r
 
 
 def analytic_H1(params: ModelParams) -> float:
     """Exact local-field expectation after the conditional rotation."""
     h, k, r = params.h, params.k, params.r
-    two_phi = 2.0 * angles(params).phi
-    return (h**2 * (1.0 - np.cos(two_phi)) + h * k * np.sin(two_phi)) / r
+    phi = angles(params).phi
+    return (h**2 * 2.0 * np.sin(phi) ** 2 + h * k * np.sin(2.0 * phi)) / r
 
 
 def analytic_V(params: ModelParams) -> float:
     """Exact interaction expectation after the conditional rotation."""
     h, k, r = params.h, params.k, params.r
-    two_phi = 2.0 * angles(params).phi
-    return (2 * k**2 * (1.0 - np.cos(two_phi)) - 2 * h * k * np.sin(two_phi)) / r
-
-
-def _projectors_x0() -> tuple[np.ndarray, np.ndarray]:
-    return (_I4 + X0) / 2.0, (_I4 - X0) / 2.0
+    phi = angles(params).phi
+    return (2 * k**2 * 2.0 * np.sin(phi) ** 2 - 2 * h * k * np.sin(2.0 * phi)) / r
 
 
 def rho_measured(params: ModelParams) -> DensityMatrix:
     """Post-measurement ensemble before the receiver acts: sum of the two
     X-projected ground-state branches."""
-    g = ground_state(params)
-    rho_g = np.outer(g, g.conj())
-    p_plus, p_minus = _projectors_x0()
-    return p_plus @ rho_g @ p_plus + p_minus @ rho_g @ p_minus
+    return rho_qet(params, 0.0)
 
 
 def rho_qet(params: ModelParams, phi: float | None = None) -> DensityMatrix:
@@ -172,10 +166,8 @@ def rho_qet(params: ModelParams, phi: float | None = None) -> DensityMatrix:
         phi = angles(params).phi
     g = ground_state(params)
     rho = np.zeros((4, 4), dtype=complex)
-    p_plus, p_minus = _projectors_x0()
-    for mu, proj in ((1, p_plus), (-1, p_minus)):
-        u1 = np.kron(_I2, ry_matrix(2.0 * mu * phi))
-        branch = u1 @ (proj @ g)
+    for mu in (1, -1):
+        branch = on_qubits({1: ry_matrix(2.0 * mu * phi)}) @ ((g + mu * (X0 @ g)) / 2.0)
         rho += np.outer(branch, branch.conj())
     return rho
 
@@ -188,7 +180,7 @@ def nogo_gap(params: ModelParams, w1: np.ndarray) -> float:
     w1 = np.asarray(w1, dtype=complex)
     if w1.shape != (2, 2) or not is_unitary(w1, ATOL_DECOMP):
         raise ValueError("w1 must be a 2x2 unitary")
-    u = np.kron(_I2, w1)
+    u = on_qubits({1: w1})
     rho_w = u @ rho_measured(params) @ u.conj().T
     return expectation(rho_w, build_hamiltonians(params).htot) - analytic_E0(params)
 
@@ -204,17 +196,24 @@ def entropy_report(params: ModelParams) -> EntropyReport:
     s_ab = float(-sum(p * np.log(p) for p in (a2, b2) if p > 0.0))
     delta_s = s_ab
     xi = float(np.arctan(k / h))
-    c, s = np.cos(xi), np.sin(xi)
+    # cos(xi) and sin(xi) straight from the couplings: cos(arctan(k/h)) is
+    # 6e-17, not h/r, once k/h passes 1e16
+    c, s = h / r, k / r
     e_b = -analytic_E1(params)
-    if c == 1.0:
-        # both bounds vanish as k -> 0, where 1 - c rounds to 0 first
+    if c in (0.0, 1.0):
+        # both bounds vanish as k -> 0, where 1 - c rounds to 0 first; c
+        # rounds to 0 only long after e_b has underflowed to 0
         delta_s_lower_bound = max_eb_lower_bound = 0.0
     else:
+        # log((1+c)/(1-c)) e_b / (2 c^3) = (arctanh(c)/c) (e_b/c) / c: every
+        # factor stays bounded as c -> 0, where e_b / c^2 -> r/4
         delta_s_lower_bound = float(
-            (1.0 + s**2) / (2.0 * c**3) * np.log((1.0 + c) / (1.0 - c)) * e_b / r
+            (1.0 + s**2) * (np.arctanh(c) / c) * (e_b / c) / c / r
         )
+        # sqrt(4 - 3c^2) - 2 + c^2 = c^2 (q - 1)/(q + 2): no cancellation at c -> 0
+        q = np.sqrt(4.0 - 3.0 * c**2)
         max_eb_lower_bound = float(
-            2.0 * r * (np.sqrt(4.0 - 3.0 * c**2) - 2.0 + c**2) * delta_s
+            2.0 * r * c**2 * (q - 1.0) / (q + 2.0) * delta_s
             / ((1.0 + c) * np.log(2.0 / (1.0 + c)) + (1.0 - c) * np.log(2.0 / (1.0 - c)))
         )
     return EntropyReport(

@@ -22,6 +22,7 @@ from .simcore import (
     NumericalError,
     check_counts,
     distribution_vector,
+    on_qubits,
 )
 
 MITIGATION_METHODS = ("direct", "least-squares")
@@ -66,7 +67,7 @@ def _single_qubit_confusion(noise: ReadoutNoise, qubit: int) -> np.ndarray:
 def confusion_matrix(noise: ReadoutNoise) -> np.ndarray:
     """Exact 4x4 response matrix: column j is the observation distribution
     when the true outcome is basis state j."""
-    return np.kron(_single_qubit_confusion(noise, 0), _single_qubit_confusion(noise, 1))
+    return on_qubits({q: _single_qubit_confusion(noise, q) for q in (0, 1)})
 
 
 def noisy_distribution(dist: dict[str, float], noise: ReadoutNoise) -> dict[str, float]:

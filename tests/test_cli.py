@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qetsim.cli import format_float, main, parse_axis, parse_noise, render_csv, render_json
+from qetsim.cli import (
+    ROW_LIMIT,
+    format_float,
+    main,
+    parse_axis,
+    parse_noise,
+    render_csv,
+    render_json,
+)
 
 RUN_ARGS = ["run", "--h", "1", "--k", "1", "--target", "V", "--shots", "2000", "--seed", "7"]
 
@@ -70,6 +78,10 @@ def test_parse_axis_forms():
     for bad in ("1:2", "inf:-inf:2", "nan:1:2", "-1e308:1e308:3"):
         with pytest.raises(ValueError):
             parse_axis(bad)
+    assert len(parse_axis(f"0:1:{ROW_LIMIT}")) == ROW_LIMIT
+    for n in (ROW_LIMIT + 1, 10**30):
+        with pytest.raises(ValueError):
+            parse_axis(f"0:1:{n}")
 
 
 def test_run_reports_analytic_value(capsys):
@@ -244,6 +256,21 @@ def test_evolve_rejects_unrepresentable_t_max(capsys, t_max):
     assert invoke(capsys, ["evolve", "--h", "1", "--k", "1", f"--t-max={t_max}"]) == (2, "")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--h", "1", "--k", "1", f"--t-steps={ROW_LIMIT + 1}"],
+        ["evolve", "--h", "1", "--k", "1", f"--t-steps={10**30}"],
+        ["sweep", f"--grid-h=0.1:1:{ROW_LIMIT + 1}"],
+        ["sweep", "--grid-h=1", f"--grid-k=0.1:1:{10**30}"],
+        ["sweep", "--grid-h=0.1:1:1001", "--grid-k=0.1:1:1000"],
+    ],
+    ids=["t-steps", "t-steps-huge", "grid-h", "grid-k-huge", "cells"],
+)
+def test_rows_past_the_limit_are_a_config_error(capsys, argv):
+    assert invoke(capsys, argv) == (2, "")
+
+
 def test_report_columns_collapse_without_noise(capsys):
     code, out = invoke(capsys, ["report", "--pairs", "1:1", "--shots", "2000",
                                 "--seed", "5", "--noise", "none", "--mitigation", "none"])
@@ -323,8 +350,8 @@ EDGE_OPTIONS = {
     "mode": st.sampled_from(("sideways", "")),
     "mitigation": st.sampled_from(("sorcery", "")),
 }
-# the options each subcommand takes; grid sizes and step counts stay small
-# because they size what is allocated
+# the options each subcommand takes; grid shapes and step counts are either
+# small or past ROW_LIMIT, because they size what is allocated and computed
 FUZZ_COMMANDS = {
     "run": ("h", "k", "target", "shots", "seed", "noise", "mode", "mitigation"),
     "evolve": ("h", "k", "t-max"),
@@ -355,10 +382,13 @@ def _run_quietly(argv):
 @given(
     command=st.sampled_from(tuple(FUZZ_COMMANDS)),
     values=fuzz_options(),
-    n_cells=st.integers(1, 5),
-    t_steps=st.integers(2, 101),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 3))
+    | st.sampled_from(
+        ((ROW_LIMIT + 1, 1), (1, 10**30), (1001, 1000), (2, ROW_LIMIT // 2 + 1))
+    ),
+    t_steps=st.integers(2, 101) | st.sampled_from((ROW_LIMIT + 1, 2**63, 10**30)),
 )
-def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, n_cells, t_steps):
+def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, shape, t_steps):
     argv = [command]
     argv += [f"--{key}={values[key]}" for key in FUZZ_COMMANDS[command] if values[key] is not None]
     if command == "evolve":
@@ -366,7 +396,10 @@ def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, n_cells, t_steps)
     if command == "report":
         argv.append(f"--pairs={values['h']}:{values['k']}")
     if command == "sweep":
-        argv += [f"--grid-h={values['h']}:{values['k']}:{n_cells}", f"--grid-k={values['k']}"]
+        argv += [
+            f"--grid-h={values['h']}:{values['k']}:{shape[0]}",
+            f"--grid-k={values['k']}:{values['h']}:{shape[1]}",
+        ]
     code, out = _run_quietly(argv)
     assert code in (0, 2, 3)
     if code != 0:

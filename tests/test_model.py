@@ -283,6 +283,17 @@ def test_entropy_limit_weak_coupling():
     assert rep.e_b == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-30, 1e-9, 1e-6])
+def test_closed_forms_strong_coupling_limit(h):
+    # E1 -> -h^2/4 as h/k -> 0 at k = 1; 1 - cos(2 phi) once doubled it at
+    # h = 1e-9, and cos(arctan(k/h)) once put a bound above e_b = 0 at 1e-300
+    params = ModelParams(h, 1.0)
+    assert abs(analytic_E1(params) + h * h / 4) <= 1e-6 * h * h / 4
+    rep = entropy_report(params)
+    assert rep.delta_s_lower_bound <= rep.delta_s
+    assert rep.max_eb_lower_bound <= rep.e_b * (1 + 1e-9)
+
+
 @pytest.mark.parametrize("params", all_params(), ids=str)
 def test_entropy_bounds_hold(params):
     rep = entropy_report(params)

@@ -31,6 +31,7 @@ from qetsim.simcore import (
     gate_unitary,
     is_hermitian,
     is_unitary,
+    on_qubits,
     run_shots,
     ry_matrix,
     state_00,
@@ -94,6 +95,41 @@ def test_controlled_ry_acts_on_selected_subspace():
     u0 = gate_unitary(ControlledRy(0, 0, 0.8, 1))
     assert np.allclose(u0[:2, :2], ry_matrix(0.8), atol=ATOL_ALGEBRA)
     assert np.allclose(u0[2:, 2:], np.eye(2), atol=ATOL_ALGEBRA)
+
+
+def _controlled(control, value, u):
+    # |not v><not v| (x) I + |v><v| (x) U, control factor on its own qubit
+    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    eye = np.eye(2)
+    if control == 0:
+        return np.kron(proj[1 - value], eye) + np.kron(proj[value], u)
+    return np.kron(eye, proj[1 - value]) + np.kron(u, proj[value])
+
+
+@pytest.mark.parametrize("control", [0, 1])
+def test_cnot_matches_placement_rule(control):
+    x = np.array([[0, 1], [1, 0]])
+    u = gate_unitary(Cnot(control, 1 - control))
+    assert np.array_equal(u, _controlled(control, 1, x))
+
+
+@pytest.mark.parametrize("control", [0, 1])
+@pytest.mark.parametrize("value", [0, 1])
+def test_controlled_ry_matches_placement_rule(control, value):
+    for theta in (0.7, -2.3, np.pi):
+        u = gate_unitary(ControlledRy(control, value, theta, 1 - control))
+        expected = _controlled(control, value, ry_matrix(theta))
+        assert np.array_equal(u, expected)
+
+
+def test_on_qubits_puts_qubit_0_on_the_high_bit():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert np.flatnonzero(on_qubits({0: x}) @ state_00()).tolist() == [2]
+    assert BITSTRINGS[2] == "10"
+    assert np.flatnonzero(on_qubits({1: x}) @ state_00()).tolist() == [1]
+    assert np.array_equal(on_qubits({}), np.eye(4))
+    a, b = ry_matrix(0.3), np.array([[1, 2j], [3, -4]])
+    assert np.array_equal(on_qubits({0: a, 1: b}), np.kron(a, b))
 
 
 def test_ry_matrix_convention():
