@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    X0,
     ModelParams,
+    _branches,
     analytic_E0,
     analytic_E1,
     analytic_H1,
@@ -19,16 +19,9 @@ from .model import (
     angles,
     build_hamiltonians,
     free_evolution_H1,
-    ground_state,
     rho_measured,
-    rho_qet,
 )
-from .noise import (
-    ReadoutNoise,
-    apply_noise,
-    estimate_calibration_matrix,
-    mitigate,
-)
+from .noise import ReadoutNoise, apply_noise, estimate_calibration_matrix, mitigate
 from .protocol import (
     EstimationResult,
     Mode,
@@ -64,20 +57,23 @@ def default_grid(n: int = 50, lo: float = 0.05, hi: float = 2.0) -> SweepGrid:
     return SweepGrid(values, values)
 
 
+def _receiver_energies(h, k, branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<V> and <H1> of sum_mu |b_mu><b_mu| from the branch vectors alone: X0X1
+    reverses the basis index, Z1 is diag(1, -1, 1, -1), the trace is 1."""
+    r = np.sqrt(h * h + k * k)
+    x0x1 = np.einsum("...mi,...mi->...", branches, branches[..., ::-1])
+    z1 = np.einsum("...mi,...mi,i->...", branches, branches, [1.0, -1.0, 1.0, -1.0])
+    return 2 * k * x0x1 + 2 * k**2 / r, h * z1 + h**2 / r
+
+
 def heatmap(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray]:
     """Exact interaction and local-field expectations per grid cell, as two
-    arrays indexed [i_h, i_k]. The first is negative and the second positive
-    everywhere in the valid coupling range."""
-    v_map = np.zeros((len(grid.h_values), len(grid.k_values)))
-    h1_map = np.zeros_like(v_map)
-    for i, h in enumerate(grid.h_values):
-        for j, k in enumerate(grid.k_values):
-            params = ModelParams(h, k)
-            rho = rho_qet(params)
-            hams = build_hamiltonians(params)
-            v_map[i, j] = expectation(rho, hams.v)
-            h1_map[i, j] = expectation(rho, hams.h1)
-    return v_map, h1_map
+    arrays indexed [i_h, i_k], in one broadcast pass (SweepGrid's extreme-pair
+    checks stand in for a ModelParams per cell). The first is negative and
+    the second positive everywhere in the valid coupling range."""
+    h = np.array(grid.h_values)[:, None]
+    k = np.array(grid.k_values)
+    return _receiver_energies(h, k, _branches(h, k))
 
 
 @dataclass(frozen=True)
@@ -92,28 +88,13 @@ class PhiScanResult:
 def phi_scan(
     params: ModelParams, n_points: int = 10_000, phi_max: float = np.pi / 2
 ) -> PhiScanResult:
-    """Grid search of the receiver-side energy over the rotation angle.
-
-    Evaluates the post-rotation ensemble energy for every angle on the grid
-    (vectorized over both measurement branches) and reports how far the
-    argmin sits from the protocol angle.
-    """
+    """Grid search of the receiver-side energy over the rotation angle: every
+    angle in one pass over the branch vectors of model._branches (the kernel
+    rho_qet and heatmap share), and how far the argmin sits from the protocol
+    angle."""
     phis = np.linspace(0.0, phi_max, n_points, endpoint=False)
-    g = ground_state(params)
-    hams = build_hamiltonians(params)
-    h_b = hams.h1 + hams.v
-    energies = np.zeros(n_points)
-    for mu in (1, -1):
-        branch = (g + mu * (X0 @ g)) / 2.0
-        c = np.cos(mu * phis)
-        s = np.sin(mu * phis)
-        # RY(2 mu phi) on qubit 1 acts pairwise on components (0,1) and (2,3)
-        rotated = np.empty((n_points, 4), dtype=complex)
-        rotated[:, 0] = c * branch[0] - s * branch[1]
-        rotated[:, 1] = s * branch[0] + c * branch[1]
-        rotated[:, 2] = c * branch[2] - s * branch[3]
-        rotated[:, 3] = s * branch[2] + c * branch[3]
-        energies += np.einsum("ni,ij,nj->n", rotated.conj(), h_b, rotated).real
+    h, k = params.h, params.k
+    energies = sum(_receiver_energies(h, k, _branches(h, k, phis)))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
     return PhiScanResult(
@@ -136,21 +117,24 @@ ANALYTIC: dict[str, Callable[[ModelParams], float]] = {
 }
 
 
+_EVOLVE_CHUNK = 4096  # time steps per batched evolve: 1 MB of states
+
+
 def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
     """Free evolution of the post-measurement ensemble under the total
     Hamiltonian: rows (t, simulated local-field energy, closed form,
-    simulated interaction energy)."""
+    simulated interaction energy), one eigendecomposition per chunk of times."""
     hams = build_hamiltonians(params)
     rho0 = rho_measured(params)
-    rows = np.zeros((len(t_values), 4))
-    for i, t in enumerate(np.asarray(t_values, dtype=float)):
-        rho_t = evolve(rho0, hams.htot, t)
-        rows[i] = (
-            t,
-            expectation(rho_t, hams.h1),
-            free_evolution_H1(params, t),
-            expectation(rho_t, hams.v),
-        )
+    t = np.asarray(t_values, dtype=float)
+    rows = np.empty((len(t), 4))
+    rows[:, 0] = t
+    rows[:, 2] = free_evolution_H1(params, t)
+    for start in range(0, len(t), _EVOLVE_CHUNK):
+        chunk = slice(start, start + _EVOLVE_CHUNK)
+        rho_t = evolve(rho0, hams.htot, t[chunk])
+        rows[chunk, 1] = expectation(rho_t, hams.h1)
+        rows[chunk, 3] = expectation(rho_t, hams.v)
     return rows
 
 

@@ -214,8 +214,9 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
         return (float(parts[0]),)
     if len(parts) == 3:
         lo, hi = float(parts[0]), float(parts[1])
-        # linspace warns on a non-finite span
-        if not math.isfinite(hi - lo):
+        # linspace warns on a non-finite span, and its steps can round past
+        # the largest double on a span within a factor 2 of it
+        if not math.isfinite(2.0 * (hi - lo)):
             raise ValueError(spec)
         n = _positive_int(parts[2])
         if n > ROW_LIMIT:
@@ -341,9 +342,9 @@ def cmd_sweep(opts: Options) -> str:
         raise ConfigError(str(exc)) from exc
     v_map, h1_map = heatmap(grid)
     rows = [
-        (grid.h_values[i], grid.k_values[j], v_map[i, j], h1_map[i, j])
-        for i in range(len(grid.h_values))
-        for j in range(len(grid.k_values))
+        (h, k, v, h1)
+        for h, v_row, h1_row in zip(grid.h_values, v_map.tolist(), h1_map.tolist())
+        for k, v, h1 in zip(grid.k_values, v_row, h1_row)
     ]
     return render_csv(("h", "k", "V", "H1"), rows)
 

@@ -17,13 +17,11 @@ import numpy as np
 from .simcore import (
     ATOL_DECOMP,
     DensityMatrix,
-    NumericalError,
     Observable,
     PureState,
     expectation,
     is_unitary,
     on_qubits,
-    ry_matrix,
 )
 
 # Parameter sets shared by the property suites: a coarse (h, k) grid plus the
@@ -121,8 +119,29 @@ def angles(params: ModelParams) -> ProtocolAngles:
     h, k, r = params.h, params.k, params.r
     a = np.sqrt((1.0 - h / r) / 2.0)
     theta = -float(np.arccos(a))
-    phi = 0.5 * float(np.arctan2(h * k, h**2 + 2 * k**2))
-    return ProtocolAngles(theta=theta, phi=phi)
+    return ProtocolAngles(theta=theta, phi=float(_protocol_phi(h, k)))
+
+
+def _protocol_phi(h, k):
+    """The receiver's angle from a single atan2, over floats or arrays."""
+    return 0.5 * np.arctan2(h * k, h**2 + 2 * k**2)
+
+
+def _branches(h, k, phi=None) -> np.ndarray:
+    """Real receiver-side branch vectors over broadcast arrays of h, k and phi
+    (default: the protocol angle), shape (..., 2, 4), mu = +1 first. Projecting
+    qubit 0 of a|00> - b|11> on the X outcome mu leaves (1, mu) (x) (a, -mu b)/2;
+    RY(2 mu phi) on qubit 1 turns (a, -mu b) into (a c + b s, mu (a s - b c))
+    with c, s = cos(phi), sin(phi). The ensemble sums |branch><branch|."""
+    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
+    r = np.sqrt(h * h + k * k)
+    a = np.sqrt((1.0 - h / r) / 2.0)
+    b = np.sqrt((1.0 + h / r) / 2.0)
+    if phi is None:
+        phi = _protocol_phi(h, k)
+    c, s = np.cos(phi), np.sin(phi)
+    p, q = np.broadcast_arrays((a * c + b * s) / 2.0, (a * s - b * c) / 2.0)
+    return np.stack([p, q, p, q, p, -q, -p, q], axis=-1).reshape(p.shape + (2, 4))
 
 
 def analytic_E0(params: ModelParams) -> float:
@@ -132,10 +151,12 @@ def analytic_E0(params: ModelParams) -> float:
 
 def analytic_E1(params: ModelParams) -> float:
     """Receiver-side mean energy after the conditional rotation (negative)."""
+    # tan(2 phi) = h k / A with A = h^2 + 2 k^2 turns -E1 into h^2 k^2 / (r (A + D)),
+    # D = hypot(h k, A), free of cancellation; in c = h/r and s = k/r it is
+    # h c s^2 / (1 + s^2 + D/r^2), which neither overflows nor underflows early
     h, k, r = params.h, params.k, params.r
-    phi = angles(params).phi
-    # 1 - cos(2 phi) as 2 sin^2(phi): no cancellation as h/k -> 0
-    return -(h * k * np.sin(2.0 * phi) - (h**2 + 2 * k**2) * 2.0 * np.sin(phi) ** 2) / r
+    c, s = h / r, k / r
+    return -h * (c * s * s / (1.0 + s * s + math.hypot(c * s, 1.0 + s * s)))
 
 
 def analytic_H1(params: ModelParams) -> float:
@@ -149,7 +170,8 @@ def analytic_V(params: ModelParams) -> float:
     """Exact interaction expectation after the conditional rotation."""
     h, k, r = params.h, params.k, params.r
     phi = angles(params).phi
-    return (2 * k**2 * 2.0 * np.sin(phi) ** 2 - 2 * h * k * np.sin(2.0 * phi)) / r
+    # 2k factored out: 4 k^2 overflows for k past 6.7e153, where 2 k^2 does not
+    return 2 * k * (2.0 * k * np.sin(phi) ** 2 - h * np.sin(2.0 * phi)) / r
 
 
 def rho_measured(params: ModelParams) -> DensityMatrix:
@@ -160,16 +182,11 @@ def rho_measured(params: ModelParams) -> DensityMatrix:
 
 def rho_qet(params: ModelParams, phi: float | None = None) -> DensityMatrix:
     """Ensemble after the receiver's outcome-conditioned rotation RY(2 mu phi)
-    on qubit 1. phi defaults to the protocol angle; passing another value
-    models a receiver using a suboptimal rotation."""
-    if phi is None:
-        phi = angles(params).phi
-    g = ground_state(params)
-    rho = np.zeros((4, 4), dtype=complex)
-    for mu in (1, -1):
-        branch = on_qubits({1: ry_matrix(2.0 * mu * phi)}) @ ((g + mu * (X0 @ g)) / 2.0)
-        rho += np.outer(branch, branch.conj())
-    return rho
+    on qubit 1, summed from the branch vectors of _branches, the kernel that
+    heatmap and phi_scan share. phi defaults to the protocol angle; passing
+    another value models a receiver using a suboptimal rotation."""
+    plus, minus = _branches(params.h, params.k, phi)
+    return (np.outer(plus, plus) + np.outer(minus, minus)).astype(complex)
 
 
 def nogo_gap(params: ModelParams, w1: np.ndarray) -> float:
@@ -231,8 +248,3 @@ def free_evolution_H1(params: ModelParams, t: float) -> float:
     evolves freely under the total Hamiltonian."""
     h, k, r = params.h, params.k, params.r
     return h**2 * (1.0 - np.cos(4.0 * k * t)) / (2.0 * r)
-
-
-def free_evolution_V(params: ModelParams, t: float) -> float:
-    """Interaction expectation under the same free evolution: identically 0."""
-    return 0.0

@@ -314,22 +314,27 @@ def distribution_vector(dist: dict[str, float]) -> np.ndarray:
     return np.array([float(dist.get(key, 0.0)) for key in BITSTRINGS])
 
 
-def expectation(rho: DensityMatrix, obs: Observable) -> float:
-    """Tr[rho  obs]; the imaginary residue must stay below ATOL_DECOMP."""
-    tr = complex(np.trace(rho @ obs))
-    if abs(tr.imag) >= ATOL_DECOMP:
-        raise NumericalError(f"imaginary residue {tr.imag:.3e} in expectation value")
-    return tr.real
+def expectation(rho: DensityMatrix, obs: Observable) -> float | np.ndarray:
+    """Tr[rho  obs], also over the leading axes of a stack of states; every
+    imaginary residue must stay below ATOL_DECOMP."""
+    tr = np.trace(rho @ obs, axis1=-2, axis2=-1)
+    residue = np.max(np.abs(tr.imag), initial=0.0)
+    if residue >= ATOL_DECOMP:
+        raise NumericalError(f"imaginary residue {residue:.3e} in expectation value")
+    return tr.real if tr.ndim else float(tr.real)
 
 
-def evolve(rho: DensityMatrix, hamiltonian: Observable, t: float) -> DensityMatrix:
-    """exp(-iHt) rho exp(+iHt) via exact Hermitian eigendecomposition."""
+def evolve(
+    rho: DensityMatrix, hamiltonian: Observable, t: float | np.ndarray
+) -> DensityMatrix:
+    """exp(-iHt) rho exp(+iHt) via one exact Hermitian eigendecomposition; an
+    array of times gives a stack of states, shape t.shape + (4, 4)."""
     if not is_hermitian(hamiltonian):
         raise NumericalError("evolve requires a Hermitian generator")
     evals, evecs = np.linalg.eigh(hamiltonian)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    out = u @ rho @ u.conj().T
-    return (out + out.conj().T) / 2.0
+    u = (evecs * np.exp(-1j * np.multiply.outer(t, evals))[..., None, :]) @ evecs.conj().T
+    out = u @ rho @ u.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qetsim import analysis
 from qetsim.analysis import (
     SweepGrid,
     comparison_report,
@@ -15,16 +16,23 @@ from qetsim.analysis import (
     phi_scan,
     sampled_calibration_matrix,
 )
+from qetsim.cli import format_float
 from qetsim.model import (
+    GRID_H,
+    GRID_K,
     REPORT_PAIRS,
     ModelParams,
     analytic_E1,
     analytic_V,
     angles,
+    build_hamiltonians,
     free_evolution_H1,
+    rho_measured,
+    rho_qet,
 )
 from qetsim.noise import PRESETS, confusion_matrix
 from qetsim.protocol import Mode, Target, run_protocol
+from qetsim.simcore import evolve, expectation
 
 LIMA = PRESETS["lima-like"]
 
@@ -97,6 +105,80 @@ def test_evolution_scan_table():
     peak = params.h**2 / params.r
     assert np.max(rows[:, 1]) <= peak + 1e-9
     assert np.max(rows[:, 1]) > 0.95 * peak
+
+
+# The batched scans against their per-cell and per-step definitions: a log
+# grid over six decades plus the SweepGrid edge pairs.
+LOG_AXIS = tuple(float(x) for x in np.logspace(-3, 3, 13))
+EDGE_PAIRS = ((1e-160, 1.0), (1.0, 1e-160))
+SCAN_PAIRS = tuple((h, k) for h in LOG_AXIS[::3] for k in LOG_AXIS[::3]) + EDGE_PAIRS
+
+
+def _assert_matches(batched, definition, scale):
+    # each side sums operator terms as large as `scale` (for example 2 k^2 / r
+    # against a V of -h^2 / 8 when k >> h), so both round at 1e-16 of it
+    bound = 1e-14 * np.maximum(np.maximum(1.0, np.abs(definition)), scale)
+    assert np.all(np.abs(np.asarray(batched) - definition) <= bound)
+
+
+def _term_scales(params: ModelParams) -> tuple[float, float]:
+    """Sizes of the terms of V and of H1."""
+    h, k, r = params.h, params.k, params.r
+    return 2 * k + 2 * k * k / r, h + h * h / r
+
+
+def _per_cell_heatmap(h_values, k_values):
+    """V, H1 and their term sizes, one ModelParams and rho_qet per cell."""
+    out = np.empty((4, len(h_values), len(k_values)))
+    for i, h in enumerate(h_values):
+        for j, k in enumerate(k_values):
+            params = ModelParams(h, k)
+            rho, hams = rho_qet(params), build_hamiltonians(params)
+            out[:, i, j] = (expectation(rho, hams.v), expectation(rho, hams.h1),
+                            *_term_scales(params))
+    return out
+
+
+@pytest.mark.parametrize(
+    "h_values, k_values",
+    [(LOG_AXIS, LOG_AXIS), (GRID_H, GRID_K)] + [((h,), (k,)) for h, k in REPORT_PAIRS + EDGE_PAIRS],
+)
+def test_heatmap_matches_per_cell_definition(h_values, k_values):
+    v_map, h1_map = heatmap(SweepGrid(h_values, k_values))
+    v, h1, v_scale, h1_scale = _per_cell_heatmap(h_values, k_values)
+    _assert_matches(v_map, v, v_scale)
+    _assert_matches(h1_map, h1, h1_scale)
+    # and no six-decimal CLI cell flips
+    for batched, cell in ((v_map, v), (h1_map, h1)):
+        assert [format_float(x) for x in batched.flat] == [format_float(x) for x in cell.flat]
+
+
+@pytest.mark.parametrize("pair", SCAN_PAIRS, ids=str)
+def test_phi_scan_matches_per_angle_definition(pair):
+    params = ModelParams(*pair)
+    result = phi_scan(params, n_points=64)
+    phis = np.linspace(0.0, np.pi / 2, 64, endpoint=False)
+    hams = build_hamiltonians(params)
+    energies = [expectation(rho_qet(params, phi), hams.h1 + hams.v) for phi in phis]
+    best = int(np.argmin(energies))
+    assert result.best_phi == phis[best]
+    _assert_matches(result.min_e1, energies[best], sum(_term_scales(params)))
+
+
+@pytest.mark.parametrize("pair", SCAN_PAIRS + REPORT_PAIRS, ids=str)
+def test_evolution_scan_matches_per_step_evolve(pair, monkeypatch):
+    # a five-step chunk makes the 33 steps cross six batch boundaries
+    monkeypatch.setattr(analysis, "_EVOLVE_CHUNK", 5)
+    params = ModelParams(*pair)
+    t_values = np.linspace(0.0, 2 * np.pi / params.k, 33)
+    rows = evolution_scan(params, t_values)
+    hams = build_hamiltonians(params)
+    states = [evolve(rho_measured(params), hams.htot, t) for t in t_values]
+    v_scale, h1_scale = _term_scales(params)
+    assert np.array_equal(rows[:, 0], t_values)
+    assert np.array_equal(rows[:, 2], [free_evolution_H1(params, t) for t in t_values])
+    _assert_matches(rows[:, 1], [expectation(rho, hams.h1) for rho in states], h1_scale)
+    _assert_matches(rows[:, 3], [expectation(rho, hams.v) for rho in states], v_scale)
 
 
 def test_sampled_calibration_matrix_noiseless_and_deterministic():

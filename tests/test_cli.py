@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -74,8 +75,9 @@ def test_parse_axis_forms():
     assert parse_axis("1.5") == (1.5,)
     axis = parse_axis("0.5:1.5:3")
     assert axis == (0.5, 1.0, 1.5)
-    # linspace would warn on a span that is not finite
-    for bad in ("1:2", "inf:-inf:2", "nan:1:2", "-1e308:1e308:3"):
+    # linspace would warn on a span that is not finite, or overflow in a step
+    # multiple on 1:1.8e308:1000
+    for bad in ("1:2", "inf:-inf:2", "nan:1:2", "-1e308:1e308:3", "1:1.7976931348623157e308:1000"):
         with pytest.raises(ValueError):
             parse_axis(bad)
     assert len(parse_axis(f"0:1:{ROW_LIMIT}")) == ROW_LIMIT
@@ -249,6 +251,21 @@ def test_evolve_output(capsys):
     assert main(["evolve", "--h", "1", "--k", "1", "--t-steps", "1"]) == 2
     assert main(["evolve", "--h", "1", "--k", "1", "--t-max", "-2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sweep"], "573beb50f7234bdca635b5b17dd88fbada7334cd62891afd6dce933bd1fd3098"),
+        (["evolve", "--h", "1", "--k", "0.5"],
+         "104cae80a3908b90b02a3b1d674bbdf0769502c799a7bc5573576fbf79c284e6"),
+    ],
+)
+def test_exact_layer_output_is_pinned(capsys, argv, digest):
+    # sha256 of stdout from the per-cell and per-step implementation
+    code, out = invoke(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan", "1e308"])

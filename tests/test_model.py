@@ -6,9 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qetsim.analysis import evolution_scan
 from qetsim.model import (
     GRID_H,
     GRID_K,
@@ -22,7 +23,6 @@ from qetsim.model import (
     build_hamiltonians,
     entropy_report,
     free_evolution_H1,
-    free_evolution_V,
     ground_state,
     nogo_gap,
     rho_measured,
@@ -84,6 +84,9 @@ def test_params_validation():
     h=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
     k=st.floats(min_value=0.0, exclude_min=True, allow_nan=False),
 )
+# near the top of the domain 4 k^2 and 2 (h^2 + 2 k^2) overflow
+@example(h=7e153, k=7e153)
+@example(h=1e100, k=9e153)
 def test_closed_forms_finite_on_accepted_couplings(h, k):
     try:
         params = ModelParams(h, k)
@@ -283,10 +286,11 @@ def test_entropy_limit_weak_coupling():
     assert rep.e_b == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("h", [1e-300, 1e-30, 1e-9, 1e-6])
+@pytest.mark.parametrize("h", [1e-300, 1e-160, 1e-30, 1e-9, 1e-6])
 def test_closed_forms_strong_coupling_limit(h):
     # E1 -> -h^2/4 as h/k -> 0 at k = 1; 1 - cos(2 phi) once doubled it at
-    # h = 1e-9, and cos(arctan(k/h)) once put a bound above e_b = 0 at 1e-300
+    # h = 1e-9, cos(arctan(k/h)) once put a bound above e_b = 0 at 1e-300, and
+    # cancellation in e_b once left it below its saturated bound at 1e-160
     params = ModelParams(h, 1.0)
     assert abs(analytic_E1(params) + h * h / 4) <= 1e-6 * h * h / 4
     rep = entropy_report(params)
@@ -307,7 +311,8 @@ def test_free_evolution_closed_form():
     params = ModelParams(1.0, 1.0)
     h, k, r = params.h, params.k, params.r
     assert free_evolution_H1(params, 0.0) == 0.0
-    assert free_evolution_V(params, 1.23) == 0.0
+    # the interaction energy stays 0 under free evolution
+    assert evolution_scan(params, [1.23])[0, 3] == pytest.approx(0.0, abs=1e-12)
     # peak value h^2/r at a quarter of the oscillation period
     assert free_evolution_H1(params, np.pi / (4 * k)) == pytest.approx(h**2 / r, abs=1e-12)
     assert free_evolution_H1(params, np.pi / (2 * k)) == pytest.approx(0.0, abs=1e-12)

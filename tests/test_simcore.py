@@ -370,3 +370,29 @@ def test_evolve_rejects_non_hermitian_generator():
     bad[0, 1] = 1.0
     with pytest.raises(NumericalError):
         evolve(rho, bad, 0.1)
+    with pytest.raises(NumericalError):
+        evolve(rho, bad, np.array([0.0, 0.1]))
+
+
+def test_evolve_and_expectation_over_a_stack_of_times():
+    plus = gate_unitary(Hadamard(0)) @ state_00()
+    rho = np.outer(plus, plus.conj())
+    h = 0.7 * Z0 + 1.3 * Z1 + 0.4 * X0X1
+    t_values = np.array([[0.0, 0.3], [1.0, 2.31]])
+    stack = evolve(rho, h, t_values)
+    assert stack.shape == (2, 2, 4, 4)
+    values = expectation(stack, X0)
+    assert values.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        one = evolve(rho, h, t_values[idx])
+        assert np.array_equal(stack[idx], one)
+        assert values[idx] == expectation(one, X0)
+    assert isinstance(expectation(rho, X0), float)
+
+
+def test_expectation_checks_every_state_of_a_stack():
+    stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+    stack[2] *= 1j
+    with pytest.raises(NumericalError):
+        expectation(stack, np.eye(4, dtype=complex))
+    assert np.array_equal(expectation(stack[:2], np.eye(4, dtype=complex)), [1.0, 1.0])
