@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -96,14 +97,20 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """CSV with LF line endings, a header row, and a trailing newline."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            cell if isinstance(cell, str) else format_float(cell) for cell in row
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV with LF line endings, a header row, and a trailing newline. Rows
+    are equally long, and each column holds only strings, passed through, or
+    only numbers, rendered as format_float renders them."""
+    columns = [_render_column(column) for column in zip(*rows, strict=True)]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+def _render_column(column: tuple[Any, ...]) -> Sequence[str]:
+    if isinstance(column[0], str):
+        return column
+    text = "\n".join(["%.6f"] * len(column)) % column
+    # a numeric cell has six decimals and a sign only in front, so the
+    # pattern matches whole cells
+    return text.replace("-0.000000", "0.000000").split("\n")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -341,10 +348,13 @@ def cmd_sweep(opts: Options) -> str:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     v_map, h1_map = heatmap(grid)
+    # each axis value heads many rows: render it once
+    h_cells = [format_float(h) for h in grid.h_values]
+    k_cells = [format_float(k) for k in grid.k_values]
     rows = [
         (h, k, v, h1)
-        for h, v_row, h1_row in zip(grid.h_values, v_map.tolist(), h1_map.tolist())
-        for k, v, h1 in zip(grid.k_values, v_row, h1_row)
+        for h, v_row, h1_row in zip(h_cells, v_map.tolist(), h1_map.tolist())
+        for k, v, h1 in zip(k_cells, v_row, h1_row)
     ]
     return render_csv(("h", "k", "V", "H1"), rows)
 
@@ -424,7 +434,10 @@ _COMMANDS: dict[str, Callable[[Options], str]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qet parser, built on first use and shared by every later main
+    call: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="qet",
         description="Exact simulator and estimators for a two-qubit energy "

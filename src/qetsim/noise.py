@@ -70,12 +70,6 @@ def confusion_matrix(noise: ReadoutNoise) -> np.ndarray:
     return on_qubits({q: _single_qubit_confusion(noise, q) for q in (0, 1)})
 
 
-def noisy_distribution(dist: dict[str, float], noise: ReadoutNoise) -> dict[str, float]:
-    """Exact push-through of a clean outcome distribution: A @ p."""
-    out = confusion_matrix(noise) @ distribution_vector(dist)
-    return {key: float(out[i]) for i, key in enumerate(BITSTRINGS)}
-
-
 def apply_noise(
     counts: dict[str, int],
     noise: ReadoutNoise,

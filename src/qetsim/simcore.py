@@ -140,51 +140,6 @@ class Circuit:
                 written.add(step.cbit)
 
 
-def _touched_qubits(step: GateStep) -> tuple[int, ...]:
-    if isinstance(step, (Cnot, ControlledRy)):
-        return (step.control, step.target)
-    return (step.target,)
-
-
-def depth(circuit: Circuit) -> int:
-    """Gate depth under as-soon-as-possible layering.
-
-    Measurements occupy their qubit (and gate their classical bit) but do not
-    count toward the reported depth; classically controlled gates cannot start
-    before the measurement that wrote their control bit. Two classically
-    controlled rotations on the same target conditioned on complementary
-    values of the same bit are branch-exclusive (an if-else), so they share
-    one layer.
-    """
-    qubit_free = [0, 0]
-    cbit_ready = [0, 0]
-    d = 0
-    prev: tuple[GateStep, int] | None = None
-    for step in circuit.steps:
-        if (
-            prev is not None
-            and isinstance(step, ClassicallyControlledRy)
-            and isinstance(prev[0], ClassicallyControlledRy)
-            and step.cbit == prev[0].cbit
-            and step.target == prev[0].target
-            and step.required_value != prev[0].required_value
-        ):
-            layer = prev[1]
-        else:
-            start = max(qubit_free[q] for q in _touched_qubits(step))
-            if isinstance(step, ClassicallyControlledRy):
-                start = max(start, cbit_ready[step.cbit])
-            layer = start + 1
-        for q in _touched_qubits(step):
-            qubit_free[q] = layer
-        if isinstance(step, MeasureZ):
-            cbit_ready[step.cbit] = layer
-        else:
-            d = max(d, layer)
-        prev = (step, layer)
-    return d
-
-
 def ry_matrix(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -s], [s, c]], dtype=complex)

@@ -6,17 +6,19 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qetsim.cli import (
     ROW_LIMIT,
+    build_parser,
     format_float,
     main,
     parse_axis,
@@ -56,6 +58,47 @@ def test_render_csv_line_endings():
     text = render_csv(("a", "b"), [("x", 1.5)])
     assert text == "a,b\nx,1.500000\n"
     assert "\r" not in text
+    with pytest.raises(ValueError):
+        render_csv(("a", "b"), [("x", 1.5), ("y",)])
+
+
+def render_csv_per_cell(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format_float(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_NUMBERS = (
+    st.sampled_from(
+        (-0.0, -1e-9, -4.9999995e-7, -5e-7, 5e-7, math.nan, math.inf, -math.inf, 1e300)
+    )
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63)
+)
+# strings near the numbers' own text, so that a rule meant for numeric cells
+# would have string cells to corrupt
+CSV_STRINGS = st.just("-0.000000") | st.text(alphabet="-0.1e,nai\n")
+
+
+@st.composite
+def csv_tables(draw):
+    # every column holds only strings or only numbers
+    kinds = draw(st.lists(st.sampled_from((CSV_STRINGS, CSV_NUMBERS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*kinds), max_size=8))
+    if kinds.count(CSV_NUMBERS) == len(kinds) and draw(st.booleans()):
+        rows = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
+    return tuple(f"c{i}" for i in range(len(kinds))), rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(csv_tables())
+@example((("s", "x"), []))
+@example((("s", "x"), [("-0.000000", -0.0), ("-0.0000001", -4.9999995e-7), ("x", -5e-7)]))
+def test_render_csv_matches_per_cell_rendering(table):
+    header, rows = table
+    assert render_csv(header, rows) == render_csv_per_cell(header, rows)
 
 
 def test_parse_noise_forms():
@@ -395,7 +438,7 @@ def _run_quietly(argv):
     return code, out.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(tuple(FUZZ_COMMANDS)),
     values=fuzz_options(),
@@ -422,6 +465,21 @@ def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, shape, t_steps):
     if code != 0:
         assert out == ""
     assert _run_quietly(argv) == (code, out)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+
+    def capture(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    first = capture(RUN_ARGS)
+    assert capture(["run", "--bogus"])[0] == 2
+    assert capture(["--help"])[0] == 0
+    assert capture([*RUN_ARGS, "--shots", "0"])[0] == 2
+    assert capture(RUN_ARGS) == first
 
 
 def test_unknown_command_exits_nonzero(capsys):

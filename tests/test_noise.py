@@ -16,7 +16,6 @@ from qetsim.noise import (
     estimate_calibration_matrix,
     measurement_fidelity,
     mitigate,
-    noisy_distribution,
 )
 from qetsim.simcore import BITSTRINGS, NumericalError, distribution_vector
 
@@ -57,14 +56,6 @@ def test_zero_noise_is_identity():
     assert np.allclose(confusion_matrix(clean), np.eye(4))
     counts = {"00": 700, "11": 300}
     assert apply_noise(counts, clean, np.random.default_rng(0)) == counts
-
-
-def test_noisy_distribution_is_matrix_action():
-    dist = {"00": 0.5, "01": 0.25, "10": 0.25}
-    out = noisy_distribution(dist, LIMA)
-    expected = confusion_matrix(LIMA) @ distribution_vector(dist)
-    assert np.allclose(distribution_vector(out), expected, atol=1e-15)
-    assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_noise_preserves_total_and_is_deterministic():
@@ -182,7 +173,7 @@ def test_mitigate_least_squares_stays_on_simplex():
         assert vec.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
 def test_mitigate_least_squares_is_optimal_on_simplex(weights):
     # the KKT solution must beat every probe point on the simplex
