@@ -28,6 +28,7 @@ from .protocol import (
     Target,
     _seed_sequence,
     combine_E1,
+    e1_parts,
     estimate_energy,
     run_protocol,
 )
@@ -161,7 +162,7 @@ def sampled_calibration_matrix(
 
 def mitigated_run(
     params: ModelParams,
-    target: Target,
+    target: Target | str,
     mode: Mode,
     n_shots: int,
     seed: int | np.random.SeedSequence,
@@ -172,7 +173,14 @@ def mitigated_run(
     Returns (unmitigated, mitigated, estimated calibration matrix); the
     calibration reads as many shots of each basis state as the run. With no
     method the run is seeded with `seed` itself and returned twice, without a
-    matrix."""
+    matrix. Target "E1" sums the H1 and V pipelines of protocol.e1_parts and
+    returns the H1 run's matrix."""
+    if target == "E1":
+        (u_h1, m_h1, matrix), (u_v, m_v, _) = (
+            mitigated_run(params, part, mode, n_shots, part_seed, noise, method)
+            for part, part_seed in e1_parts(seed)
+        )
+        return combine_E1(u_h1, u_v), combine_E1(m_h1, m_v), matrix
     if method is None:
         result = run_protocol(params, target, mode, n_shots, seed, noise)
         return result, result, None

@@ -40,7 +40,7 @@ from .analysis import (
 )
 from .model import REPORT_PAIRS, ModelParams
 from .noise import MITIGATION_METHODS, PRESETS, ReadoutNoise, measurement_fidelity
-from .protocol import EstimationResult, Mode, Target, combine_E1
+from .protocol import EstimationResult, Mode
 from .simcore import BITSTRINGS, SHOT_LIMIT, NumericalError
 
 SCHEMA = "qet-report/1"
@@ -194,10 +194,6 @@ def _choice(allowed: tuple[str, ...]) -> Callable[[Any], str]:
     return cast
 
 
-def parse_mode(value: Any) -> Mode:
-    return Mode(str(value))
-
-
 def parse_noise(spec: Any) -> ReadoutNoise | None:
     """'none', a preset name, or 2 (symmetric per qubit) / 4 comma-separated
     flip probabilities ordered p(1|0),p(0|1) for qubit 0 then qubit 1."""
@@ -258,7 +254,7 @@ def _sampling(
 ) -> tuple[Mode, int, ReadoutNoise | None, str, int, dict[str, Any]]:
     """Mode, shots, noise, mitigation and seed of a sampling subcommand, and
     their config entries in output order."""
-    mode = opts.get("mode", parse_mode, Mode.DEFERRED.value)
+    mode = opts.get("mode", Mode, Mode.DEFERRED.value)
     shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
     noise_spec = opts.get("noise", str, noise_default)
     noise = opts.get("noise", parse_noise, noise_default)
@@ -310,20 +306,9 @@ def cmd_run(opts: Options) -> str:
     }
 
     mitigation = None if noise is None or method == "none" else method
-    if target_name == "E1":
-        h1_seed, v_seed = np.random.SeedSequence(seed).spawn(2)
-        u_h1, m_h1, matrix = mitigated_run(
-            params, Target.H1, mode, shots, h1_seed, noise, mitigation
-        )
-        u_v, m_v, _ = mitigated_run(
-            params, Target.V, mode, shots, v_seed, noise, mitigation
-        )
-        unmitigated = combine_E1(u_h1, u_v)
-        result = combine_E1(m_h1, m_v)
-    else:
-        unmitigated, result, matrix = mitigated_run(
-            params, Target(target_name), mode, shots, seed, noise, mitigation
-        )
+    unmitigated, result, matrix = mitigated_run(
+        params, target_name, mode, shots, seed, noise, mitigation
+    )
     if matrix is not None:
         payload["measurement_fidelity"] = measurement_fidelity(matrix)
         payload["unmitigated"] = _estimate_payload(unmitigated)
@@ -409,7 +394,7 @@ def cmd_mitigate_demo(opts: Options) -> str:
     analytic = ANALYTIC[target_name](params)
 
     unmitigated, mitigated, matrix = mitigated_run(
-        params, Target(target_name), mode, shots, seed, noise, method
+        params, target_name, mode, shots, seed, noise, method
     )
     payload = {
         "schema": SCHEMA,

@@ -159,6 +159,14 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence
     return np.random.SeedSequence(seed)
 
 
+def e1_parts(
+    seed: int | np.random.SeedSequence,
+) -> tuple[tuple[Target, np.random.SeedSequence], ...]:
+    """The two runs an E1 estimate sums: H1 and then V, on the two children
+    of seed."""
+    return tuple(zip((Target.H1, Target.V), _seed_sequence(seed).spawn(2)))
+
+
 def run_protocol(
     params: ModelParams,
     target: Target,
@@ -186,7 +194,8 @@ def run_protocol_E1(
 ) -> EstimationResult:
     """Two-circuit estimate of the receiver's total energy: the local-field
     and interaction terms never share a circuit, so each gets n_shots."""
-    h1_seed, v_seed = _seed_sequence(seed).spawn(2)
-    h1 = run_protocol(params, Target.H1, mode, n_shots, h1_seed, noise)
-    v = run_protocol(params, Target.V, mode, n_shots, v_seed, noise)
+    h1, v = (
+        run_protocol(params, part, mode, n_shots, part_seed, noise)
+        for part, part_seed in e1_parts(seed)
+    )
     return combine_E1(h1, v)

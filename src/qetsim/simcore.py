@@ -60,14 +60,6 @@ class Hadamard:
 
 
 @dataclass(frozen=True)
-class PauliX:
-    target: int
-
-    def __post_init__(self) -> None:
-        _check_qubit(self.target)
-
-
-@dataclass(frozen=True)
 class Cnot:
     control: int
     target: int
@@ -119,9 +111,7 @@ class ClassicallyControlledRy:
             raise ValueError("required_value must be 0 or 1")
 
 
-GateStep = (
-    Ry | Hadamard | PauliX | Cnot | ControlledRy | MeasureZ | ClassicallyControlledRy
-)
+GateStep = Ry | Hadamard | Cnot | ControlledRy | MeasureZ | ClassicallyControlledRy
 
 
 @dataclass(frozen=True)
@@ -167,8 +157,6 @@ def gate_unitary(step: GateStep) -> np.ndarray:
         return on_qubits({step.target: ry_matrix(step.theta)})
     if isinstance(step, Hadamard):
         return on_qubits({step.target: _H2})
-    if isinstance(step, PauliX):
-        return on_qubits({step.target: _X2})
     if isinstance(step, Cnot):
         v, u = 1, _X2
     elif isinstance(step, ControlledRy):

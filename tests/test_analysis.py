@@ -31,7 +31,7 @@ from qetsim.model import (
     rho_qet,
 )
 from qetsim.noise import PRESETS, confusion_matrix
-from qetsim.protocol import Mode, Target, run_protocol
+from qetsim.protocol import Mode, Target, run_protocol, run_protocol_E1
 from qetsim.simcore import evolve, expectation
 
 LIMA = PRESETS["lima-like"]
@@ -218,6 +218,34 @@ def test_mitigated_run_without_method_is_the_plain_run(noise):
     )
     assert matrix is None
     assert unmit == mit == run_protocol(params, Target.V, Mode.DEFERRED, 5_000, 3, noise)
+
+
+@pytest.mark.parametrize("noise", [None, LIMA], ids=["clean", "lima-like"])
+def test_mitigated_run_of_E1_is_run_protocol_E1(noise):
+    params = ModelParams(1.0, 1.0)
+    unmit, mit, matrix = mitigated_run(
+        params, "E1", Mode.DEFERRED, 5_000, 3, noise, method=None
+    )
+    assert matrix is None
+    assert unmit == mit == run_protocol_E1(params, Mode.DEFERRED, 5_000, 3, noise)
+
+
+def test_mitigated_run_of_E1_sums_the_mitigated_parts():
+    params = ModelParams(1.0, 1.0)
+    unmit, mit, matrix = mitigated_run(
+        params, "E1", Mode.DEFERRED, 5_000, 3, LIMA, "least-squares"
+    )
+    h1_seed, v_seed = np.random.SeedSequence(3).spawn(2)
+    u_h1, m_h1, h1_matrix = mitigated_run(
+        params, Target.H1, Mode.DEFERRED, 5_000, h1_seed, LIMA, "least-squares"
+    )
+    u_v, m_v, _ = mitigated_run(
+        params, Target.V, Mode.DEFERRED, 5_000, v_seed, LIMA, "least-squares"
+    )
+    assert unmit.components == (u_h1, u_v)
+    assert mit.components == (m_h1, m_v)
+    assert mit.mean == m_h1.mean + m_v.mean
+    assert np.array_equal(matrix, h1_matrix)
 
 
 def test_comparison_report_collapses_without_noise():

@@ -296,16 +296,36 @@ def test_evolve_output(capsys):
     capsys.readouterr()
 
 
+E1_RUN = ["run", "--target", "E1", "--h", "1", "--k", "1"]
+LIMA_LS = ["--noise", "lima-like", "--mitigation", "least-squares"]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (["sweep"], "573beb50f7234bdca635b5b17dd88fbada7334cd62891afd6dce933bd1fd3098"),
         (["evolve", "--h", "1", "--k", "0.5"],
          "104cae80a3908b90b02a3b1d674bbdf0769502c799a7bc5573576fbf79c284e6"),
+        (E1_RUN, "9666940836d60d575fb2707a57c39f1417088d5f37a8ec363353b866ca89755b"),
+        (E1_RUN + LIMA_LS,
+         "966f1207f08fd3369bc0ef036d422a01531e987d1e1fc47acda0739447dfe15e"),
+        (E1_RUN + ["--noise", "jakarta-like", "--mitigation", "direct",
+                   "--mode", "conditional"],
+         "10f94e9a1dd938b8d0697a5373c482aa1010e466f1c9ab1ba1c4ff08e9dc389b"),
+        # the mitigated counts are the corrected distribution's float weights
+        (["run", "--target", "V", "--h", "1", "--k", "1"] + LIMA_LS,
+         "11ea41642c400c2cea8bd84c25d0478d399b436dc34f1a7e3d770988562e5c6c"),
+        (["report", "--noise", "lima-like", "--format", "json"],
+         "97e5d301d95275ed6c541f746bbb35ffeb7472a8b14f9b6d29e62c4207c104ff"),
+        (["mitigate-demo"],
+         "c8f1f67c0440f6aa397d01c319309cf650551476f19a95a16caf6fc49371bcc5"),
     ],
 )
-def test_exact_layer_output_is_pinned(capsys, argv, digest):
-    # sha256 of stdout from the per-cell and per-step implementation
+def test_exact_layer_output_is_pinned(capsys, monkeypatch, argv, digest):
+    # sha256 of stdout: sweep and evolve from the per-cell and per-step
+    # implementation, the sampled commands from when cmd_run split the E1
+    # seed itself
+    monkeypatch.delenv("QET_SEED", raising=False)
     code, out = invoke(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -21,7 +21,6 @@ from qetsim.simcore import (
     Hadamard,
     MeasureZ,
     NumericalError,
-    PauliX,
     Ry,
     distribution_vector,
     evolve,
@@ -46,8 +45,6 @@ FIXED_STEPS = [
     Ry(-1.2, 1),
     Hadamard(0),
     Hadamard(1),
-    PauliX(0),
-    PauliX(1),
     Cnot(0, 1),
     Cnot(1, 0),
     ControlledRy(0, 1, 0.7, 1),
@@ -76,11 +73,11 @@ def test_hadamard_action():
 
 
 def test_pauli_x_and_cnot_action():
-    s = gate_unitary(PauliX(0)) @ state_00()   # |10>
-    s = gate_unitary(Cnot(0, 1)) @ s           # |11>
+    s = gate_unitary(Ry(np.pi, 0)) @ state_00()  # |10>
+    s = gate_unitary(Cnot(0, 1)) @ s             # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
-    s = gate_unitary(PauliX(1)) @ state_00()   # |01>
-    s = gate_unitary(Cnot(1, 0)) @ s           # |11>
+    s = gate_unitary(Ry(np.pi, 1)) @ state_00()  # |01>
+    s = gate_unitary(Cnot(1, 0)) @ s             # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
     s = gate_unitary(Cnot(0, 1)) @ state_00()  # control 0: no-op
     assert np.allclose(s, state_00(), atol=ATOL_ALGEBRA)
@@ -178,7 +175,7 @@ def test_circuit_rejects_unwritten_classical_bit():
 def test_run_shots_trivial_circuit():
     circuit = Circuit((MeasureZ(0, 0), MeasureZ(1, 1)))
     assert run_shots(circuit, 1000, 3) == {"00": 1000}
-    flipped = Circuit((PauliX(0), PauliX(1), MeasureZ(0, 0), MeasureZ(1, 1)))
+    flipped = Circuit((Ry(np.pi, 0), Ry(np.pi, 1), MeasureZ(0, 0), MeasureZ(1, 1)))
     assert run_shots(flipped, 257, 3) == {"11": 257}
 
 
@@ -198,7 +195,7 @@ def test_run_shots_determinism_and_validation():
 def test_run_shots_honors_classical_control():
     # measured 1 on qubit 0 flips qubit 1 via a conditioned pi rotation
     circuit = Circuit((
-        PauliX(0),
+        Ry(np.pi, 0),
         MeasureZ(0, 0),
         ClassicallyControlledRy(0, 1, np.pi, 1),
         MeasureZ(1, 1),
