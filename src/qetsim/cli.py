@@ -485,6 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         opts = Options(args)
         text = _COMMANDS[args.command](opts)
+        out = opts.raw("out")
+        if out is not None:
+            try:
+                Path(out).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {out}: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -492,9 +498,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
-    out = args.out if args.out is not None else opts.raw("out")
-    if out is not None:
-        Path(out).write_text(text)
     return 0
 
 

@@ -57,7 +57,7 @@ class ModelParams:
 
     @property
     def r(self) -> float:
-        return float(np.sqrt(self.h**2 + self.k**2))
+        return math.sqrt(self.h**2 + self.k**2)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def angles(params: ModelParams) -> ProtocolAngles:
     their defining pair of equations simultaneously, with 0 < phi < pi/4.
     """
     h, k, r = params.h, params.k, params.r
-    a = np.sqrt((1.0 - h / r) / 2.0)
+    a = math.sqrt((1.0 - h / r) / 2.0)
     theta = -float(np.arccos(a))
     return ProtocolAngles(theta=theta, phi=float(_protocol_phi(h, k)))
 

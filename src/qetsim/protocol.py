@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+import math
 import numpy as np
 
 from .noise import ReadoutNoise, apply_noise
@@ -132,7 +133,7 @@ def estimate_energy(
     var = max(1.0 - eig_mean**2, 0.0)
     if total > 1:
         var *= total / (total - 1.0)
-    std_error = coef * float(np.sqrt(var / total))
+    std_error = coef * math.sqrt(var / total)
     return EstimationResult(
         mean=coef * eig_mean + const,
         std_error=std_error,

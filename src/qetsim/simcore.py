@@ -131,15 +131,15 @@ class Circuit:
 
 
 def ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    # NaNs for a non-finite angle: math.cos raises on inf, run_shots on NaN
+    half = theta / 2.0 if math.isfinite(theta) else math.nan
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[c, -s], [s, c]])
 
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _I2 = np.eye(2, dtype=complex)
-# |0><0| and |1><1| on one qubit
-_P2 = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
 
 def on_qubits(ops: dict[int, np.ndarray]) -> np.ndarray:
@@ -151,32 +151,26 @@ def on_qubits(ops: dict[int, np.ndarray]) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def gate_unitary(step: GateStep) -> np.ndarray:
-    """4x4 unitary of a non-measurement, non-classically-controlled step."""
-    if isinstance(step, Ry):
-        return on_qubits({step.target: ry_matrix(step.theta)})
-    if isinstance(step, Hadamard):
-        return on_qubits({step.target: _H2})
+def _gate(step: GateStep, amps: np.ndarray) -> np.ndarray:
+    """Amplitudes [branch, b0, b1] after a fixed-unitary step: its 2x2 factor
+    on the target's axis; a controlled step acts in place where the control reads v."""
+    if isinstance(step, (Ry, Hadamard)):
+        u = ry_matrix(step.theta) if isinstance(step, Ry) else _H2
+        return u @ amps if step.target == 0 else amps @ u.T
     if isinstance(step, Cnot):
         v, u = 1, _X2
     elif isinstance(step, ControlledRy):
         v, u = step.control_value, ry_matrix(step.theta)
     else:
         raise ValueError(f"step {type(step).__name__} has no fixed unitary")
-    # |not v><not v| (x) I + |v><v| (x) U on (control, target)
-    return on_qubits({step.control: _P2[1 - v]}) + on_qubits(
-        {step.control: _P2[v], step.target: u}
-    )
+    sub = amps[:, v, :] if step.control == 0 else amps[:, :, v]  # target axis last
+    sub[...] = sub @ u.T
+    return amps
 
 
-def state_00() -> PureState:
-    s = np.zeros(4, dtype=complex)
-    s[0] = 1.0
-    return s
-
-
-# Z-basis projectors of each qubit, indexed [qubit][outcome].
-_Z_PROJECTORS = {q: tuple(on_qubits({q: p}) for p in _P2) for q in (0, 1)}
+def gate_unitary(step: GateStep) -> np.ndarray:
+    """4x4 unitary of a fixed-unitary step: its action on the basis states."""
+    return _gate(step, np.eye(4).reshape(4, 2, 2)).reshape(4, 4).T
 
 
 def run_shots(
@@ -195,45 +189,49 @@ def run_shots(
         raise ValueError(f"n_shots must be in [1, 2**63), got {n_shots}")
     p = distribution_vector(exact_distribution(circuit))
     total = p.sum()
-    if not (np.all(np.isfinite(p)) and abs(total - 1.0) <= ATOL_DECOMP):
+    # a non-finite entry leaves a non-finite total, which fails the comparison
+    if not abs(total - 1.0) <= ATOL_DECOMP:
         raise NumericalError(f"outcome probabilities {p} do not form a distribution")
     # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
     tallies = np.random.default_rng(seed).multinomial(n_shots, p / total)
-    return {BITSTRINGS[i]: int(c) for i, c in enumerate(tallies) if c > 0}
+    return {key: c for key, c in zip(BITSTRINGS, tallies.tolist()) if c > 0}
+
+
+# The stack before the first step: |00>, certain, with a cleared register.
+_START = (np.array([[[1.0, 0.0], [0.0, 0.0]]]), np.ones(1), np.zeros((1, 2), np.intp))
+# Per qubit, the 0/1 mask that doubles a stack into [outcome, branch, b0, b1],
+# keeping in each half the amplitudes where the qubit reads that outcome.
+_OUTCOME_MASKS = (np.eye(2)[:, None, :, None], np.eye(2)[:, None, None, :])
+_OUTCOME_BITS = np.array([[0], [1]])
+_REGISTER_PLACES = np.array([2, 1])
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """Exact terminal classical-register distribution by enumerating every
-    measurement branch. All four bitstrings are reported, zeros included."""
-    branches: list[tuple[PureState, tuple[int, int], float]] = [
-        (state_00(), (0, 0), 1.0)
-    ]
+    """Exact terminal classical-register distribution, all four bitstrings
+    included. Every measurement branch lives in one stack: unnormalized real
+    amplitudes [branch, b0, b1], probabilities (squared norms when last
+    measured; gates keep norms) and (n_branches, 2) registers. An outcome of
+    conditional probability below 1e-15 is dropped and adds exactly 0."""
+    amps, probs, regs = _START
+    amps = amps.copy()  # controlled gates write amplitudes in place
     for step in circuit.steps:
         if isinstance(step, MeasureZ):
-            nxt = []
-            for state, bits, prob in branches:
-                kept = [proj @ state for proj in _Z_PROJECTORS[step.target]]
-                p1 = float(np.sum(np.abs(kept[1]) ** 2))
-                for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p < 1e-15:
-                        continue
-                    new_bits = list(bits)
-                    new_bits[step.cbit] = outcome
-                    nxt.append((kept[outcome] / np.sqrt(p), tuple(new_bits), prob * p))
-            branches = nxt
+            kept = amps * _OUTCOME_MASKS[step.target]
+            p = np.add.reduce(kept * kept, axis=(2, 3))
+            dropped = p < 1e-15 * probs
+            np.copyto(p, 0.0, where=dropped)
+            np.copyto(kept, 0.0, where=dropped[..., None, None])
+            amps, probs = kept.reshape(-1, 2, 2), p.reshape(-1)
+            regs = np.concatenate((regs, regs))
+            regs.reshape(2, -1, 2)[:, :, step.cbit] = _OUTCOME_BITS
         elif isinstance(step, ClassicallyControlledRy):
-            u = gate_unitary(Ry(step.theta, step.target))
-            branches = [
-                (u @ state if bits[step.cbit] == step.required_value else state, bits, prob)
-                for state, bits, prob in branches
-            ]
+            hit = regs[:, step.cbit] == step.required_value
+            rotated = _gate(Ry(step.theta, step.target), amps)
+            np.copyto(amps, rotated, where=hit[:, None, None])
         else:
-            u = gate_unitary(step)
-            branches = [(u @ state, bits, prob) for state, bits, prob in branches]
-    dist = dict.fromkeys(BITSTRINGS, 0.0)
-    for _, bits, prob in branches:
-        dist[f"{bits[0]}{bits[1]}"] += prob
-    return dist
+            amps = _gate(step, amps)
+    dist = np.bincount(regs @ _REGISTER_PLACES, weights=probs, minlength=4)
+    return dict(zip(BITSTRINGS, dist.tolist()))
 
 
 def check_counts(counts: dict[str, float]) -> float:

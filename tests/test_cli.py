@@ -151,6 +151,23 @@ def test_run_byte_identical_reruns(capsys, tmp_path):
     assert out_file.read_text() == streamed == first
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, source, target):
+    out = tmp_path / "absent" / "x.csv" if target == "missing-dir" else tmp_path
+    argv = ["sweep", "--grid-h", "1", "--grid-k", "1"]
+    if source == "flag":
+        argv += ["--out", str(out)]
+    else:
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {out}\n")
+        argv += ["--config", str(cfg)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write output file {out}: ")
+
+
 def test_run_composite_target(capsys):
     code, out = invoke(capsys, ["run", "--h", "1", "--k", "0.5", "--target", "E1",
                                 "--shots", "1000", "--seed", "3"])

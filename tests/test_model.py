@@ -38,7 +38,6 @@ from qetsim.simcore import (
     gate_unitary,
     is_hermitian,
     ry_matrix,
-    state_00,
 )
 
 Z0 = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
@@ -141,7 +140,7 @@ def test_local_term_minimum_eigenvalues():
 @pytest.mark.parametrize("params", all_params(), ids=str)
 def test_prep_circuit_reaches_ground_state(params):
     theta = angles(params).theta
-    state = gate_unitary(Ry(2.0 * theta, 0)) @ state_00()
+    state = gate_unitary(Ry(2.0 * theta, 0)) @ np.eye(4)[0]
     state = gate_unitary(Cnot(0, 1)) @ state
     assert np.allclose(state, ground_state(params), atol=ATOL_ALGEBRA)
 

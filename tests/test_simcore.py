@@ -3,12 +3,14 @@ evolution."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qetsim.model import ModelParams
+from qetsim.model import GRID_H, GRID_K, REFERENCE_PAIRS, ModelParams
 from qetsim.noise import PRESETS, apply_noise, estimate_calibration_matrix, mitigate
 from qetsim.protocol import Mode, Target, build_circuit, estimate_energy
 from qetsim.simcore import (
@@ -32,13 +34,14 @@ from qetsim.simcore import (
     on_qubits,
     run_shots,
     ry_matrix,
-    state_00,
 )
 
 Z0 = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
 Z1 = np.kron(np.eye(2), np.diag([1.0, -1.0])).astype(complex)
 X0 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
 X0X1 = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
+
+KET_00 = np.array([1.0, 0.0, 0.0, 0.0])
 
 FIXED_STEPS = [
     Ry(0.3, 0),
@@ -66,21 +69,21 @@ def test_rotation_unitarity_random_angles(theta, target):
 
 
 def test_hadamard_action():
-    plus0 = gate_unitary(Hadamard(0)) @ state_00()
+    plus0 = gate_unitary(Hadamard(0)) @ KET_00
     assert np.allclose(plus0, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], atol=ATOL_ALGEBRA)
-    plus1 = gate_unitary(Hadamard(1)) @ state_00()
+    plus1 = gate_unitary(Hadamard(1)) @ KET_00
     assert np.allclose(plus1, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=ATOL_ALGEBRA)
 
 
 def test_pauli_x_and_cnot_action():
-    s = gate_unitary(Ry(np.pi, 0)) @ state_00()  # |10>
-    s = gate_unitary(Cnot(0, 1)) @ s             # |11>
+    s = gate_unitary(Ry(np.pi, 0)) @ KET_00  # |10>
+    s = gate_unitary(Cnot(0, 1)) @ s         # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
-    s = gate_unitary(Ry(np.pi, 1)) @ state_00()  # |01>
-    s = gate_unitary(Cnot(1, 0)) @ s             # |11>
+    s = gate_unitary(Ry(np.pi, 1)) @ KET_00  # |01>
+    s = gate_unitary(Cnot(1, 0)) @ s         # |11>
     assert np.allclose(s, [0, 0, 0, 1], atol=ATOL_ALGEBRA)
-    s = gate_unitary(Cnot(0, 1)) @ state_00()  # control 0: no-op
-    assert np.allclose(s, state_00(), atol=ATOL_ALGEBRA)
+    s = gate_unitary(Cnot(0, 1)) @ KET_00  # control 0: no-op
+    assert np.allclose(s, KET_00, atol=ATOL_ALGEBRA)
 
 
 def test_controlled_ry_acts_on_selected_subspace():
@@ -120,9 +123,9 @@ def test_controlled_ry_matches_placement_rule(control, value):
 
 def test_on_qubits_puts_qubit_0_on_the_high_bit():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.flatnonzero(on_qubits({0: x}) @ state_00()).tolist() == [2]
+    assert np.flatnonzero(on_qubits({0: x}) @ KET_00).tolist() == [2]
     assert BITSTRINGS[2] == "10"
-    assert np.flatnonzero(on_qubits({1: x}) @ state_00()).tolist() == [1]
+    assert np.flatnonzero(on_qubits({1: x}) @ KET_00).tolist() == [1]
     assert np.array_equal(on_qubits({}), np.eye(4))
     a, b = ry_matrix(0.3), np.array([[1, 2j], [3, -4]])
     assert np.array_equal(on_qubits({0: a, 1: b}), np.kron(a, b))
@@ -139,7 +142,7 @@ def test_ry_matrix_convention():
     thetas=st.lists(st.floats(-6.3, 6.3), min_size=1, max_size=5),
 )
 def test_gate_sequences_preserve_norm(thetas):
-    state = state_00()
+    state = KET_00
     for i, theta in enumerate(thetas):
         state = gate_unitary(Ry(theta, i % 2)) @ state
         state = gate_unitary(Cnot(i % 2, 1 - i % 2)) @ state
@@ -228,6 +231,22 @@ def test_sampling_matches_exact_distribution(target, mode):
         assert abs(counts.get(key, 0) / n - p) < 5 * se
 
 
+def test_seed_to_counts_mapping_is_pinned():
+    # sha256 of run_shots counts at 1e5 shots for the six protocol circuits
+    # over the acceptance grid and seeds 0-2, taken from the per-branch
+    # enumeration with one 4x4 unitary per step
+    pairs = [(h, k) for h in GRID_H for k in GRID_K] + list(REFERENCE_PAIRS)
+    lines = []
+    for h, k in pairs:
+        for target, mode in PROTOCOL_CIRCUITS:
+            circuit = build_circuit(ModelParams(h, k), target, mode)
+            for seed in range(3):
+                counts = run_shots(circuit, 100_000, seed)
+                lines.append(f"{h!r} {k!r} {target.value} {mode.value} {seed} {counts}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "49765439f54dec300fa687eaeecfc70333063f3338203d019b3175c7d3c8622d"
+
+
 def test_run_shots_memory_does_not_grow_with_shots():
     circuit = build_circuit(ModelParams(1.0, 1.0), Target.V, Mode.CONDITIONAL)
     counts = run_shots(circuit, 10**12, 3)
@@ -241,12 +260,19 @@ def test_run_shots_seed_forms_agree():
     assert run_shots(circuit, 10_000, np.random.default_rng(5)) == expected
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
 def test_run_shots_rejects_non_finite_angles(theta):
     circuit = Circuit((Ry(theta, 0), MeasureZ(0, 0), MeasureZ(1, 1)))
     with pytest.raises(NumericalError):
         run_shots(circuit, 100, 1)
+    # a controlled rotation spoils only the branches it acts on
+    for rotation in (
+        ControlledRy(0, 1, theta, 1),
+        ClassicallyControlledRy(0, 1, theta, 1),
+    ):
+        circuit = Circuit((Hadamard(0), MeasureZ(0, 0), rotation, MeasureZ(1, 1)))
+        with pytest.raises(NumericalError):
+            run_shots(circuit, 100, 1)
 
 
 def test_exact_distribution_trivial_and_normalized():
@@ -271,6 +297,110 @@ def test_exact_distribution_overwritten_bit():
     dist = exact_distribution(circuit)
     assert dist["00"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
     assert dist["10"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
+
+
+def test_exact_distribution_drops_improbable_outcomes():
+    # cos(pi/2)^2 ~ 4e-33 is below the 1e-15 cut: the outcome-0 branch is
+    # dropped at the first measurement, so the Hadamard cannot revive it
+    circuit = Circuit((Ry(np.pi, 0), MeasureZ(0, 0), Hadamard(0), MeasureZ(0, 1)))
+    dist = exact_distribution(circuit)
+    assert dist["00"] == 0.0 and dist["01"] == 0.0
+    assert dist["10"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
+    assert dist["11"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
+
+
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _reference_distribution(circuit):
+    # one normalized state per branch and one 4x4 matrix per step, each
+    # built with np.kron
+    def on(q, m):
+        return np.kron(m, np.eye(2)) if q == 0 else np.kron(np.eye(2), m)
+
+    proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    branches = [(np.array([1.0, 0.0, 0.0, 0.0]), (0, 0), 1.0)]
+    for step in circuit.steps:
+        if isinstance(step, MeasureZ):
+            nxt = []
+            for state, bits, prob in branches:
+                for outcome in (0, 1):
+                    kept = on(step.target, proj[outcome]) @ state
+                    p = float(np.vdot(kept, kept).real)
+                    if p >= 1e-15:
+                        new_bits = list(bits)
+                        new_bits[step.cbit] = outcome
+                        nxt.append((kept / np.sqrt(p), tuple(new_bits), prob * p))
+            branches = nxt
+            continue
+        if isinstance(step, ClassicallyControlledRy):
+            u = on(step.target, ry_matrix(step.theta))
+            branches = [
+                (u @ state if bits[step.cbit] == step.required_value else state, bits, prob)
+                for state, bits, prob in branches
+            ]
+            continue
+        if isinstance(step, Ry):
+            u = on(step.target, ry_matrix(step.theta))
+        elif isinstance(step, Hadamard):
+            u = on(step.target, _H)
+        elif isinstance(step, Cnot):
+            u = _controlled(step.control, 1, _X)
+        else:
+            u = _controlled(step.control, step.control_value, ry_matrix(step.theta))
+        branches = [(u @ state, bits, prob) for state, bits, prob in branches]
+    dist = dict.fromkeys(BITSTRINGS, 0.0)
+    for _, bits, prob in branches:
+        dist[f"{bits[0]}{bits[1]}"] += prob
+    return dist
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2]),
+    st.floats(-4 * np.pi, 4 * np.pi),
+)
+
+
+@st.composite
+def _random_circuits(draw):
+    # every step kind on both qubits; a classically controlled rotation reads
+    # a bit some earlier measurement wrote, and later measurements may
+    # overwrite it
+    steps, written = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(
+            ["ry", "h", "cnot", "cry", "measure", "ccry"]
+        ))
+        q, theta = draw(st.sampled_from([0, 1])), draw(_ANGLES)
+        if kind == "ccry" and not written:
+            kind = "measure"
+        if kind == "ry":
+            steps.append(Ry(theta, q))
+        elif kind == "h":
+            steps.append(Hadamard(q))
+        elif kind == "cnot":
+            steps.append(Cnot(q, 1 - q))
+        elif kind == "cry":
+            steps.append(ControlledRy(q, draw(st.sampled_from([0, 1])), theta, 1 - q))
+        elif kind == "measure":
+            cbit = draw(st.sampled_from([0, 1]))
+            steps.append(MeasureZ(q, cbit))
+            written.append(cbit)
+        else:
+            cbit = draw(st.sampled_from(sorted(set(written))))
+            steps.append(ClassicallyControlledRy(cbit, draw(st.sampled_from([0, 1])), theta, q))
+    return Circuit(tuple(steps))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuit=_random_circuits())
+def test_exact_distribution_matches_per_branch_reference(circuit):
+    dist = exact_distribution(circuit)
+    expected = _reference_distribution(circuit)
+    assert list(dist) == list(BITSTRINGS)
+    for key in BITSTRINGS:
+        assert abs(dist[key] - expected[key]) < 1e-12
 
 
 # every public consumer of a counts map, each fed one non-finite count
@@ -299,7 +429,7 @@ def test_expectation_known_values():
     rho00 = np.diag([1.0, 0, 0, 0]).astype(complex)
     assert expectation(rho00, Z0) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
     assert expectation(rho00, Z1) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
-    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ KET_00
     rho_bell = np.outer(bell, bell.conj())
     assert expectation(rho_bell, X0X1) == pytest.approx(1.0, abs=ATOL_ALGEBRA)
     assert expectation(rho_bell, Z0) == pytest.approx(0.0, abs=ATOL_ALGEBRA)
@@ -312,14 +442,14 @@ def test_expectation_rejects_imaginary_residue():
 
 
 def test_evolve_identity_at_t0():
-    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ KET_00
     rho = np.outer(bell, bell.conj())
     assert np.allclose(evolve(rho, Z0 + Z1, 0.0), rho, atol=ATOL_ALGEBRA)
 
 
 def test_evolve_single_qubit_precession():
     # under H = Z0 the Bloch vector of |+> precesses: <X0>(t) = cos(2t)
-    plus = gate_unitary(Hadamard(0)) @ state_00()
+    plus = gate_unitary(Hadamard(0)) @ KET_00
     rho = np.outer(plus, plus.conj())
     for t in (0.3, 1.0, np.sqrt(2.0)):
         rho_t = evolve(rho, Z0, t)
@@ -327,7 +457,7 @@ def test_evolve_single_qubit_precession():
 
 
 def test_evolve_preserves_trace_and_hermiticity():
-    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ state_00()
+    bell = gate_unitary(Cnot(0, 1)) @ gate_unitary(Hadamard(0)) @ KET_00
     rho = np.outer(bell, bell.conj())
     h = 0.7 * Z0 + 1.3 * Z1 + 0.4 * X0X1
     rho_t = evolve(rho, h, 2.31)
@@ -348,7 +478,7 @@ def test_evolve_rejects_non_hermitian_generator():
 
 
 def test_evolve_and_expectation_over_a_stack_of_times():
-    plus = gate_unitary(Hadamard(0)) @ state_00()
+    plus = gate_unitary(Hadamard(0)) @ KET_00
     rho = np.outer(plus, plus.conj())
     h = 0.7 * Z0 + 1.3 * Z1 + 0.4 * X0X1
     t_values = np.array([[0.0, 0.3], [1.0, 2.31]])
