@@ -6,7 +6,7 @@ side by side.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
@@ -21,7 +21,7 @@ from .model import (
     free_evolution_H1,
     rho_measured,
 )
-from .noise import ReadoutNoise, apply_noise, estimate_calibration_matrix, mitigate
+from .noise import ReadoutNoise, mitigate
 from .protocol import (
     EstimationResult,
     Mode,
@@ -32,7 +32,7 @@ from .protocol import (
     estimate_energy,
     run_protocol,
 )
-from .simcore import BITSTRINGS, evolve, expectation
+from .simcore import SHOT_LIMIT, evolve, expectation
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,18 @@ def sampled_calibration_matrix(
     """Response matrix estimated the way an experiment would: read n_shots of
     each basis state through the same noisy readout and tabulate. Readout
     noise acts on the record only, so an ideal preparation of state j records
-    j on every shot before the channel."""
+    j on every shot: column j tallies one multinomial draw over response[:, j]."""
+    if not (n_shots % 1 == 0 and 1 <= n_shots < SHOT_LIMIT):
+        raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
     # odd children only: the even ones seeded preparation draws that used no
     # randomness, so every seed keeps the matrix it always gave
     seeds = _seed_sequence(seed).spawn(8)[1::2]
-    counts_list = []
-    for key, key_seed in zip(BITSTRINGS, seeds):
-        counts = {key: n_shots}
-        if noise is not None:
-            counts = apply_noise(counts, noise, key_seed)
-        counts_list.append(counts)
-    return estimate_calibration_matrix(counts_list)
+    if noise is None:
+        return np.eye(4)
+    draws = zip(map(np.random.default_rng, seeds), noise.response.T)
+    tallies = np.array([g.multinomial(int(n_shots), p) for g, p in draws], dtype=float).T
+    # each column over its total summed in order, as check_counts sums: the same bits
+    return tallies / np.cumsum(tallies, axis=0)[-1]
 
 
 def mitigated_run(
@@ -189,7 +190,8 @@ def mitigated_run(
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
     scaled = {key: p * n_shots for key, p in corrected.items()}
-    mitigated = estimate_energy(params, target, scaled)
+    # the weights' float total need not round to n_shots past 2**53
+    mitigated = replace(estimate_energy(params, target, scaled), n_shots=n_shots)
     return unmitigated, mitigated, cal_matrix
 
 

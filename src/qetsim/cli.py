@@ -371,7 +371,7 @@ def cmd_report(opts: Options) -> str:
 
     # the params field becomes the h and k columns
     header = ("h", "k", *(f.name for f in dataclasses.fields(ComparisonRow)[1:]))
-    table = [(row.params.h, row.params.k, *dataclasses.astuple(row)[1:]) for row in rows]
+    table = [(r.params.h, r.params.k, *(getattr(r, f) for f in header[2:])) for r in rows]
     if fmt == "csv":
         return render_csv(header, table)
     payload = {

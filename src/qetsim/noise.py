@@ -12,7 +12,7 @@ probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .simcore import (
@@ -34,15 +34,24 @@ _COND_LIMIT = 1e6
 @dataclass(frozen=True)
 class ReadoutNoise:
     """Per-qubit flip probabilities: read1_given0[q] = P(read 1 | true 0),
-    read0_given1[q] = P(read 0 | true 1)."""
+    read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix."""
 
     read1_given0: tuple[float, float]
     read0_given1: tuple[float, float]
+    response: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not len(self.read1_given0) == len(self.read0_given1) == 2:
+            raise ValueError("need exactly two flip probabilities per direction")
         for p in (*self.read1_given0, *self.read0_given1):
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"flip probability must be in [0, 1), got {p}")
+        response = on_qubits({
+            q: np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
+            for q, (p10, p01) in enumerate(zip(self.read1_given0, self.read0_given1))
+        })
+        response.flags.writeable = False
+        object.__setattr__(self, "response", response)
 
     @classmethod
     def symmetric(cls, error_q0: float, error_q1: float) -> ReadoutNoise:
@@ -58,16 +67,10 @@ PRESETS: dict[str, ReadoutNoise] = {
 }
 
 
-def _single_qubit_confusion(noise: ReadoutNoise, qubit: int) -> np.ndarray:
-    p10 = noise.read1_given0[qubit]
-    p01 = noise.read0_given1[qubit]
-    return np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
-
-
 def confusion_matrix(noise: ReadoutNoise) -> np.ndarray:
-    """Exact 4x4 response matrix: column j is the observation distribution
-    when the true outcome is basis state j."""
-    return on_qubits({q: _single_qubit_confusion(noise, q) for q in (0, 1)})
+    """Exact 4x4 response matrix (read-only): column j is the observation
+    distribution when the true outcome is basis state j."""
+    return noise.response
 
 
 def apply_noise(
@@ -85,10 +88,9 @@ def apply_noise(
     if total >= SHOT_LIMIT:
         raise ValueError(f"counts must total less than 2**63, got {total}")
     rng = np.random.default_rng(seed)
-    a = confusion_matrix(noise)
     out = np.zeros(4, dtype=np.int64)
     for key in sorted(counts):
-        out += rng.multinomial(int(counts[key]), a[:, BITSTRINGS.index(key)])
+        out += rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)])
     return {BITSTRINGS[i]: int(c) for i, c in enumerate(out) if c > 0}
 
 
@@ -152,7 +154,9 @@ def mitigate(
     y = distribution_vector(counts) / check_counts(counts)
 
     if method == "direct":
-        if not np.all(np.isfinite(a)) or np.linalg.cond(a) >= _COND_LIMIT:
+        # np.linalg.cond's 2-norm ratio, without its wrapper layers
+        sv = np.linalg.svd(a, compute_uv=False).tolist() if np.isfinite(a).all() else [0.0]
+        if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
             raise NumericalError("calibration matrix is singular or ill-conditioned")
         x = np.linalg.solve(a, y)
         x = np.clip(x, 0.0, None)

@@ -119,7 +119,9 @@ def estimate_energy(
     """
     target = Target(target)
     total = check_counts(counts)
-    n_shots = round(total)
+    # integer tallies sum exactly; the float total rounds past 2**53
+    exact = all(isinstance(c, (int, np.integer)) for c in counts.values())
+    n_shots = sum(map(int, counts.values())) if exact else round(total)
     if n_shots < 1:
         raise ValueError(f"counts must total at least one shot, got {total}")
     h, k, r = params.h, params.k, params.r

@@ -9,6 +9,7 @@ Counts map 2-bit outcome strings "b0b1" to shot tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 import numpy as np
 
@@ -211,7 +212,13 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     included. Every measurement branch lives in one stack: unnormalized real
     amplitudes [branch, b0, b1], probabilities (squared norms when last
     measured; gates keep norms) and (n_branches, 2) registers. An outcome of
-    conditional probability below 1e-15 is dropped and adds exactly 0."""
+    conditional probability below 1e-15 is dropped and adds exactly 0. The
+    last 16 circuits' distributions are kept: a rerun circuit enumerates once."""
+    return dict(zip(BITSTRINGS, _enumerate(circuit)))
+
+
+@functools.lru_cache(maxsize=16)
+def _enumerate(circuit: Circuit) -> tuple[float, ...]:
     amps, probs, regs = _START
     amps = amps.copy()  # controlled gates write amplitudes in place
     for step in circuit.steps:
@@ -231,7 +238,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
         else:
             amps = _gate(step, amps)
     dist = np.bincount(regs @ _REGISTER_PLACES, weights=probs, minlength=4)
-    return dict(zip(BITSTRINGS, dist.tolist()))
+    return tuple(dist.tolist())
 
 
 def check_counts(counts: dict[str, float]) -> float:

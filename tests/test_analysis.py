@@ -30,9 +30,15 @@ from qetsim.model import (
     rho_measured,
     rho_qet,
 )
-from qetsim.noise import PRESETS, confusion_matrix
-from qetsim.protocol import Mode, Target, run_protocol, run_protocol_E1
-from qetsim.simcore import evolve, expectation
+from qetsim.noise import (
+    PRESETS,
+    ReadoutNoise,
+    apply_noise,
+    confusion_matrix,
+    estimate_calibration_matrix,
+)
+from qetsim.protocol import Mode, Target, build_circuit, run_protocol, run_protocol_E1
+from qetsim.simcore import BITSTRINGS, _enumerate, evolve, expectation
 
 LIMA = PRESETS["lima-like"]
 
@@ -189,6 +195,55 @@ def test_sampled_calibration_matrix_noiseless_and_deterministic():
     assert np.array_equal(b1, b2)
     assert np.allclose(b1.sum(axis=0), 1.0, atol=1e-12)
     assert np.max(np.abs(b1 - confusion_matrix(LIMA))) < 0.05
+
+
+def reference_calibration_matrix(noise, n_shots, seed):
+    """Per column: a record of n_shots of basis state j through apply_noise,
+    tabulated by estimate_calibration_matrix."""
+    seeds = np.random.SeedSequence(seed).spawn(8)[1::2]
+    return estimate_calibration_matrix(
+        [apply_noise({key: n_shots}, noise, s) for key, s in zip(BITSTRINGS, seeds)]
+    )
+
+
+CALIBRATION_NOISE = [*PRESETS.values(), ReadoutNoise((0.05, 0.02), (0.1, 0.3))]
+
+
+@pytest.mark.parametrize("noise", CALIBRATION_NOISE)
+@pytest.mark.parametrize("n_shots", [1, 2_000, 2**63 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sampled_calibration_matrix_is_the_apply_noise_tabulation(noise, n_shots, seed):
+    expected = reference_calibration_matrix(noise, n_shots, seed)
+    a = sampled_calibration_matrix(noise, n_shots, seed)
+    assert a.dtype == expected.dtype and a.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_shots", [0, -1, 1.5, 2**63, float(2**63), np.nan, np.inf])
+@pytest.mark.parametrize("noise", [LIMA, None])
+def test_sampled_calibration_matrix_rejects_bad_shot_counts(n_shots, noise):
+    with pytest.raises(ValueError):
+        reference_calibration_matrix(LIMA, n_shots, 0)
+    with pytest.raises(ValueError):
+        sampled_calibration_matrix(noise, n_shots, 0)
+
+
+def test_sampled_calibration_matrix_spawns_as_before():
+    # a caller's SeedSequence has spawned the same children afterwards, with
+    # or without noise; without it the matrix is exactly the identity
+    for noise in (LIMA, None):
+        seed = np.random.SeedSequence(3)
+        a = sampled_calibration_matrix(noise, 10, seed)
+        assert seed.n_children_spawned == 8
+    assert np.array_equal(a, np.eye(4))
+
+
+def test_report_enumerates_each_circuit_once():
+    params = ModelParams(1.0, 0.5)
+    _enumerate.cache_clear()
+    comparison_report([params], 1_000, 3, LIMA, "least-squares")
+    # three distinct circuits (E0, H1, V), each run clean and noisy
+    assert _enumerate.cache_info().misses == 3
+    assert _enumerate.cache_info().hits == 3
 
 
 def test_mitigated_run_improves_estimate():

@@ -203,6 +203,39 @@ def test_run_mitigated_composite_keeps_components(capsys):
     assert payload["counts"] is None
 
 
+READOUTS = {
+    "clean": [],
+    "noisy": ["--noise", "lima-like"],
+    "least-squares": ["--noise", "lima-like", "--mitigation", "least-squares"],
+    "direct": ["--noise", "jakarta-like", "--mitigation", "direct"],
+}
+
+
+@pytest.mark.parametrize("shots", [2**53 + 1, 2**63 - 1])
+@pytest.mark.parametrize("target", ["V", "E1"])
+@pytest.mark.parametrize("readout", READOUTS.values(), ids=READOUTS.keys())
+def test_run_prints_exact_shot_counts(capsys, shots, target, readout):
+    # past 2**53 a float total of the tallies is no longer the shot count
+    code, out = invoke(capsys, ["run", "--target", target, "--h", "1", "--k", "1",
+                                "--shots", str(shots), "--seed", "1", *readout])
+    assert code == 0
+    payload = json.loads(out)
+    total = 2 * shots if target == "E1" else shots
+    assert payload["estimate"]["n_shots"] == total
+    if "unmitigated" in payload:
+        assert payload["unmitigated"]["n_shots"] == total
+    for part in (payload.get("components") or {}).values():
+        assert part["n_shots"] == shots
+
+
+@pytest.mark.parametrize("shots", [2**53 + 1, 2**63 - 1])
+def test_mitigate_demo_prints_exact_shot_counts(capsys, shots):
+    code, out = invoke(capsys, ["mitigate-demo", "--shots", str(shots), "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["unmitigated"]["n_shots"] == payload["mitigated"]["n_shots"] == shots
+
+
 def test_run_validation_failures(capsys):
     assert main(["run", "--h", "1", "--k", "1", "--target", "V", "--shots", "0"]) == 2
     assert main(["run", "--k", "1", "--target", "V"]) == 2
@@ -346,6 +379,49 @@ def test_exact_layer_output_is_pinned(capsys, monkeypatch, argv, digest):
     code, out = invoke(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+NOISY_GRID = [
+    ["--noise", noise, "--mitigation", method, "--mode", mode,
+     "--shots", shots, "--seed", seed]
+    for noise in ("lima-like", "jakarta-like", "0.05,0.1,0.02,0.3")
+    for method in ("direct", "least-squares")
+    for mode in ("conditional", "deferred")
+    for shots in ("1", "2000", "100000")
+    for seed in ("0", "2024")
+]
+
+
+def noisy_outputs_digest(capsys, command):
+    """sha256 over exit code, stdout and stderr of command on every NOISY_GRID
+    case: one-shot runs exercise the exit-3 path as well."""
+    digest = hashlib.sha256()
+    for case in NOISY_GRID:
+        code = main(command + case)
+        captured = capsys.readouterr()
+        digest.update(repr((code, captured.out, captured.err)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        (["report", "--format", "csv"],
+         "e6136031d2dc7a66c6077e04a5968dc680211c34af996647ec2c70b02d643b14"),
+        (["report", "--format", "json"],
+         "2e819fd229beb77306767301934455a39787d84bfa21c10def0f2f5961b7af1e"),
+        (E1_RUN,
+         "652869bc2ccaf92b7688f8eebc82d363586d6c9c878308b23afe849e36290777"),
+        (["mitigate-demo"],
+         "f45ac8282031a9b7fc990820227fe4973d7cb5dda90810b04a923ade58392cf6"),
+    ],
+    ids=["report-csv", "report-json", "run-E1", "mitigate-demo"],
+)
+def test_noisy_output_is_pinned(capsys, monkeypatch, command, digest):
+    # taken before the readout layer built its response matrix once per noise
+    # model and drew calibration straight into the matrix
+    monkeypatch.delenv("QET_SEED", raising=False)
+    assert noisy_outputs_digest(capsys, command) == digest
 
 
 @pytest.mark.parametrize("t_max", ["inf", "nan", "1e308"])

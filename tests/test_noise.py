@@ -30,6 +30,29 @@ def test_noise_parameter_validation():
     ReadoutNoise.symmetric(0.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "read1_given0, read0_given1",
+    [((0.1,), (0.1,)), ((0.1, 0.1, 0.1), (0.1, 0.1)), ((0.1, 0.1), (0.1, 0.1, 0.1)), ((), ())],
+)
+def test_noise_needs_two_flip_probabilities_per_direction(read1_given0, read0_given1):
+    with pytest.raises(ValueError):
+        ReadoutNoise(read1_given0, read0_given1)
+
+
+def test_response_matrix_is_built_once_and_read_only():
+    noise = ReadoutNoise((0.1, 0.02), (0.3, 0.05))
+    assert confusion_matrix(noise) is noise.response
+    with pytest.raises(ValueError):
+        noise.response[0, 0] = 1.0
+    # the matrix is derived: equality, hashing and repr see the probabilities only
+    twin = ReadoutNoise((0.1, 0.02), (0.3, 0.05))
+    assert twin == noise and hash(twin) == hash(noise)
+    assert repr(noise) == "ReadoutNoise(read1_given0=(0.1, 0.02), read0_given1=(0.3, 0.05))"
+    p0 = np.array([[0.9, 0.3], [0.1, 0.7]])
+    p1 = np.array([[0.98, 0.05], [0.02, 0.95]])
+    assert np.array_equal(noise.response, np.kron(p0, p1))
+
+
 def test_confusion_matrix_kronecker_entries():
     a = confusion_matrix(ReadoutNoise.symmetric(0.1, 0.2))
     # column j: observation distribution when the true outcome is state j
@@ -192,6 +215,37 @@ def test_mitigate_rejects_singular_matrix():
         mitigate({"00": 10}, singular, "direct")
     with pytest.raises(NumericalError):
         mitigate({"00": 10}, singular, "least-squares")
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((4, 4)),
+        np.diag([1.0, 1.0, 1.0, 0.0]),
+        *(np.diag([1.0, 1.0, 1.0, d]) for d in (1e-6, np.nextafter(1e-6, 1.0), 2e-6)),
+        *(np.diag([d, 1.0, 1.0, 1.0]) for d in (1e6, 1e306, 5e-324)),
+        np.full((4, 4), 0.25),
+        confusion_matrix(LIMA),
+        np.eye(4),
+    ],
+)
+def test_mitigate_direct_guard_is_the_condition_number(a):
+    # the direct method refuses exactly the matrices np.linalg.cond puts at or
+    # past the ceiling, singular ones (condition number inf) included
+    refused = np.linalg.cond(a) >= 1e6
+    if refused:
+        with pytest.raises(NumericalError):
+            mitigate({"00": 3, "11": 1}, a, "direct")
+    else:
+        assert sum(mitigate({"00": 3, "11": 1}, a, "direct").values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mitigate_direct_rejects_non_finite_matrix(bad):
+    a = np.eye(4)
+    a[2, 1] = bad
+    with pytest.raises(NumericalError):
+        mitigate({"00": 3, "11": 1}, a, "direct")
 
 
 def test_mitigate_input_validation():

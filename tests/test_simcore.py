@@ -24,6 +24,7 @@ from qetsim.simcore import (
     MeasureZ,
     NumericalError,
     Ry,
+    _enumerate,
     distribution_vector,
     evolve,
     exact_distribution,
@@ -307,6 +308,35 @@ def test_exact_distribution_drops_improbable_outcomes():
     assert dist["00"] == 0.0 and dist["01"] == 0.0
     assert dist["10"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
     assert dist["11"] == pytest.approx(0.5, abs=ATOL_ALGEBRA)
+
+
+def test_exact_distribution_enumerates_an_equal_circuit_once():
+    params = ModelParams(1.0, 0.5)
+    _enumerate.cache_clear()
+    first = exact_distribution(build_circuit(params, Target.V, Mode.CONDITIONAL))
+    first["00"] = -1.0  # the caller's own dict: the cached tuple is untouched
+    again = exact_distribution(build_circuit(params, Target.V, Mode.CONDITIONAL))
+    info = _enumerate.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert again["00"] >= 0.0
+    _enumerate.cache_clear()
+    assert exact_distribution(build_circuit(params, Target.V, Mode.CONDITIONAL)) == again
+
+
+def test_exact_distribution_cache_hit_on_signed_zero_angles_is_exact():
+    # Ry(0.0) == Ry(-0.0), so either circuit may answer for the other
+    def circuit(zero):
+        return Circuit((
+            Ry(zero, 0), Hadamard(1), ControlledRy(1, 1, zero, 0), MeasureZ(0, 0),
+            ClassicallyControlledRy(0, 1, zero, 1), MeasureZ(1, 1),
+        ))
+
+    results = []
+    for zero in (0.0, -0.0):
+        _enumerate.cache_clear()
+        results.append(repr(exact_distribution(circuit(zero))))
+    assert circuit(0.0) == circuit(-0.0)
+    assert results[0] == results[1]
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
