@@ -39,7 +39,6 @@ from .noise import (
     PRESETS,
     ReadoutNoise,
     apply_noise,
-    confusion_matrix,
     estimate_calibration_matrix,
     measurement_fidelity,
     mitigate,
@@ -73,66 +72,3 @@ from .simcore import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BITSTRINGS",
-    "Circuit",
-    "ClassicallyControlledRy",
-    "Cnot",
-    "ComparisonRow",
-    "ControlledRy",
-    "EntropyReport",
-    "EstimationResult",
-    "GRID_H",
-    "GRID_K",
-    "Hadamard",
-    "HamiltonianSet",
-    "MITIGATION_METHODS",
-    "MeasureZ",
-    "Mode",
-    "ModelParams",
-    "NumericalError",
-    "PRESETS",
-    "PhiScanResult",
-    "ProtocolAngles",
-    "REPORT_PAIRS",
-    "ReadoutNoise",
-    "Ry",
-    "SweepGrid",
-    "Target",
-    "analytic_E0",
-    "analytic_E1",
-    "analytic_H1",
-    "analytic_V",
-    "angles",
-    "apply_noise",
-    "build_circuit",
-    "build_hamiltonians",
-    "combine_E1",
-    "comparison_report",
-    "confusion_matrix",
-    "default_grid",
-    "entropy_report",
-    "estimate_calibration_matrix",
-    "estimate_energy",
-    "evolution_scan",
-    "evolve",
-    "exact_distribution",
-    "expectation",
-    "free_evolution_H1",
-    "gate_unitary",
-    "ground_state",
-    "heatmap",
-    "measurement_fidelity",
-    "mitigate",
-    "mitigated_run",
-    "nogo_gap",
-    "on_qubits",
-    "phi_scan",
-    "rho_measured",
-    "rho_qet",
-    "run_protocol",
-    "run_protocol_E1",
-    "run_shots",
-    "sampled_calibration_matrix",
-]

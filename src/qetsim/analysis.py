@@ -27,12 +27,13 @@ from .protocol import (
     Mode,
     Target,
     _seed_sequence,
+    build_circuit,
     combine_E1,
     e1_parts,
     estimate_energy,
-    run_protocol,
+    sample_protocol,
 )
-from .simcore import SHOT_LIMIT, evolve, expectation
+from .simcore import SHOT_LIMIT, evolve, exact_distribution, expectation
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,25 @@ def mitigated_run(
             for part, part_seed in e1_parts(seed)
         )
         return combine_E1(u_h1, u_v), combine_E1(m_h1, m_v), matrix
+    dist = exact_distribution(build_circuit(params, target, mode))
+    return _mitigated(params, target, dist, n_shots, seed, noise, method)
+
+
+def _mitigated(
+    params: ModelParams,
+    target: Target,
+    dist: dict[str, float],
+    n_shots: int,
+    seed: int | np.random.SeedSequence,
+    noise: ReadoutNoise | None,
+    method: str | None,
+) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
+    """mitigated_run of one target, from its circuit's exact distribution."""
     if method is None:
-        result = run_protocol(params, target, mode, n_shots, seed, noise)
+        result = sample_protocol(params, target, dist, n_shots, seed, noise)
         return result, result, None
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
-    unmitigated = run_protocol(params, target, mode, n_shots, run_seed, noise)
+    unmitigated = sample_protocol(params, target, dist, n_shots, run_seed, noise)
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
     scaled = {key: p * n_shots for key, p in corrected.items()}
@@ -220,7 +235,8 @@ def comparison_report(
     per (parameter pair, quantity). Without a noise channel the noisy and
     mitigated columns collapse onto the noiseless ones; with noise but no
     mitigation method they stay equal to each other. The receiver-side total
-    is always the post-hoc sum of its two separately measured parts."""
+    is always the post-hoc sum of its two separately measured parts. Each
+    target's circuit is enumerated once, for its clean and its noisy run."""
     rows: list[ComparisonRow] = []
     pair_seeds = np.random.SeedSequence(seed).spawn(len(params_list))
     for params, pair_seed in zip(params_list, pair_seeds):
@@ -229,13 +245,14 @@ def comparison_report(
         unmit: dict[str, EstimationResult] = {}
         mit: dict[str, EstimationResult] = {}
         for i, target in enumerate((Target.E0, Target.H1, Target.V)):
-            clean = run_protocol(params, target, mode, n_shots, seeds[i])
+            dist = exact_distribution(build_circuit(params, target, mode))
+            clean = sample_protocol(params, target, dist, n_shots, seeds[i])
             noiseless[target.value] = clean
             if noise is None:
                 unmit[target.value] = mit[target.value] = clean
             else:
-                unmit[target.value], mit[target.value], _ = mitigated_run(
-                    params, target, mode, n_shots, seeds[3 + i], noise, method
+                unmit[target.value], mit[target.value], _ = _mitigated(
+                    params, target, dist, n_shots, seeds[3 + i], noise, method
                 )
         for table in (noiseless, unmit, mit):
             table["E1"] = combine_E1(table["H1"], table["V"])

@@ -67,12 +67,6 @@ PRESETS: dict[str, ReadoutNoise] = {
 }
 
 
-def confusion_matrix(noise: ReadoutNoise) -> np.ndarray:
-    """Exact 4x4 response matrix (read-only): column j is the observation
-    distribution when the true outcome is basis state j."""
-    return noise.response
-
-
 def apply_noise(
     counts: dict[str, int],
     noise: ReadoutNoise,

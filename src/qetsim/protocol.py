@@ -25,6 +25,7 @@ from .simcore import (
     MeasureZ,
     Ry,
     check_counts,
+    exact_distribution,
     run_shots,
 )
 
@@ -178,11 +179,25 @@ def run_protocol(
     seed: int | np.random.SeedSequence,
     noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
-    """Build, sample, optionally corrupt with readout noise, and estimate.
-    Deterministic for a fixed seed; sampling and noise use independent
-    generators spawned from it."""
+    """Build and enumerate the circuit once, then sample_protocol: sample,
+    optionally corrupt with readout noise, and estimate. Deterministic for a
+    fixed seed; sampling and noise use independent generators spawned from it."""
+    dist = exact_distribution(build_circuit(params, target, mode))
+    return sample_protocol(params, target, dist, n_shots, seed, noise)
+
+
+def sample_protocol(
+    params: ModelParams,
+    target: Target,
+    dist: dict[str, float],
+    n_shots: int,
+    seed: int | np.random.SeedSequence,
+    noise: ReadoutNoise | None = None,
+) -> EstimationResult:
+    """The sampling step of run_protocol, from dist, the exact distribution of
+    target's circuit: a caller that reruns a circuit enumerates it once."""
     shot_seed, noise_seed = _seed_sequence(seed).spawn(2)
-    counts = run_shots(build_circuit(params, target, mode), n_shots, shot_seed)
+    counts = run_shots(dist, n_shots, shot_seed)
     if noise is not None:
         counts = apply_noise(counts, noise, noise_seed)
     return estimate_energy(params, target, counts)

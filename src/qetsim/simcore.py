@@ -9,7 +9,6 @@ Counts map 2-bit outcome strings "b0b1" to shot tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 import numpy as np
 
@@ -175,20 +174,23 @@ def gate_unitary(step: GateStep) -> np.ndarray:
 
 
 def run_shots(
-    circuit: Circuit,
+    dist: dict[str, float],
     n_shots: int,
     seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> dict[str, int]:
-    """Sample the circuit n_shots times; deterministic for a fixed seed.
+    """Sample a given exact_distribution n_shots times; deterministic per seed.
+    A caller enumerates a circuit once and samples it as often as it needs.
 
     Shots are independent and each ends in one of the four classical-register
     outcomes, so their tallies follow Multinomial(n_shots, p) with p the
-    exact_distribution of the circuit (mid-circuit measurement and classical
-    control included). One draw gives every count, in time and memory that do
-    not depend on n_shots. Only nonzero tallies are returned."""
+    circuit's distribution (mid-circuit measurement and classical control
+    included). One draw gives every count, in time and memory that do not
+    depend on n_shots. Only nonzero tallies are returned."""
     if not 1 <= n_shots < SHOT_LIMIT:
         raise ValueError(f"n_shots must be in [1, 2**63), got {n_shots}")
-    p = distribution_vector(exact_distribution(circuit))
+    if unknown := dist.keys() - BITSTRINGS:
+        raise ValueError(f"invalid outcome key {unknown.pop()!r}")
+    p = distribution_vector(dist)
     total = p.sum()
     # a non-finite entry leaves a non-finite total, which fails the comparison
     if not abs(total - 1.0) <= ATOL_DECOMP:
@@ -212,13 +214,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     included. Every measurement branch lives in one stack: unnormalized real
     amplitudes [branch, b0, b1], probabilities (squared norms when last
     measured; gates keep norms) and (n_branches, 2) registers. An outcome of
-    conditional probability below 1e-15 is dropped and adds exactly 0. The
-    last 16 circuits' distributions are kept: a rerun circuit enumerates once."""
-    return dict(zip(BITSTRINGS, _enumerate(circuit)))
-
-
-@functools.lru_cache(maxsize=16)
-def _enumerate(circuit: Circuit) -> tuple[float, ...]:
+    conditional probability below 1e-15 is dropped and adds exactly 0."""
     amps, probs, regs = _START
     amps = amps.copy()  # controlled gates write amplitudes in place
     for step in circuit.steps:
@@ -238,7 +234,7 @@ def _enumerate(circuit: Circuit) -> tuple[float, ...]:
         else:
             amps = _gate(step, amps)
     dist = np.bincount(regs @ _REGISTER_PLACES, weights=probs, minlength=4)
-    return tuple(dist.tolist())
+    return dict(zip(BITSTRINGS, dist.tolist()))
 
 
 def check_counts(counts: dict[str, float]) -> float:

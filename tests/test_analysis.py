@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qetsim import analysis
+from qetsim import analysis, protocol
 from qetsim.analysis import (
+    ComparisonRow,
     SweepGrid,
     comparison_report,
     default_grid,
@@ -31,14 +32,14 @@ from qetsim.model import (
     rho_qet,
 )
 from qetsim.noise import (
+    MITIGATION_METHODS,
     PRESETS,
     ReadoutNoise,
     apply_noise,
-    confusion_matrix,
     estimate_calibration_matrix,
 )
-from qetsim.protocol import Mode, Target, build_circuit, run_protocol, run_protocol_E1
-from qetsim.simcore import BITSTRINGS, _enumerate, evolve, expectation
+from qetsim.protocol import Mode, Target, combine_E1, run_protocol, run_protocol_E1
+from qetsim.simcore import BITSTRINGS, evolve, exact_distribution, expectation
 
 LIMA = PRESETS["lima-like"]
 
@@ -194,7 +195,7 @@ def test_sampled_calibration_matrix_noiseless_and_deterministic():
     b2 = sampled_calibration_matrix(LIMA, 2_000, 7)
     assert np.array_equal(b1, b2)
     assert np.allclose(b1.sum(axis=0), 1.0, atol=1e-12)
-    assert np.max(np.abs(b1 - confusion_matrix(LIMA))) < 0.05
+    assert np.max(np.abs(b1 - LIMA.response)) < 0.05
 
 
 def reference_calibration_matrix(noise, n_shots, seed):
@@ -237,13 +238,48 @@ def test_sampled_calibration_matrix_spawns_as_before():
     assert np.array_equal(a, np.eye(4))
 
 
-def test_report_enumerates_each_circuit_once():
-    params = ModelParams(1.0, 0.5)
-    _enumerate.cache_clear()
-    comparison_report([params], 1_000, 3, LIMA, "least-squares")
-    # three distinct circuits (E0, H1, V), each run clean and noisy
-    assert _enumerate.cache_info().misses == 3
-    assert _enumerate.cache_info().hits == 3
+def test_report_enumerates_each_circuit_once(monkeypatch):
+    circuits = []
+
+    def counting(circuit):
+        circuits.append(circuit)
+        return exact_distribution(circuit)
+
+    for module in (analysis, protocol):
+        monkeypatch.setattr(module, "exact_distribution", counting)
+    pairs = [ModelParams(1.0, 0.5), ModelParams(0.3, 1.2)]
+    for params_list, noise in ((pairs[:1], LIMA), (pairs, LIMA), (pairs, None)):
+        circuits.clear()
+        comparison_report(params_list, 1_000, 3, noise, "least-squares")
+        # three distinct circuits (E0, H1, V) per pair, each run clean and noisy
+        assert len(circuits) == len(set(circuits)) == 3 * len(params_list)
+
+
+@pytest.mark.parametrize("method", [*MITIGATION_METHODS, None])
+def test_report_rows_are_the_per_target_runs(method):
+    # each target's clean and noisy runs share one enumeration, and the same
+    # seeds as separate run_protocol and mitigated_run calls
+    params_list = [ModelParams(1.0, 0.5), ModelParams(0.3, 1.2)]
+    rows = comparison_report(params_list, 2_000, 5, LIMA, method)
+    expected = []
+    for params, pair_seed in zip(params_list, np.random.SeedSequence(5).spawn(2)):
+        seeds = pair_seed.spawn(6)
+        clean, unmit, mit = {}, {}, {}
+        for i, target in enumerate((Target.E0, Target.H1, Target.V)):
+            clean[target.value] = run_protocol(params, target, Mode.DEFERRED, 2_000, seeds[i])
+            unmit[target.value], mit[target.value], _ = mitigated_run(
+                params, target, Mode.DEFERRED, 2_000, seeds[3 + i], LIMA, method
+            )
+        for table in (clean, unmit, mit):
+            table["E1"] = combine_E1(table["H1"], table["V"])
+        for q in ("E0", "H1", "V", "E1"):
+            expected.append(ComparisonRow(
+                params, q, float(analysis.ANALYTIC[q](params)),
+                clean[q].mean, clean[q].std_error,
+                unmit[q].mean, unmit[q].std_error,
+                mit[q].mean, mit[q].std_error,
+            ))
+    assert rows == expected
 
 
 def test_mitigated_run_improves_estimate():

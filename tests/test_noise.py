@@ -12,7 +12,6 @@ from qetsim.noise import (
     PRESETS,
     ReadoutNoise,
     apply_noise,
-    confusion_matrix,
     estimate_calibration_matrix,
     measurement_fidelity,
     mitigate,
@@ -41,7 +40,6 @@ def test_noise_needs_two_flip_probabilities_per_direction(read1_given0, read0_gi
 
 def test_response_matrix_is_built_once_and_read_only():
     noise = ReadoutNoise((0.1, 0.02), (0.3, 0.05))
-    assert confusion_matrix(noise) is noise.response
     with pytest.raises(ValueError):
         noise.response[0, 0] = 1.0
     # the matrix is derived: equality, hashing and repr see the probabilities only
@@ -54,7 +52,7 @@ def test_response_matrix_is_built_once_and_read_only():
 
 
 def test_confusion_matrix_kronecker_entries():
-    a = confusion_matrix(ReadoutNoise.symmetric(0.1, 0.2))
+    a = ReadoutNoise.symmetric(0.1, 0.2).response
     # column j: observation distribution when the true outcome is state j
     assert a[0, 0] == pytest.approx(0.9 * 0.8)
     assert a[3, 0] == pytest.approx(0.1 * 0.2)
@@ -65,7 +63,7 @@ def test_confusion_matrix_kronecker_entries():
 
 def test_confusion_matrix_asymmetric():
     noise = ReadoutNoise((0.1, 0.0), (0.3, 0.0))
-    a = confusion_matrix(noise)
+    a = noise.response
     # qubit 1 is read perfectly; qubit 0 mixes within its own bit
     assert a[0, 0] == pytest.approx(0.9)
     assert a[2, 0] == pytest.approx(0.1)
@@ -76,7 +74,7 @@ def test_confusion_matrix_asymmetric():
 
 def test_zero_noise_is_identity():
     clean = ReadoutNoise.symmetric(0.0, 0.0)
-    assert np.allclose(confusion_matrix(clean), np.eye(4))
+    assert np.allclose(clean.response, np.eye(4))
     counts = {"00": 700, "11": 300}
     assert apply_noise(counts, clean, np.random.default_rng(0)) == counts
 
@@ -93,7 +91,7 @@ def test_apply_noise_sampled_frequencies_track_exact_channel():
     n = 200_000
     counts = {"01": n}
     observed = apply_noise(counts, LIMA, np.random.default_rng(21))
-    expected = confusion_matrix(LIMA)[:, 1]
+    expected = LIMA.response[:, 1]
     for i, key in enumerate(BITSTRINGS):
         p = expected[i]
         se = np.sqrt(p * (1 - p) / n)
@@ -130,7 +128,7 @@ def test_calibration_matrix_noiseless_is_identity():
 def test_calibration_matrix_recovers_channel():
     n = 100_000
     rng = np.random.default_rng(5)
-    truth = confusion_matrix(LIMA)
+    truth = LIMA.response
     counts = [apply_noise({key: n}, LIMA, rng) for key in BITSTRINGS]
     estimated = estimate_calibration_matrix(counts)
     assert np.allclose(estimated.sum(axis=0), 1.0, atol=1e-12)
@@ -149,13 +147,13 @@ def test_calibration_matrix_validation():
 
 def test_measurement_fidelity_values():
     assert measurement_fidelity(np.eye(4)) == 1.0
-    assert measurement_fidelity(confusion_matrix(LIMA)) == pytest.approx(
+    assert measurement_fidelity(LIMA.response) == pytest.approx(
         0.9804 * 0.9870, abs=1e-12
     )
-    assert measurement_fidelity(confusion_matrix(PRESETS["jakarta-like"])) == pytest.approx(
+    assert measurement_fidelity(PRESETS["jakarta-like"].response) == pytest.approx(
         0.9756 * 0.9760, abs=1e-12
     )
-    assert measurement_fidelity(confusion_matrix(PRESETS["cairo-like"])) == pytest.approx(
+    assert measurement_fidelity(PRESETS["cairo-like"].response) == pytest.approx(
         0.9915 * 0.9920, abs=1e-12
     )
 
@@ -169,7 +167,7 @@ def test_mitigate_identity_matrix(method):
 @pytest.mark.parametrize("method", MITIGATION_METHODS)
 def test_mitigate_exact_round_trip(method):
     p = np.array([0.0264, 0.4736, 0.4736, 0.0264])
-    a = confusion_matrix(LIMA)
+    a = LIMA.response
     y = a @ p
     counts = {key: float(y[i]) * 1e6 for i, key in enumerate(BITSTRINGS)}
     recovered = mitigate(counts, a, method)
@@ -178,7 +176,7 @@ def test_mitigate_exact_round_trip(method):
 
 def test_mitigate_direct_clips_and_renormalizes():
     # an observed corner distribution maps outside the simplex under inversion
-    a = confusion_matrix(LIMA)
+    a = LIMA.response
     out = mitigate({"00": 1000}, a, "direct")
     vec = distribution_vector(out)
     assert np.all(vec >= 0.0)
@@ -186,7 +184,7 @@ def test_mitigate_direct_clips_and_renormalizes():
 
 
 def test_mitigate_least_squares_stays_on_simplex():
-    a = confusion_matrix(LIMA)
+    a = LIMA.response
     rng = np.random.default_rng(12)
     for _ in range(25):
         y = rng.dirichlet(np.ones(4))
@@ -200,7 +198,7 @@ def test_mitigate_least_squares_stays_on_simplex():
 @given(weights=st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
 def test_mitigate_least_squares_is_optimal_on_simplex(weights):
     # the KKT solution must beat every probe point on the simplex
-    a = confusion_matrix(LIMA)
+    a = LIMA.response
     y = np.array(weights) / np.sum(weights)
     x = distribution_vector(mitigate(dict(zip(BITSTRINGS, y)), a, "least-squares"))
     best = float(np.sum((a @ x - y) ** 2))
@@ -210,7 +208,7 @@ def test_mitigate_least_squares_is_optimal_on_simplex(weights):
 
 
 def test_mitigate_rejects_singular_matrix():
-    singular = confusion_matrix(ReadoutNoise.symmetric(0.5, 0.5))
+    singular = ReadoutNoise.symmetric(0.5, 0.5).response
     with pytest.raises(NumericalError):
         mitigate({"00": 10}, singular, "direct")
     with pytest.raises(NumericalError):
@@ -225,7 +223,7 @@ def test_mitigate_rejects_singular_matrix():
         *(np.diag([1.0, 1.0, 1.0, d]) for d in (1e-6, np.nextafter(1e-6, 1.0), 2e-6)),
         *(np.diag([d, 1.0, 1.0, 1.0]) for d in (1e6, 1e306, 5e-324)),
         np.full((4, 4), 0.25),
-        confusion_matrix(LIMA),
+        LIMA.response,
         np.eye(4),
     ],
 )

@@ -16,7 +16,7 @@ from qetsim.model import (
     analytic_H1,
     analytic_V,
 )
-from qetsim.noise import PRESETS, confusion_matrix
+from qetsim.noise import PRESETS
 from qetsim.protocol import (
     EstimationResult,
     Mode,
@@ -208,7 +208,7 @@ def test_readout_noise_shrinks_interaction_magnitude():
     params = ModelParams(1.0, 1.0)
     noise = PRESETS["lima-like"]
     clean_dist = exact_distribution(build_circuit(params, Target.V, Mode.DEFERRED))
-    noisy_dist = confusion_matrix(noise) @ distribution_vector(clean_dist)
+    noisy_dist = noise.response @ distribution_vector(clean_dist)
     noisy_counts = dict(zip(BITSTRINGS, noisy_dist.tolist()))
     noisy_mean = estimate_energy(params, Target.V, noisy_counts).mean
     assert abs(noisy_mean) < abs(analytic_V(params))
