@@ -152,8 +152,6 @@ class Options:
             value = default
         try:
             return cast(value)
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid value for --{key}: {value!r}") from exc
 

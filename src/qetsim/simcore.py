@@ -1,9 +1,10 @@
 """Exact two-qubit state-vector engine: gates, projective measurement, sampling,
 expectation values, and Hamiltonian time evolution.
 
-States are length-4 complex vectors ordered by basis |q0 q1> in {00,01,10,11}
-(index = 2*b0 + b1). Density matrices and observables are 4x4 complex arrays.
-Counts map 2-bit outcome strings "b0b1" to shot tallies.
+States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
+(index = 2*b0 + b1); exact_distribution and gate_unitary share one scalar
+kernel on four plain-float amplitudes. Density matrices and observables are
+4x4 complex arrays. Counts map 2-bit outcome strings "b0b1" to shot tallies.
 """
 
 from __future__ import annotations
@@ -130,15 +131,18 @@ class Circuit:
                 written.add(step.cbit)
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    # NaNs for a non-finite angle: math.cos raises on inf, run_shots on NaN
+def _cos_sin(theta: float) -> tuple[float, float]:
+    # (cos, sin) of theta/2, the entries of RY(theta); NaNs for a non-finite
+    # angle: math.cos raises on inf, run_shots on NaN
     half = theta / 2.0 if math.isfinite(theta) else math.nan
-    c, s = math.cos(half), math.sin(half)
+    return math.cos(half), math.sin(half)
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    c, s = _cos_sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
-_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -151,26 +155,39 @@ def on_qubits(ops: dict[int, np.ndarray]) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
-def _gate(step: GateStep, amps: np.ndarray) -> np.ndarray:
-    """Amplitudes [branch, b0, b1] after a fixed-unitary step: its 2x2 factor
-    on the target's axis; a controlled step acts in place where the control reads v."""
-    if isinstance(step, (Ry, Hadamard)):
-        u = ry_matrix(step.theta) if isinstance(step, Ry) else _H2
-        return u @ amps if step.target == 0 else amps @ u.T
-    if isinstance(step, Cnot):
-        v, u = 1, _X2
+# _PAIRS[q][v]: indices of the two amplitudes that differ only in qubit q, the other reading v
+_PAIRS = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
+_HADAMARD = (1.0 / math.sqrt(2.0),) * 3 + (-1.0 / math.sqrt(2.0),)
+
+
+def _apply(step: GateStep, branches: list[list[float]]) -> list[list[float]]:
+    """Apply a fixed-unitary step in place to each amplitude list of branches,
+    returned: its 2x2 factor (u00, u01, u10, u11) on every pair of the target
+    qubit, or, for a controlled step, on the pair where the control reads v."""
+    if isinstance(step, Ry):
+        c, s = _cos_sin(step.theta)
+        u, pairs = (c, -s, s, c), _PAIRS[step.target]
+    elif isinstance(step, Hadamard):
+        u, pairs = _HADAMARD, _PAIRS[step.target]
+    elif isinstance(step, Cnot):
+        u, pairs = (0.0, 1.0, 1.0, 0.0), (_PAIRS[step.target][1],)
     elif isinstance(step, ControlledRy):
-        v, u = step.control_value, ry_matrix(step.theta)
+        c, s = _cos_sin(step.theta)
+        u, pairs = (c, -s, s, c), (_PAIRS[step.target][step.control_value],)
     else:
         raise ValueError(f"step {type(step).__name__} has no fixed unitary")
-    sub = amps[:, v, :] if step.control == 0 else amps[:, :, v]  # target axis last
-    sub[...] = sub @ u.T
-    return amps
+    u00, u01, u10, u11 = u
+    for amps in branches:
+        for i, j in pairs:
+            x, y = amps[i], amps[j]
+            amps[i] = u00 * x + u01 * y
+            amps[j] = u10 * x + u11 * y
+    return branches
 
 
 def gate_unitary(step: GateStep) -> np.ndarray:
     """4x4 unitary of a fixed-unitary step: its action on the basis states."""
-    return _gate(step, np.eye(4).reshape(4, 2, 2)).reshape(4, 4).T
+    return np.array(_apply(step, np.eye(4).tolist())).T
 
 
 def run_shots(
@@ -200,41 +217,36 @@ def run_shots(
     return {key: c for key, c in zip(BITSTRINGS, tallies.tolist()) if c > 0}
 
 
-# The stack before the first step: |00>, certain, with a cleared register.
-_START = (np.array([[[1.0, 0.0], [0.0, 0.0]]]), np.ones(1), np.zeros((1, 2), np.intp))
-# Per qubit, the 0/1 mask that doubles a stack into [outcome, branch, b0, b1],
-# keeping in each half the amplitudes where the qubit reads that outcome.
-_OUTCOME_MASKS = (np.eye(2)[:, None, :, None], np.eye(2)[:, None, None, :])
-_OUTCOME_BITS = np.array([[0], [1]])
-_REGISTER_PLACES = np.array([2, 1])
-
-
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact terminal classical-register distribution, all four bitstrings
-    included. Every measurement branch lives in one stack: unnormalized real
-    amplitudes [branch, b0, b1], probabilities (squared norms when last
-    measured; gates keep norms) and (n_branches, 2) registers. An outcome of
-    conditional probability below 1e-15 is dropped and adds exactly 0."""
-    amps, probs, regs = _START
-    amps = amps.copy()  # controlled gates write amplitudes in place
+    included. Each measurement branch is a record (amps, prob, register):
+    four unnormalized real amplitudes indexed 2*b0 + b1, the squared norm when
+    last measured (gates keep norms) and the bits (b0, b1). An outcome of
+    conditional probability below 1e-15 keeps zero amplitudes and adds 0."""
+    branches = [([1.0, 0.0, 0.0, 0.0], 1.0, (0, 0))]
     for step in circuit.steps:
         if isinstance(step, MeasureZ):
-            kept = amps * _OUTCOME_MASKS[step.target]
-            p = np.add.reduce(kept * kept, axis=(2, 3))
-            dropped = p < 1e-15 * probs
-            np.copyto(p, 0.0, where=dropped)
-            np.copyto(kept, 0.0, where=dropped[..., None, None])
-            amps, probs = kept.reshape(-1, 2, 2), p.reshape(-1)
-            regs = np.concatenate((regs, regs))
-            regs.reshape(2, -1, 2)[:, :, step.cbit] = _OUTCOME_BITS
+            halves: tuple[list, list] = ([], [])
+            for amps, prob, reg in branches:
+                for outcome, (i, j) in enumerate(_PAIRS[1 - step.target]):
+                    x, y = amps[i], amps[j]
+                    p = x * x + y * y
+                    if p < 1e-15 * prob:
+                        x = y = p = 0.0
+                    kept = [0.0, 0.0, 0.0, 0.0]
+                    kept[i], kept[j] = x, y
+                    bits = (outcome, reg[1]) if step.cbit == 0 else (reg[0], outcome)
+                    halves[outcome].append((kept, p, bits))
+            branches = halves[0] + halves[1]
         elif isinstance(step, ClassicallyControlledRy):
-            hit = regs[:, step.cbit] == step.required_value
-            rotated = _gate(Ry(step.theta, step.target), amps)
-            np.copyto(amps, rotated, where=hit[:, None, None])
+            hit = [amps for amps, _, reg in branches if reg[step.cbit] == step.required_value]
+            _apply(Ry(step.theta, step.target), hit)
         else:
-            amps = _gate(step, amps)
-    dist = np.bincount(regs @ _REGISTER_PLACES, weights=probs, minlength=4)
-    return dict(zip(BITSTRINGS, dist.tolist()))
+            _apply(step, [amps for amps, _, _ in branches])
+    totals = [0.0, 0.0, 0.0, 0.0]
+    for _, prob, (b0, b1) in branches:
+        totals[2 * b0 + b1] += prob
+    return dict(zip(BITSTRINGS, totals))
 
 
 def check_counts(counts: dict[str, float]) -> float:

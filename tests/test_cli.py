@@ -407,9 +407,9 @@ def noisy_outputs_digest(capsys, command):
     "command, digest",
     [
         (["report", "--format", "csv"],
-         "e6136031d2dc7a66c6077e04a5968dc680211c34af996647ec2c70b02d643b14"),
+         "b4a2b619a31c567111e8e07663ae60404b6a0f3ddb08f441f7df208d087d133f"),
         (["report", "--format", "json"],
-         "2e819fd229beb77306767301934455a39787d84bfa21c10def0f2f5961b7af1e"),
+         "4748304300e041914aa035fd0531f64e93be46978515ad3ed6ad3a8145dba27d"),
         (E1_RUN,
          "652869bc2ccaf92b7688f8eebc82d363586d6c9c878308b23afe849e36290777"),
         (["mitigate-demo"],
@@ -419,7 +419,10 @@ def noisy_outputs_digest(capsys, command):
 )
 def test_noisy_output_is_pinned(capsys, monkeypatch, command, digest):
     # taken before the readout layer built its response matrix once per noise
-    # model and drew calibration straight into the matrix
+    # model and drew calibration straight into the matrix; the two report
+    # digests were re-taken when branch enumeration moved to plain float
+    # arithmetic, which moved the conditional H1 distribution at
+    # (h, k) = (1.5, 1.0) by 3 ulp
     monkeypatch.delenv("QET_SEED", raising=False)
     assert noisy_outputs_digest(capsys, command) == digest
 

@@ -149,6 +149,16 @@ def test_mode_equivalence_exact(params, target):
         assert abs(cond[key] - defer[key]) < 1e-12
 
 
+@pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+@pytest.mark.parametrize("params", all_params(), ids=str)
+def test_modes_give_bit_identical_distributions(params, target):
+    # both modes put the same products through the same float operations, so
+    # one seed gives the same counts whichever mode a run takes
+    cond = exact_distribution(build_circuit(params, target, Mode.CONDITIONAL))
+    defer = exact_distribution(build_circuit(params, target, Mode.DEFERRED))
+    assert repr(cond) == repr(defer)
+
+
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_sampled_counts_match_exact_distribution(mode):
     params = ModelParams(1.0, 1.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qetsim import simcore
 from qetsim.model import GRID_H, GRID_K, REFERENCE_PAIRS, ModelParams
 from qetsim.noise import PRESETS, apply_noise, estimate_calibration_matrix, mitigate
 from qetsim.protocol import Mode, Target, build_circuit, estimate_energy
@@ -258,6 +259,31 @@ def test_seed_to_counts_mapping_is_pinned():
     assert digest == "49765439f54dec300fa687eaeecfc70333063f3338203d019b3175c7d3c8622d"
 
 
+def test_exact_distribution_output_is_pinned():
+    # sha256 of the repr of every distribution of the six protocol circuits
+    # over the acceptance grid and the reference pairs: an ulp shift anywhere
+    # in enumeration fails here rather than through the noisy digests
+    pairs = [(h, k) for h in GRID_H for k in GRID_K] + list(REFERENCE_PAIRS)
+    lines = [
+        f"{h!r} {k!r} {target.value} {mode.value} "
+        f"{exact_distribution(build_circuit(ModelParams(h, k), target, mode))!r}"
+        for h, k in pairs
+        for target, mode in PROTOCOL_CIRCUITS
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "25fae539f062e64330ad46c3f12e14ae31ada80f804beed1b01597fbc4c1b222"
+
+
+def test_exact_distribution_is_plain_float_arithmetic(monkeypatch):
+    # enumeration makes no numpy call and returns Python floats
+    circuits = [build_circuit(ModelParams(1.0, 0.5), t, m) for t, m in PROTOCOL_CIRCUITS]
+    monkeypatch.setattr(simcore, "np", None)
+    for circuit in circuits:
+        dist = exact_distribution(circuit)
+        assert list(dist) == list(BITSTRINGS)
+        assert all(type(p) is float for p in dist.values())
+
+
 def test_run_shots_memory_does_not_grow_with_shots():
     circuit = build_circuit(ModelParams(1.0, 1.0), Target.V, Mode.CONDITIONAL)
     counts = run_shots(exact_distribution(circuit), 10**12, 3)
@@ -284,6 +310,12 @@ def test_run_shots_rejects_non_finite_angles(theta):
         circuit = Circuit((Hadamard(0), MeasureZ(0, 0), rotation, MeasureZ(1, 1)))
         with pytest.raises(NumericalError):
             run_shots(exact_distribution(circuit), 100, 1)
+    # even where it acts only on a dropped branch, which is kept with zeros
+    circuit = Circuit((
+        Ry(np.pi, 0), MeasureZ(0, 0), ClassicallyControlledRy(0, 0, theta, 1), MeasureZ(1, 1),
+    ))
+    with pytest.raises(NumericalError):
+        run_shots(exact_distribution(circuit), 100, 1)
 
 
 def test_exact_distribution_trivial_and_normalized():
