@@ -33,7 +33,7 @@ from .protocol import (
     estimate_energy,
     sample_protocol,
 )
-from .simcore import SHOT_LIMIT, evolve, exact_distribution, expectation
+from .simcore import SHOT_LIMIT, evolved_expectations, exact_distribution
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ ANALYTIC: dict[str, Callable[[ModelParams], float]] = {
 }
 
 
-_EVOLVE_CHUNK = 4096  # time steps per batched evolve: 1 MB of states
+_EVOLVE_CHUNK = 4096  # time steps per kernel call: 1 MB of phase products
 
 
 def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
@@ -134,9 +134,7 @@ def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
     rows[:, 2] = free_evolution_H1(params, t)
     for start in range(0, len(t), _EVOLVE_CHUNK):
         chunk = slice(start, start + _EVOLVE_CHUNK)
-        rho_t = evolve(rho0, hams.htot, t[chunk])
-        rows[chunk, 1] = expectation(rho_t, hams.h1)
-        rows[chunk, 3] = expectation(rho_t, hams.v)
+        rows[chunk, 1::2] = evolved_expectations(rho0, hams.htot, t[chunk], (hams.h1, hams.v))
     return rows
 
 

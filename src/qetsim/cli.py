@@ -354,7 +354,7 @@ def cmd_evolve(opts: Options) -> str:
         raise ConfigError(f"t-steps must be in [2, {ROW_LIMIT}], got {t_steps}")
     t_values = np.linspace(0.0, t_max, t_steps)
     rows = evolution_scan(params, t_values)
-    return render_csv(EVOLUTION_COLUMNS, rows)
+    return render_csv(EVOLUTION_COLUMNS, rows.tolist())
 
 
 def cmd_report(opts: Options) -> str:

@@ -4,7 +4,8 @@ expectation values, and Hamiltonian time evolution.
 States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
 (index = 2*b0 + b1); exact_distribution and gate_unitary share one scalar
 kernel on four plain-float amplitudes. Density matrices and observables are
-4x4 complex arrays. Counts map 2-bit outcome strings "b0b1" to shot tallies.
+4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
+phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(half), math.sin(half)
 
 
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = _cos_sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -203,6 +199,8 @@ def run_shots(
     circuit's distribution (mid-circuit measurement and classical control
     included). One draw gives every count, in time and memory that do not
     depend on n_shots. Only nonzero tallies are returned."""
+    if not isinstance(dist, dict):
+        raise TypeError(f"run_shots takes an exact_distribution dict, got {type(dist).__name__}")
     if not 1 <= n_shots < SHOT_LIMIT:
         raise ValueError(f"n_shots must be in [1, 2**63), got {n_shots}")
     if unknown := dist.keys() - BITSTRINGS:
@@ -273,11 +271,20 @@ def distribution_vector(dist: dict[str, float]) -> np.ndarray:
 def expectation(rho: DensityMatrix, obs: Observable) -> float | np.ndarray:
     """Tr[rho  obs], also over the leading axes of a stack of states; every
     imaginary residue must stay below ATOL_DECOMP."""
-    tr = np.trace(rho @ obs, axis1=-2, axis2=-1)
+    return _real_trace(np.trace(rho @ obs, axis1=-2, axis2=-1))
+
+
+def _real_trace(tr: np.ndarray) -> float | np.ndarray:
     residue = np.max(np.abs(tr.imag), initial=0.0)
     if residue >= ATOL_DECOMP:
         raise NumericalError(f"imaginary residue {residue:.3e} in expectation value")
     return tr.real if tr.ndim else float(tr.real)
+
+
+def _eigh(hamiltonian: Observable) -> tuple[np.ndarray, np.ndarray]:
+    if not is_hermitian(hamiltonian):
+        raise NumericalError("evolve requires a Hermitian generator")
+    return np.linalg.eigh(hamiltonian)
 
 
 def evolve(
@@ -285,12 +292,25 @@ def evolve(
 ) -> DensityMatrix:
     """exp(-iHt) rho exp(+iHt) via one exact Hermitian eigendecomposition; an
     array of times gives a stack of states, shape t.shape + (4, 4)."""
-    if not is_hermitian(hamiltonian):
-        raise NumericalError("evolve requires a Hermitian generator")
-    evals, evecs = np.linalg.eigh(hamiltonian)
+    evals, evecs = _eigh(hamiltonian)
     u = (evecs * np.exp(-1j * np.multiply.outer(t, evals))[..., None, :]) @ evecs.conj().T
     out = u @ rho @ u.conj().swapaxes(-1, -2)
     return (out + out.conj().swapaxes(-1, -2)) / 2.0
+
+
+def evolved_expectations(
+    rho: DensityMatrix, hamiltonian: Observable, t: float | np.ndarray, observables: tuple
+) -> np.ndarray:
+    """Tr[evolve(rho, H, t) O] per time and observable O, forming no state: in H's
+    eigenbasis V it is sum_ab p_a conj(p_b) rho'_ab O'_ba, with p = exp(-i lambda t),
+    rho' = V^dag rho V and O' = V^dag O V. Shape t.shape + (len(observables),)."""
+    evals, evecs = _eigh(hamiltonian)
+    vh = evecs.conj().T
+    obs_e = vh @ np.asarray(observables) @ evecs
+    weights = (vh @ rho @ evecs * obs_e.swapaxes(-1, -2)).reshape(-1, 16).T
+    p = np.exp(-1j * np.multiply.outer(t, evals))
+    phases = (p[..., :, None] * p.conj()[..., None, :]).reshape(*np.shape(t), 16)
+    return _real_trace(phases @ weights)
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

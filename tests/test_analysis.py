@@ -188,6 +188,24 @@ def test_evolution_scan_matches_per_step_evolve(pair, monkeypatch):
     _assert_matches(rows[:, 3], [expectation(rho, hams.v) for rho in states], v_scale)
 
 
+EVOLVE_PAIRS = tuple(dict.fromkeys(
+    SCAN_PAIRS + REPORT_PAIRS + tuple((h, k) for h in GRID_H for k in GRID_K)
+))
+
+
+@pytest.mark.parametrize("pair", EVOLVE_PAIRS, ids=str)
+def test_evolution_table_cells_match_per_step_evolve(pair):
+    # the default qet evolve table: no six-decimal CLI cell flips
+    params = ModelParams(*pair)
+    t_values = np.linspace(0.0, 2 * np.pi / params.k, 101)
+    rows = evolution_scan(params, t_values)
+    hams = build_hamiltonians(params)
+    states = [evolve(rho_measured(params), hams.htot, t) for t in t_values]
+    for column, obs in ((1, hams.h1), (3, hams.v)):
+        per_step = [format_float(expectation(rho, obs)) for rho in states]
+        assert [format_float(x) for x in rows[:, column]] == per_step
+
+
 def test_sampled_calibration_matrix_noiseless_and_deterministic():
     a = sampled_calibration_matrix(None, 2_000, 7)
     assert np.allclose(a, np.eye(4))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -37,10 +38,16 @@ from qetsim.simcore import (
     expectation,
     gate_unitary,
     is_hermitian,
-    ry_matrix,
 )
 
 Z0 = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+
+
+def ry_matrix(theta):
+    # RY(theta) = [[cos, -sin], [sin, cos]] of theta/2, with the library's arithmetic
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]])
+
 
 # Ten-digit references computed with 40-digit arithmetic from the defining
 # minimization: phi = argmin of the post-rotation receiver energy.

@@ -4,6 +4,7 @@ evolution."""
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qetsim.simcore import (
     Ry,
     distribution_vector,
     evolve,
+    evolved_expectations,
     exact_distribution,
     expectation,
     gate_unitary,
@@ -34,7 +36,6 @@ from qetsim.simcore import (
     is_unitary,
     on_qubits,
     run_shots,
-    ry_matrix,
 )
 
 Z0 = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
@@ -43,6 +44,13 @@ X0 = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)).astype(complex)
 X0X1 = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 
 KET_00 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def ry_matrix(theta):
+    # RY(theta) = [[cos, -sin], [sin, cos]] of theta/2, with the library's arithmetic
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]])
+
 
 FIXED_STEPS = [
     Ry(0.3, 0),
@@ -136,6 +144,8 @@ def test_ry_matrix_convention():
     # RY(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>
     v = ry_matrix(0.6) @ np.array([1.0, 0.0])
     assert np.allclose(v, [np.cos(0.3), np.sin(0.3)], atol=ATOL_ALGEBRA)
+    # and the library's Ry on qubit 1 is the same rotation of the low bit
+    assert np.array_equal(gate_unitary(Ry(0.6, 1)) @ KET_00, [*v, 0.0, 0.0])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -205,6 +215,12 @@ def test_run_shots_rejects_keys_outside_the_bitstrings(key):
         run_shots({"00": 0.5, "11": 0.5, key: 0.0}, 100, 1)
     # a missing bitstring is an outcome of probability 0
     assert sum(run_shots({"00": 0.5, "11": 0.5}, 100, 1).values()) == 100
+
+
+def test_run_shots_rejects_a_circuit():
+    circuit = Circuit((MeasureZ(0, 0), MeasureZ(1, 1)))
+    with pytest.raises(TypeError, match="exact_distribution dict, got Circuit"):
+        run_shots(circuit, 100, 1)
 
 
 def test_run_shots_honors_classical_control():
@@ -531,6 +547,9 @@ def test_evolve_rejects_non_hermitian_generator():
         evolve(rho, bad, 0.1)
     with pytest.raises(NumericalError):
         evolve(rho, bad, np.array([0.0, 0.1]))
+    for t in (0.1, np.array([0.0, 0.1])):
+        with pytest.raises(NumericalError, match="Hermitian generator"):
+            evolved_expectations(rho, bad, t, (Z0,))
 
 
 def test_evolve_and_expectation_over_a_stack_of_times():
@@ -547,6 +566,34 @@ def test_evolve_and_expectation_over_a_stack_of_times():
         assert np.array_equal(stack[idx], one)
         assert values[idx] == expectation(one, X0)
     assert isinstance(expectation(rho, X0), float)
+
+
+def test_evolved_expectations_match_evolve_over_a_stack_of_times():
+    plus = gate_unitary(Hadamard(0)) @ KET_00
+    rho = np.outer(plus, plus.conj())
+    h = 0.7 * Z0 + 1.3 * Z1 + 0.4 * X0X1
+    t_values = np.array([[0.0, 0.3], [1.0, 2.31]])
+    values = evolved_expectations(rho, h, t_values, (X0, Z0 + X0X1))
+    assert values.shape == (2, 2, 2)
+    for idx in np.ndindex(2, 2):
+        one = evolve(rho, h, t_values[idx])
+        expected = [expectation(one, X0), expectation(one, Z0 + X0X1)]
+        assert np.allclose(values[idx], expected, rtol=0.0, atol=1e-14)
+    # under H = Z0 the Bloch vector of |+> precesses: <X0>(t) = cos(2t)
+    assert evolved_expectations(rho, Z0, 0.3, (X0,))[0] == pytest.approx(np.cos(0.6), abs=1e-12)
+
+
+def test_evolved_expectations_reject_imaginary_residue():
+    rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+    with pytest.raises(NumericalError, match="imaginary residue"):
+        evolved_expectations(rho, Z0 + Z1, np.array([0.0, 0.1]), (Z0, 1j * np.eye(4)))
+    # every time is checked: a non-Hermitian |00><00| + c |00><01| gives
+    # Tr[rho(t) X1] = c exp(-2it) under H = Z1, real only at t = 0
+    rho[0, 1] = 1e-3
+    x1 = np.kron(np.eye(2), [[0, 1], [1, 0]])
+    assert evolved_expectations(rho, Z1, np.array([0.0]), (x1,))[0] == pytest.approx(1e-3)
+    with pytest.raises(NumericalError, match="imaginary residue"):
+        evolved_expectations(rho, Z1, np.array([0.0, 1.0]), (x1,))
 
 
 def test_expectation_checks_every_state_of_a_stack():
