@@ -33,7 +33,7 @@ from .protocol import (
     estimate_energy,
     sample_protocol,
 )
-from .simcore import SHOT_LIMIT, evolved_expectations, exact_distribution
+from .simcore import SHOT_LIMIT, _rng, evolved_expectations, exact_distribution
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,11 @@ def sampled_calibration_matrix(
     j on every shot: column j tallies one multinomial draw over response[:, j]."""
     if not (n_shots % 1 == 0 and 1 <= n_shots < SHOT_LIMIT):
         raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
-    # odd children only: the even ones seeded preparation draws that used no
-    # randomness, so every seed keeps the matrix it always gave
+    # odd children only (see protocol._seed_sequence): every seed keeps its matrix
     seeds = _seed_sequence(seed).spawn(8)[1::2]
     if noise is None:
         return np.eye(4)
-    draws = zip(map(np.random.default_rng, seeds), noise.response.T)
+    draws = zip(map(_rng, seeds), noise.response.T)
     tallies = np.array([g.multinomial(int(n_shots), p) for g, p in draws], dtype=float).T
     # each column over its total summed in order, as check_counts sums: the same bits
     return tallies / np.cumsum(tallies, axis=0)[-1]
@@ -236,7 +235,7 @@ def comparison_report(
     is always the post-hoc sum of its two separately measured parts. Each
     target's circuit is enumerated once, for its clean and its noisy run."""
     rows: list[ComparisonRow] = []
-    pair_seeds = np.random.SeedSequence(seed).spawn(len(params_list))
+    pair_seeds = _seed_sequence(seed).spawn(len(params_list))
     for params, pair_seed in zip(params_list, pair_seeds):
         seeds = pair_seed.spawn(6)
         noiseless: dict[str, EstimationResult] = {}

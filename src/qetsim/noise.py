@@ -20,6 +20,7 @@ from .simcore import (
     BITSTRINGS,
     SHOT_LIMIT,
     NumericalError,
+    _rng,
     check_counts,
     distribution_vector,
     on_qubits,
@@ -81,7 +82,7 @@ def apply_noise(
     total = sum(int(c) for c in counts.values())
     if total >= SHOT_LIMIT:
         raise ValueError(f"counts must total less than 2**63, got {total}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     out = np.zeros(4, dtype=np.int64)
     for key in sorted(counts):
         out += rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)])

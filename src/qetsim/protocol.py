@@ -24,6 +24,7 @@ from .simcore import (
     Hadamard,
     MeasureZ,
     Ry,
+    _SeedNode,
     check_counts,
     exact_distribution,
     run_shots,
@@ -157,15 +158,28 @@ def combine_E1(h1: EstimationResult, v: EstimationResult) -> EstimationResult:
     )
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
+def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.SeedSequence:
+    """The root of seed's tree: a nonnegative int or np.integer becomes a
+    _SeedNode, a node or a caller's SeedSequence passes through, and anything
+    else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
+    Spawn keys below a root and what they seed. An unused key costs one tuple;
+    it stays so that each seed's output and a caller's counter stay as they were.
+      sample_protocol             (0,) shots; (1,) readout noise, unused if clean
+      e1_parts                    (0,) H1, (1,) V: each a root of its own
+      _mitigated with a method    (0,) sample_protocol; (1,) calibration
+      sampled_calibration_matrix  (2j+1,) column j's multinomial; (2j,) unused
+      comparison_report           (p,) pair p; (p, i<3) sample_protocol of
+                                  E0, H1, V; (p, 3+i) their _mitigated"""
+    if isinstance(seed, (int, np.integer)) and seed >= 0:
+        return _SeedNode(seed)
+    if isinstance(seed, (_SeedNode, np.random.SeedSequence)):
         return seed
     return np.random.SeedSequence(seed)
 
 
 def e1_parts(
-    seed: int | np.random.SeedSequence,
-) -> tuple[tuple[Target, np.random.SeedSequence], ...]:
+    seed: int | _SeedNode | np.random.SeedSequence,
+) -> tuple[tuple[Target, _SeedNode | np.random.SeedSequence], ...]:
     """The two runs an E1 estimate sums: H1 and then V, on the two children
     of seed."""
     return tuple(zip((Target.H1, Target.V), _seed_sequence(seed).spawn(2)))

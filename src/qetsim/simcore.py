@@ -186,6 +186,30 @@ def gate_unitary(step: GateStep) -> np.ndarray:
     return np.array(_apply(step, np.eye(4).tolist())).T
 
 
+class _SeedNode:
+    """A SeedSequence's (entropy, spawn_key, n_children_spawned) without its
+    pool: it spawns as SeedSequence.spawn does, in tuples, and seeds nothing."""
+
+    __slots__ = ("entropy", "spawn_key", "n_children_spawned")
+
+    def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()) -> None:
+        self.entropy, self.spawn_key, self.n_children_spawned = entropy, spawn_key, 0
+
+    def spawn(self, n_children: int) -> list[_SeedNode]:
+        start = self.n_children_spawned
+        self.n_children_spawned += n_children
+        keys = range(start, self.n_children_spawned)
+        return [_SeedNode(self.entropy, self.spawn_key + (i,)) for i in keys]
+
+
+def _rng(seed: int | _SeedNode | np.random.SeedSequence | np.random.Generator):
+    """The generator at a leaf of a seed tree. A SeedSequence's pool depends
+    only on its entropy and spawn key, so a node draws its spawned twin's stream."""
+    if isinstance(seed, _SeedNode):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
+    return np.random.default_rng(seed)
+
+
 def run_shots(
     dist: dict[str, float],
     n_shots: int,
@@ -211,7 +235,7 @@ def run_shots(
     if not abs(total - 1.0) <= ATOL_DECOMP:
         raise NumericalError(f"outcome probabilities {p} do not form a distribution")
     # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
-    tallies = np.random.default_rng(seed).multinomial(n_shots, p / total)
+    tallies = _rng(seed).multinomial(n_shots, p / total)
     return {key: c for key, c in zip(BITSTRINGS, tallies.tolist()) if c > 0}
 
 

@@ -1,0 +1,202 @@
+"""Seed trees: an int seed and SeedSequence(seed) seed the same draws, a
+caller's SeedSequence advances as the tree in protocol._seed_sequence says,
+and a SeedSequence is built only where a generator is seeded."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qetsim import analysis, cli
+from qetsim.analysis import comparison_report, mitigated_run, sampled_calibration_matrix
+from qetsim.model import ModelParams
+from qetsim.noise import MITIGATION_METHODS, PRESETS
+from qetsim.protocol import (
+    Mode,
+    Target,
+    build_circuit,
+    e1_parts,
+    run_protocol,
+    run_protocol_E1,
+    sample_protocol,
+)
+from qetsim.simcore import _SeedNode, exact_distribution
+
+LIMA = PRESETS["lima-like"]
+PARAMS = ModelParams(1.0, 0.5)
+D = Mode.DEFERRED
+SEEDS = [0, 7, 2**32, 2**64 + 5, 2**128 - 1, np.int64(7)]
+SEED_IDS = ["0", "7", "2^32", "2^64+5", "2^128-1", "int64(7)"]
+
+
+def _results_equal(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_results_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    return a == b
+
+
+RUNS = {
+    "run_protocol": lambda s: run_protocol(PARAMS, Target.V, D, 2_000, s),
+    "run_protocol noisy": lambda s: run_protocol(
+        PARAMS, Target.H1, Mode.CONDITIONAL, 2_000, s, LIMA
+    ),
+    "run_protocol_E1": lambda s: run_protocol_E1(PARAMS, D, 2_000, s, LIMA),
+    "sampled_calibration_matrix": lambda s: sampled_calibration_matrix(LIMA, 2_000, s),
+    **{
+        f"mitigated_run {target} {method}": (
+            lambda s, t=target, m=method: mitigated_run(PARAMS, t, D, 2_000, s, LIMA, m)
+        )
+        for target in (Target.V, "E1")
+        for method in (*MITIGATION_METHODS, None)
+    },
+    "comparison_report": lambda s: comparison_report([PARAMS], 1_000, s, LIMA, "direct"),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+def test_int_seed_and_its_seed_sequence_agree(run, seed):
+    assert _results_equal(run(seed), run(np.random.SeedSequence(seed)))
+
+
+def test_seed_node_spawns_as_seed_sequence():
+    for seed in (0, 2**128 - 1):
+        node, sequence = _SeedNode(seed), np.random.SeedSequence(seed)
+        for n in (2, 0, 3):
+            nodes, sequences = node.spawn(n), sequence.spawn(n)
+            assert [c.spawn_key for c in nodes] == [c.spawn_key for c in sequences]
+            assert node.n_children_spawned == sequence.n_children_spawned
+        grandchild = nodes[2].spawn(8)[5]
+        twin = sequences[2].spawn(8)[5]
+        assert grandchild.spawn_key == twin.spawn_key == (4, 5)
+        assert grandchild.entropy == twin.entropy
+
+
+def _dist():
+    return exact_distribution(build_circuit(PARAMS, Target.V, D))
+
+
+# Each use of a caller's SeedSequence, and the children it spawns from it.
+SPAWNS = {
+    "sample_protocol clean": (lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s), 2),
+    "sample_protocol noisy": (
+        lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s, LIMA), 2
+    ),
+    "e1_parts": (e1_parts, 2),
+    **{
+        f"mitigated_run {target} {method}": (
+            lambda s, t=target, m=method: mitigated_run(PARAMS, t, D, 500, s, LIMA, m),
+            2,
+        )
+        for target in (Target.V, "E1")
+        for method in (*MITIGATION_METHODS, None)
+    },
+    "sampled_calibration_matrix": (lambda s: sampled_calibration_matrix(LIMA, 500, s), 8),
+}
+
+
+@pytest.mark.parametrize("use, n_spawned", SPAWNS.values(), ids=SPAWNS.keys())
+def test_caller_seed_sequence_advances_as_before(use, n_spawned):
+    seed = np.random.SeedSequence(2**64 + 5)
+    use(seed)
+    assert seed.n_children_spawned == n_spawned
+    expected = np.random.SeedSequence(2**64 + 5).spawn(n_spawned + 2)[n_spawned:]
+    for child, twin in zip(seed.spawn(2), expected):
+        assert type(child) is np.random.SeedSequence
+        assert child.spawn_key == twin.spawn_key
+        assert np.array_equal(child.generate_state(4), twin.generate_state(4))
+
+
+def test_caller_seed_sequence_passes_through():
+    seed = np.random.SeedSequence(3)
+    parts = e1_parts(seed)
+    assert [type(s) for _, s in parts] == [np.random.SeedSequence] * 2
+    assert [s.spawn_key for _, s in parts] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "operation, n_generators",
+    [
+        (lambda: cli.main("report --pairs 1:1 --shots 2000 --noise lima-like --seed 3".split()),
+         21),
+        (
+            lambda: cli.main(
+                "run --target E1 --h 1 --k 1 --shots 1000 --noise lima-like "
+                "--mitigation direct --seed 3".split()
+            ),
+            12,
+        ),
+        (lambda: run_protocol(PARAMS, Target.V, D, 1_000, 3), 1),
+    ],
+    ids=["noisy one-pair report", "mitigated run E1", "clean run_protocol"],
+)
+def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_generators):
+    built = {"sequences": 0, "generators": 0}
+    default_rng = np.random.default_rng
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built["sequences"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_rng(seed):
+        built["generators"] += 1
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    operation()
+    assert built == {"sequences": n_generators, "generators": n_generators}
+
+
+INVALID_SEEDS = [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("7", TypeError)]
+SEEDED = {
+    "run_protocol": lambda s: run_protocol(PARAMS, Target.V, D, 100, s, LIMA),
+    "run_protocol_E1": lambda s: run_protocol_E1(PARAMS, D, 100, s),
+    **{
+        f"mitigated_run {target} {method}": (
+            lambda s, t=target, m=method: mitigated_run(PARAMS, t, D, 100, s, LIMA, m)
+        )
+        for target in (Target.V, "E1")
+        for method in ("least-squares", None)
+    },
+    "sampled_calibration_matrix": lambda s: sampled_calibration_matrix(LIMA, 100, s),
+    "sampled_calibration_matrix clean": lambda s: sampled_calibration_matrix(None, 100, s),
+    "comparison_report": lambda s: comparison_report([PARAMS], 100, s, LIMA),
+}
+
+
+@pytest.mark.parametrize("seed, error", INVALID_SEEDS, ids=["-1", "int64(-1)", "1.5", "str"])
+@pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
+def test_invalid_seed_raises_before_sampling(monkeypatch, run, seed, error):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(error):
+        run(seed)
+
+
+def test_none_seed_draws_fresh_entropy():
+    result = run_protocol(PARAMS, Target.V, D, 100, None)
+    assert result.n_shots == 100
+    _, _, matrix = mitigated_run(PARAMS, Target.V, D, 100, None, LIMA)
+    assert np.allclose(matrix.sum(axis=0), 1.0)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; importing it with the CLI would
+    # add its import time to every qet call
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qetsim.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
