@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 import numpy as np
 
 from .model import (
@@ -153,10 +155,12 @@ def sampled_calibration_matrix(
     seeds = _seed_sequence(seed).spawn(8)[1::2]
     if noise is None:
         return np.eye(4)
-    draws = zip(map(_rng, seeds), noise.response.T)
-    tallies = np.array([g.multinomial(int(n_shots), p) for g, p in draws], dtype=float).T
-    # each column over its total summed in order, as check_counts sums: the same bits
-    return tallies / np.cumsum(tallies, axis=0)[-1]
+    columns = []
+    for g, p in zip(map(_rng, seeds), noise.response.T):
+        tally = g.multinomial(int(n_shots), p).tolist()
+        total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
+        columns.append([c / total for c in tally])
+    return np.array(columns).T
 
 
 def mitigated_run(

@@ -7,12 +7,16 @@ state j therefore records j on every shot, and column j of the 4x4
 column-stochastic response matrix is estimated by passing those records
 through the channel. Mitigation inverts the estimated matrix, either directly
 (clip and renormalize) or as a least-squares problem constrained to the
-probability simplex.
+probability simplex, solving its 4x4 or KKT system by Gaussian elimination on
+plain floats. A non-finite matrix, a singular system and a direct solution
+with no positive mass raise NumericalError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 import numpy as np
 
 from .simcore import (
@@ -83,10 +87,9 @@ def apply_noise(
     if total >= SHOT_LIMIT:
         raise ValueError(f"counts must total less than 2**63, got {total}")
     rng = _rng(seed)
-    out = np.zeros(4, dtype=np.int64)
-    for key in sorted(counts):
-        out += rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)])
-    return {BITSTRINGS[i]: int(c) for i, c in enumerate(out) if c > 0}
+    draws = [rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)]).tolist()
+             for key in sorted(counts)]
+    return {key: c for key, c in zip(BITSTRINGS, map(sum, zip(*draws))) if c > 0}
 
 
 def estimate_calibration_matrix(calibration_counts: list[dict[str, int]]) -> np.ndarray:
@@ -105,31 +108,48 @@ def measurement_fidelity(a: np.ndarray) -> float:
     return float(np.mean(np.diag(a)))
 
 
-def _simplex_least_squares(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _solve(m: list[list[float]], b: list[float]) -> list[float]:
+    """x with m x = b by Gaussian elimination with partial pivoting on plain floats,
+    cheaper than numpy's calls at this size. An exact zero pivot raises."""
+    n = len(b)
+    rows = [[*row, v] for row, v in zip(m, b)]
+    for c in range(n):
+        col = [abs(row[c]) for row in rows[c:]]
+        p = c + col.index(max(col))
+        pivot = rows[p]
+        rows[p], rows[c] = rows[c], pivot
+        if pivot[c] == 0.0:
+            raise NumericalError("degenerate calibration matrix")
+        for row in rows[c + 1:]:
+            f = row[c] / pivot[c]
+            for j in range(c + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for c, row in reversed([*enumerate(rows)]):
+        s = row[n]
+        for j in range(c + 1, n):
+            s -= row[j] * x[j]
+        x[c] = s / row[c]
+    return x
+
+
+def _simplex_least_squares(a: list[list[float]], y: list[float]) -> tuple[list[float], list[int]]:
     # minimize ||a x - y||^2 subject to x >= 0 and sum x = 1, by active-set
     # elimination: solve the equality-constrained problem on the free set and
-    # pin the most negative coordinate to zero until feasible.
-    free = np.ones(4, dtype=bool)
-    for _ in range(8):
-        cols = np.flatnonzero(free)
-        af = a[:, cols]
-        m = len(cols)
-        kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = 2.0 * af.T @ af
-        kkt[:m, m] = 1.0
-        kkt[m, :m] = 1.0
-        rhs = np.concatenate([2.0 * af.T @ y, [1.0]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("degenerate calibration matrix") from exc
-        xf = sol[:m]
-        if np.all(xf >= -ATOL_ALGEBRA):
-            x = np.zeros(4)
-            x[cols] = np.clip(xf, 0.0, None)
-            return x / x.sum()
-        free[cols[int(np.argmin(xf))]] = False
-    raise NumericalError("simplex least squares failed to converge")
+    # pin the most negative coordinate to zero until feasible; x and the final
+    # free set are returned. An empty free set leaves the system [0] x = [1],
+    # whose zero pivot raises. dots is 2 a^T [a | y]: the Gram matrix, then y's column.
+    columns = [list(col) for col in zip(*a)]
+    dots = [[2.0 * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3])
+             for v in (*columns, y)] for u in columns]
+    cols = [0, 1, 2, 3]
+    while True:
+        kkt = [[dots[i][j] for j in cols] + [1.0] for i in cols] + [[1.0] * len(cols) + [0.0]]
+        xf = _solve(kkt, [dots[i][4] for i in cols] + [1.0])[:-1]
+        if all(v >= -ATOL_ALGEBRA for v in xf):
+            free = dict(zip(cols, xf))
+            return [max(free.get(i, 0.0), 0.0) for i in range(4)], cols
+        del cols[min(range(len(cols)), key=xf.__getitem__)]
 
 
 def mitigate(
@@ -138,24 +158,28 @@ def mitigate(
     method: str = "least-squares",
 ) -> dict[str, float]:
     """Corrected outcome distribution from observed counts (or frequencies)
-    and a response matrix. The direct method requires a well-conditioned
-    matrix and clips negative solution entries; least squares stays on the
-    probability simplex by construction."""
+    and a finite response matrix. The direct method requires a well-conditioned
+    matrix and clips negative solution entries, which must leave positive
+    mass; least squares stays on the probability simplex by construction."""
     if method not in MITIGATION_METHODS:
         raise ValueError(f"unknown mitigation method {method!r}")
     a = np.asarray(a, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("calibration matrix must be 4x4")
-    y = distribution_vector(counts) / check_counts(counts)
+    total = check_counts(counts)
+    y = [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
+    if not np.isfinite(a).all():
+        raise NumericalError("calibration matrix has a non-finite entry")
 
     if method == "direct":
         # np.linalg.cond's 2-norm ratio, without its wrapper layers
-        sv = np.linalg.svd(a, compute_uv=False).tolist() if np.isfinite(a).all() else [0.0]
+        sv = np.linalg.svd(a, compute_uv=False).tolist()
         if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
             raise NumericalError("calibration matrix is singular or ill-conditioned")
-        x = np.linalg.solve(a, y)
-        x = np.clip(x, 0.0, None)
-        x = x / x.sum()
+        x = [max(v, 0.0) for v in _solve(a.tolist(), y)]
     else:
-        x = _simplex_least_squares(a, y)
-    return {key: float(x[i]) for i, key in enumerate(BITSTRINGS)}
+        x = _simplex_least_squares(a.tolist(), y)[0]
+    mass = reduce(add, x, 0.0)  # in order, as ndarray.sum adds four entries
+    if not mass > 0.0:
+        raise NumericalError("corrected distribution has no positive mass")
+    return {key: v / mass for key, v in zip(BITSTRINGS, x)}

@@ -6,6 +6,7 @@ States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
 kernel on four plain-float amplitudes. Density matrices and observables are
 4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
 phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
+A generator at a seed tree's leaf is seeded from its entropy words (_rng).
 """
 
 from __future__ import annotations
@@ -202,11 +203,22 @@ class _SeedNode:
         return [_SeedNode(self.entropy, self.spawn_key + (i,)) for i in keys]
 
 
+def _words(n: int) -> list[int]:
+    """n as little-endian 32-bit words ([0] for 0), as SeedSequence splits it."""
+    return [n] if n < 2**32 else [n >> s & 0xFFFFFFFF for s in range(0, n.bit_length(), 32)]
+
+
 def _rng(seed: int | _SeedNode | np.random.SeedSequence | np.random.Generator):
-    """The generator at a leaf of a seed tree. A SeedSequence's pool depends
-    only on its entropy and spawn key, so a node draws its spawned twin's stream."""
+    """The generator at a leaf of a seed tree, seeded from the words numpy
+    assembles for a spawned SeedSequence: the entropy's, zero-padded to the pool
+    size 4 under a spawn key, then each key element's. Same pool, same stream."""
     if isinstance(seed, _SeedNode):
-        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key)
+        words = _words(int(seed.entropy))
+        if seed.spawn_key:
+            words += [0] * (4 - len(words))
+            for k in seed.spawn_key:
+                words += _words(k)
+        seed = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.default_rng(seed)
 
 

@@ -7,16 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qetsim.analysis import sampled_calibration_matrix
+from qetsim.cli import parse_noise
 from qetsim.noise import (
     MITIGATION_METHODS,
     PRESETS,
     ReadoutNoise,
+    _simplex_least_squares,
     apply_noise,
     estimate_calibration_matrix,
     measurement_fidelity,
     mitigate,
 )
-from qetsim.simcore import BITSTRINGS, NumericalError, distribution_vector
+from qetsim.simcore import (
+    ATOL_ALGEBRA,
+    BITSTRINGS,
+    NumericalError,
+    check_counts,
+    distribution_vector,
+)
 
 LIMA = PRESETS["lima-like"]
 
@@ -238,12 +247,100 @@ def test_mitigate_direct_guard_is_the_condition_number(a):
         assert sum(mitigate({"00": 3, "11": 1}, a, "direct").values()) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_mitigate_direct_rejects_non_finite_matrix(bad):
+NON_FINITE = [(method, bad) for method in MITIGATION_METHODS for bad in (np.nan, np.inf, -np.inf)]
+
+
+# the direct cases keep their ids from before least squares was checked too
+@pytest.mark.parametrize(
+    "method, bad", NON_FINITE, ids=[f"{m}-{b}" if m != "direct" else str(b) for m, b in NON_FINITE]
+)
+def test_mitigate_direct_rejects_non_finite_matrix(method, bad):
     a = np.eye(4)
     a[2, 1] = bad
     with pytest.raises(NumericalError):
-        mitigate({"00": 3, "11": 1}, a, "direct")
+        mitigate({"00": 3, "11": 1}, a, method)
+
+
+@pytest.mark.parametrize(
+    "a, counts",
+    [(-np.eye(4), {"00": 3, "11": 1}), (np.diag([1.0, 1.0, 1.0, -1.0]), {"11": 1})],
+    ids=["-eye", "diag-last-negative"],
+)
+def test_mitigate_direct_rejects_solution_without_positive_mass(a, counts):
+    # well conditioned, but every entry of the solution clips to zero
+    assert np.linalg.cond(a) < 1e6
+    with pytest.raises(NumericalError):
+        mitigate(counts, a, "direct")
+
+
+def reference_simplex_least_squares(a, y):
+    """The numpy active-set solver that the plain-float one replaced; returns
+    the corrected distribution and the final free set."""
+    free = np.ones(4, dtype=bool)
+    for _ in range(8):
+        cols = np.flatnonzero(free)
+        af = a[:, cols]
+        m = len(cols)
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = 2.0 * af.T @ af
+        kkt[:m, m] = 1.0
+        kkt[m, :m] = 1.0
+        rhs = np.concatenate([2.0 * af.T @ y, [1.0]])
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("degenerate calibration matrix") from exc
+        xf = sol[:m]
+        if np.all(xf >= -ATOL_ALGEBRA):
+            x = np.zeros(4)
+            x[cols] = np.clip(xf, 0.0, None)
+            return x / x.sum(), cols.tolist()
+        free[cols[int(np.argmin(xf))]] = False
+    raise NumericalError("simplex least squares failed to converge")
+
+
+def reference_mitigate(counts, a, method):
+    """mitigate on numpy's solvers, as it was before plain floats."""
+    y = distribution_vector(counts) / check_counts(counts)
+    if method == "least-squares":
+        return reference_simplex_least_squares(a, y)[0]
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] == 0.0 or sv[0] / sv[-1] >= 1e6:
+        raise NumericalError("calibration matrix is singular or ill-conditioned")
+    x = np.clip(np.linalg.solve(a, y), 0.0, None)
+    return x / x.sum()
+
+
+@pytest.mark.parametrize("shots", [1, 50, 2000])
+@pytest.mark.parametrize("spec", ["lima-like", "jakarta-like", "0.05,0.1,0.02,0.3"])
+def test_mitigate_matches_numpy_reference(spec, shots):
+    noise = parse_noise(spec)
+    rng = np.random.default_rng(shots)
+    free_sets = set()
+    for seed in range(40):
+        a = sampled_calibration_matrix(noise, shots, seed)
+        p = rng.dirichlet(np.full(4, 0.3)) if seed % 4 else np.eye(4)[seed // 4 % 4]
+        draw = rng.multinomial(shots, noise.response @ p)
+        counts = {key: int(c) for key, c in zip(BITSTRINGS, draw) if c}
+        y = distribution_vector(counts) / check_counts(counts)
+        for method in MITIGATION_METHODS:
+            try:
+                want = reference_mitigate(counts, a, method)
+            except NumericalError:
+                with pytest.raises(NumericalError):
+                    mitigate(counts, a, method)
+                continue
+            got = distribution_vector(mitigate(counts, a, method))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        try:
+            free = reference_simplex_least_squares(a, y)[1]
+        except NumericalError:
+            continue
+        # the same outcomes pinned to zero
+        assert _simplex_least_squares(a.tolist(), y.tolist())[1] == free
+        free_sets.add(len(free))
+    # solutions inside the simplex, and past one shot (0/1 matrices) ones that pin
+    assert 4 in free_sets and (shots == 1 or len(free_sets) > 1), free_sets
 
 
 def test_mitigate_input_validation():

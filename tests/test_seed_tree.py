@@ -25,7 +25,7 @@ from qetsim.protocol import (
     run_protocol_E1,
     sample_protocol,
 )
-from qetsim.simcore import _SeedNode, exact_distribution
+from qetsim.simcore import _rng, _SeedNode, exact_distribution
 
 LIMA = PRESETS["lima-like"]
 PARAMS = ModelParams(1.0, 0.5)
@@ -77,6 +77,20 @@ def test_seed_node_spawns_as_seed_sequence():
         twin = sequences[2].spawn(8)[5]
         assert grandchild.spawn_key == twin.spawn_key == (4, 5)
         assert grandchild.entropy == twin.entropy
+
+
+LEAF_ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, np.int64(7)]
+LEAF_KEYS = [(), (0,), (0, 0), (5, 1, 0), (2**32,), (2**40, 3)]
+
+
+@pytest.mark.parametrize("key", LEAF_KEYS, ids=map(str, LEAF_KEYS))
+@pytest.mark.parametrize("entropy", LEAF_ENTROPIES, ids=map(repr, LEAF_ENTROPIES))
+def test_leaf_seeding_equals_numpy_seeding(entropy, key):
+    # _rng assembles a leaf's entropy words itself; numpy's own assembly must
+    # give the same stream, or a numpy that changed its layout changed ours
+    want = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+    got = _rng(_SeedNode(entropy, key))
+    assert got.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
 
 
 def _dist():
