@@ -145,19 +145,17 @@ def sampled_calibration_matrix(
     n_shots: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
-    """Response matrix estimated the way an experiment would: read n_shots of
-    each basis state through the same noisy readout and tabulate. Readout
-    noise acts on the record only, so an ideal preparation of state j records
-    j on every shot: column j tallies one multinomial draw over response[:, j]."""
+    """Response matrix estimated the way an experiment would: read n_shots of each
+    basis state through the same noisy readout and tabulate. Noise acts on the record
+    only, so state j records j on every shot and column j is one multinomial draw
+    over response[:, j]; seed itself seeds the one generator that draws all four."""
     if not (n_shots % 1 == 0 and 1 <= n_shots < SHOT_LIMIT):
         raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
-    # odd children only (see protocol._seed_sequence): every seed keeps its matrix
-    seeds = _seed_sequence(seed).spawn(8)[1::2]
+    root = _seed_sequence(seed)  # a bad seed raises here, with or without noise
     if noise is None:
         return np.eye(4)
     columns = []
-    for g, p in zip(map(_rng, seeds), noise.response.T):
-        tally = g.multinomial(int(n_shots), p).tolist()
+    for tally in _rng(root).multinomial(int(n_shots), noise.response.T).tolist():
         total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
         columns.append([c / total for c in tally])
     return np.array(columns).T

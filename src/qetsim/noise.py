@@ -2,14 +2,14 @@
 
 The channel flips each recorded classical bit independently with per-qubit
 asymmetric probabilities; it acts on the terminal record only, never on the
-quantum branch a mid-circuit outcome selected. An ideal preparation of basis
-state j therefore records j on every shot, and column j of the 4x4
-column-stochastic response matrix is estimated by passing those records
-through the channel. Mitigation inverts the estimated matrix, either directly
-(clip and renormalize) or as a least-squares problem constrained to the
-probability simplex, solving its 4x4 or KKT system by Gaussian elimination on
-plain floats. A non-finite matrix, a singular system and a direct solution
-with no positive mass raise NumericalError.
+quantum branch a mid-circuit outcome selected. It maps an outcome distribution
+p to A p, A the 4x4 column-stochastic response matrix, so a noisy run draws its
+tallies once from A p; an ideal preparation of basis state j records j on every
+shot, so calibration draws column j of A alone. Mitigation inverts the
+estimated matrix, either directly (clip and renormalize) or as a least-squares
+problem constrained to the probability simplex, solving its 4x4 or KKT system by
+Gaussian elimination on plain floats. A non-finite matrix, a singular system and
+a direct solution with no positive mass raise NumericalError.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def apply_noise(
     seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> dict[str, int]:
     """Flip recorded bits stochastically in a counts map of integer tallies
-    totalling less than 2**63. Deterministic for a fixed seed."""
+    totalling less than 2**63. Deterministic for a fixed seed. The per-shot
+    reference for the pipeline's single draw on response @ p; only tests call it."""
     check_counts(counts)
     for key, c in counts.items():
         if c != int(c):

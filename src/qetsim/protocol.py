@@ -13,9 +13,10 @@ from enum import Enum
 import math
 import numpy as np
 
-from .noise import ReadoutNoise, apply_noise
+from .noise import ReadoutNoise
 from .model import ModelParams, angles
 from .simcore import (
+    BITSTRINGS,
     Circuit,
     ClassicallyControlledRy,
     Cnot,
@@ -162,12 +163,11 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.
     """The root of seed's tree: a nonnegative int or np.integer becomes a
     _SeedNode, a node or a caller's SeedSequence passes through, and anything
     else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
-    Spawn keys below a root and what they seed. An unused key costs one tuple;
-    it stays so that each seed's output and a caller's counter stay as they were.
-      sample_protocol             (0,) shots; (1,) readout noise, unused if clean
+    Spawn keys below a root and what they seed:
+      sample_protocol             (0,) shots, clean or through readout noise
       e1_parts                    (0,) H1, (1,) V: each a root of its own
       _mitigated with a method    (0,) sample_protocol; (1,) calibration
-      sampled_calibration_matrix  (2j+1,) column j's multinomial; (2j,) unused
+      sampled_calibration_matrix  no spawn: the root seeds all four columns
       comparison_report           (p,) pair p; (p, i<3) sample_protocol of
                                   E0, H1, V; (p, 3+i) their _mitigated"""
     if isinstance(seed, (int, np.integer)) and seed >= 0:
@@ -193,9 +193,8 @@ def run_protocol(
     seed: int | np.random.SeedSequence,
     noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
-    """Build and enumerate the circuit once, then sample_protocol: sample,
-    optionally corrupt with readout noise, and estimate. Deterministic for a
-    fixed seed; sampling and noise use independent generators spawned from it."""
+    """Build and enumerate the circuit once, then sample_protocol: deterministic
+    per seed, one generator samples (through readout noise, if given) to estimate."""
     dist = exact_distribution(build_circuit(params, target, mode))
     return sample_protocol(params, target, dist, n_shots, seed, noise)
 
@@ -209,12 +208,14 @@ def sample_protocol(
     noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
     """The sampling step of run_protocol, from dist, the exact distribution of
-    target's circuit: a caller that reruns a circuit enumerates it once."""
-    shot_seed, noise_seed = _seed_sequence(seed).spawn(2)
-    counts = run_shots(dist, n_shots, shot_seed)
+    target's circuit: a caller that reruns a circuit enumerates it once. Readout
+    flips each shot's record alone, so noisy tallies are one draw on response @ dist."""
+    (shot_seed,) = _seed_sequence(seed).spawn(1)
     if noise is not None:
-        counts = apply_noise(counts, noise, noise_seed)
-    return estimate_energy(params, target, counts)
+        p = [dist.get(key, 0.0) for key in BITSTRINGS]
+        dist = {key: a0 * p[0] + a1 * p[1] + a2 * p[2] + a3 * p[3]
+                for key, (a0, a1, a2, a3) in zip(BITSTRINGS, noise.response.tolist())}
+    return estimate_energy(params, target, run_shots(dist, n_shots, shot_seed))
 
 
 def run_protocol_E1(

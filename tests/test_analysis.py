@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,24 @@ from qetsim.noise import (
     apply_noise,
     estimate_calibration_matrix,
 )
-from qetsim.protocol import Mode, Target, combine_E1, run_protocol, run_protocol_E1
-from qetsim.simcore import BITSTRINGS, evolve, exact_distribution, expectation
+from qetsim.protocol import (
+    Mode,
+    Target,
+    build_circuit,
+    combine_E1,
+    run_protocol,
+    run_protocol_E1,
+    sample_protocol,
+)
+from qetsim.simcore import (
+    BITSTRINGS,
+    NumericalError,
+    distribution_vector,
+    evolve,
+    exact_distribution,
+    expectation,
+    run_shots,
+)
 
 LIMA = PRESETS["lima-like"]
 
@@ -217,24 +235,101 @@ def test_sampled_calibration_matrix_noiseless_and_deterministic():
 
 
 def reference_calibration_matrix(noise, n_shots, seed):
-    """Per column: a record of n_shots of basis state j through apply_noise,
-    tabulated by estimate_calibration_matrix."""
+    """The per-column path: a record of n_shots of basis state j through
+    apply_noise on its own spawned generator, tabulated by
+    estimate_calibration_matrix."""
     seeds = np.random.SeedSequence(seed).spawn(8)[1::2]
     return estimate_calibration_matrix(
         [apply_noise({key: n_shots}, noise, s) for key, s in zip(BITSTRINGS, seeds)]
     )
 
 
+def reference_noisy_counts(dist, noise, n_shots, seed):
+    """The two-step noisy run: clean shots on one spawned generator, then
+    apply_noise flipping their records on a second."""
+    shot_seed, noise_seed = np.random.SeedSequence(seed).spawn(2)
+    return apply_noise(run_shots(dist, n_shots, shot_seed), noise, noise_seed)
+
+
 CALIBRATION_NOISE = [*PRESETS.values(), ReadoutNoise((0.05, 0.02), (0.1, 0.3))]
+BAND_SEEDS = [0, 7, 2024]
+
+# A statistical check passes while each tally lies within BAND binomial
+# standard deviations of its expected value n q. Every expected tally it checks
+# is at least 100, where the normal approximation puts a two-sided excursion
+# past 6 sigma near 2e-9: under 1e-5 over all the checks below. The seeds are
+# fixed, so a failure repeats; it is reported with its z-score, and the seeds
+# are never changed to make it pass.
+BAND = 6.0
+
+
+def assert_in_band(tallies, n, q, what):
+    for key, c, qi in zip(BITSTRINGS, tallies, q):
+        mean, sigma = n * qi, math.sqrt(n * qi * (1.0 - qi))
+        assert mean >= 100.0, f"{what}: expected tally {mean} too small for the band"
+        z = (c - mean) / sigma
+        assert abs(z) <= BAND, (
+            f"{what}: outcome {key} tallied {c} against {mean:.1f} +/- {sigma:.1f} "
+            f"({z:+.2f} sigma). Under the readout model this has probability about "
+            f"2e-9: a defect, or that chance; report it, do not re-seed"
+        )
 
 
 @pytest.mark.parametrize("noise", CALIBRATION_NOISE)
 @pytest.mark.parametrize("n_shots", [1, 2_000, 2**63 - 1])
-@pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_sampled_calibration_matrix_is_the_apply_noise_tabulation(noise, n_shots, seed):
-    expected = reference_calibration_matrix(noise, n_shots, seed)
+@pytest.mark.parametrize("seed", BAND_SEEDS)
+def test_sampled_calibration_matrix_is_one_generator_tabulation(noise, n_shots, seed):
+    # the four columns' draws follow each other on the one generator seed seeds
+    g = np.random.default_rng(np.random.SeedSequence(seed))
+    expected = estimate_calibration_matrix(
+        [dict(zip(BITSTRINGS, g.multinomial(n_shots, p).tolist())) for p in noise.response.T]
+    )
     a = sampled_calibration_matrix(noise, n_shots, seed)
     assert a.dtype == expected.dtype and a.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("noise", CALIBRATION_NOISE)
+@pytest.mark.parametrize("n_shots", [10**7, 2**63 - 1])
+def test_calibration_columns_lie_in_band(noise, n_shots):
+    for seed in BAND_SEEDS:
+        for name, a in (
+            ("sampled_calibration_matrix", sampled_calibration_matrix(noise, n_shots, seed)),
+            ("per-column apply_noise", reference_calibration_matrix(noise, n_shots, seed)),
+        ):
+            for j, key in enumerate(BITSTRINGS):
+                what = f"{name} column {key}, seed {seed}"
+                assert_in_band(a[:, j] * n_shots, n_shots, noise.response[:, j], what)
+
+
+BAND_PARAMS = [ModelParams(1.0, 0.5), ModelParams(0.3, 1.2), ModelParams(1.5, 1.0)]
+BAND_CIRCUITS = [(Target.E0, Mode.DEFERRED)] + [
+    (target, mode) for target in (Target.H1, Target.V) for mode in Mode
+]
+
+
+@pytest.mark.parametrize("noise", CALIBRATION_NOISE)
+@pytest.mark.parametrize("target, mode", BAND_CIRCUITS)
+def test_noisy_tallies_lie_in_band(noise, target, mode):
+    n_shots = 10**7
+    for params in BAND_PARAMS:
+        dist = exact_distribution(build_circuit(params, target, mode))
+        q = noise.response @ distribution_vector(dist)
+        for seed in BAND_SEEDS:
+            run = sample_protocol(params, target, dist, n_shots, seed, noise).raw_counts
+            for name, counts in (
+                ("sample_protocol", run),
+                ("run_shots then apply_noise", reference_noisy_counts(dist, noise, n_shots, seed)),
+            ):
+                tallies = [counts.get(key, 0) for key in BITSTRINGS]
+                what = f"{name} {target.value} {mode.value} at {params}, seed {seed}"
+                assert_in_band(tallies, n_shots, q, what)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_noisy_sample_rejects_non_finite_distribution(bad):
+    dist = {"00": bad, "01": 0.0, "10": 0.0, "11": 0.0}
+    with pytest.raises(NumericalError):
+        sample_protocol(ModelParams(1.0, 1.0), Target.V, dist, 100, 0, LIMA)
 
 
 @pytest.mark.parametrize("n_shots", [0, -1, 1.5, 2**63, float(2**63), np.nan, np.inf])
@@ -246,13 +341,14 @@ def test_sampled_calibration_matrix_rejects_bad_shot_counts(n_shots, noise):
         sampled_calibration_matrix(noise, n_shots, 0)
 
 
-def test_sampled_calibration_matrix_spawns_as_before():
-    # a caller's SeedSequence has spawned the same children afterwards, with
-    # or without noise; without it the matrix is exactly the identity
+def test_sampled_calibration_matrix_spawns_no_children():
+    # the calibration seed seeds its one generator itself: a caller's
+    # SeedSequence has spawned nothing afterwards, with or without noise;
+    # without it the matrix is exactly the identity
     for noise in (LIMA, None):
         seed = np.random.SeedSequence(3)
         a = sampled_calibration_matrix(noise, 10, seed)
-        assert seed.n_children_spawned == 8
+        assert seed.n_children_spawned == 0
     assert np.array_equal(a, np.eye(4))
 
 

@@ -358,23 +358,24 @@ LIMA_LS = ["--noise", "lima-like", "--mitigation", "least-squares"]
          "104cae80a3908b90b02a3b1d674bbdf0769502c799a7bc5573576fbf79c284e6"),
         (E1_RUN, "9666940836d60d575fb2707a57c39f1417088d5f37a8ec363353b866ca89755b"),
         (E1_RUN + LIMA_LS,
-         "966f1207f08fd3369bc0ef036d422a01531e987d1e1fc47acda0739447dfe15e"),
+         "49757740a2b28ff396f8b9a4ef3d3bf67b9be932674b8801ff41d3ba0f1d6ede"),
         (E1_RUN + ["--noise", "jakarta-like", "--mitigation", "direct",
                    "--mode", "conditional"],
-         "10f94e9a1dd938b8d0697a5373c482aa1010e466f1c9ab1ba1c4ff08e9dc389b"),
+         "54a60219cb2f660dbffb482eeca14e69fc383084024b5fc7ee7d1696d862dd9f"),
         # the mitigated counts are the corrected distribution's float weights
         (["run", "--target", "V", "--h", "1", "--k", "1"] + LIMA_LS,
-         "11ea41642c400c2cea8bd84c25d0478d399b436dc34f1a7e3d770988562e5c6c"),
+         "477d6d326d9b538c5caaa9ddbea2ceeb55dc2522152d0f91b31c05a50107ac4a"),
         (["report", "--noise", "lima-like", "--format", "json"],
-         "97e5d301d95275ed6c541f746bbb35ffeb7472a8b14f9b6d29e62c4207c104ff"),
+         "b6eda7fb7dff19c69cb91e1ed2c8f56887ee6f89965f4487e7d94f37ed69b441"),
         (["mitigate-demo"],
-         "c8f1f67c0440f6aa397d01c319309cf650551476f19a95a16caf6fc49371bcc5"),
+         "17b305e0d8eb82852ebc1440428a8b970571c88e6bc5b6cb3e8089631092ed49"),
     ],
 )
 def test_exact_layer_output_is_pinned(capsys, monkeypatch, argv, digest):
     # sha256 of stdout: sweep and evolve from the per-cell and per-step
-    # implementation, the sampled commands from when cmd_run split the E1
-    # seed itself
+    # implementation, the clean run from when cmd_run split the E1 seed
+    # itself; the noisy ones were re-taken when readout noise became one
+    # draw on response @ p and calibration one generator
     monkeypatch.delenv("QET_SEED", raising=False)
     code, out = invoke(capsys, argv)
     assert code == 0
@@ -407,13 +408,13 @@ def noisy_outputs_digest(capsys, command):
     "command, digest",
     [
         (["report", "--format", "csv"],
-         "b4a2b619a31c567111e8e07663ae60404b6a0f3ddb08f441f7df208d087d133f"),
+         "e43d19089ea53849ae8986d56af125330970f2b9b4f7621d663f369d7f26b95b"),
         (["report", "--format", "json"],
-         "4748304300e041914aa035fd0531f64e93be46978515ad3ed6ad3a8145dba27d"),
+         "d777957eeee67af3c5c603660f509960d313b56a3b8c83f2b2dbb676abe856cc"),
         (E1_RUN,
-         "652869bc2ccaf92b7688f8eebc82d363586d6c9c878308b23afe849e36290777"),
+         "f6e7148d220c7a2ea3caf04e529ae567f97118b3ad5ee719fe7e1fa404df3123"),
         (["mitigate-demo"],
-         "f45ac8282031a9b7fc990820227fe4973d7cb5dda90810b04a923ade58392cf6"),
+         "e8ba1334dc09f0b5f8f88ba238358ffe2387fae86a1f5fe5da74ce9d68fba7db"),
     ],
     ids=["report-csv", "report-json", "run-E1", "mitigate-demo"],
 )
@@ -422,7 +423,8 @@ def test_noisy_output_is_pinned(capsys, monkeypatch, command, digest):
     # model and drew calibration straight into the matrix; the two report
     # digests were re-taken when branch enumeration moved to plain float
     # arithmetic, which moved the conditional H1 distribution at
-    # (h, k) = (1.5, 1.0) by 3 ulp
+    # (h, k) = (1.5, 1.0) by 3 ulp; all four were re-taken when readout noise
+    # became one draw on response @ p and calibration one generator
     monkeypatch.delenv("QET_SEED", raising=False)
     assert noisy_outputs_digest(capsys, command) == digest
 

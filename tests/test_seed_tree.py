@@ -97,22 +97,24 @@ def _dist():
     return exact_distribution(build_circuit(PARAMS, Target.V, D))
 
 
-# Each use of a caller's SeedSequence, and the children it spawns from it.
+# Each use of a caller's SeedSequence, and the children it spawns from it: one
+# shot child per sample_protocol, a run and a calibration child per mitigated
+# target, and none for calibration, which seeds its generator from the root.
 SPAWNS = {
-    "sample_protocol clean": (lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s), 2),
+    "sample_protocol clean": (lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s), 1),
     "sample_protocol noisy": (
-        lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s, LIMA), 2
+        lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s, LIMA), 1
     ),
     "e1_parts": (e1_parts, 2),
     **{
         f"mitigated_run {target} {method}": (
             lambda s, t=target, m=method: mitigated_run(PARAMS, t, D, 500, s, LIMA, m),
-            2,
+            1 if target is Target.V and method is None else 2,
         )
         for target in (Target.V, "E1")
         for method in (*MITIGATION_METHODS, None)
     },
-    "sampled_calibration_matrix": (lambda s: sampled_calibration_matrix(LIMA, 500, s), 8),
+    "sampled_calibration_matrix": (lambda s: sampled_calibration_matrix(LIMA, 500, s), 0),
 }
 
 
@@ -139,17 +141,24 @@ def test_caller_seed_sequence_passes_through():
     "operation, n_generators",
     [
         (lambda: cli.main("report --pairs 1:1 --shots 2000 --noise lima-like --seed 3".split()),
-         21),
+         9),
         (
             lambda: cli.main(
                 "run --target E1 --h 1 --k 1 --shots 1000 --noise lima-like "
                 "--mitigation direct --seed 3".split()
             ),
-            12,
+            4,
+        ),
+        (
+            lambda: cli.main(
+                "run --target V --h 1 --k 1 --shots 1000 --noise lima-like "
+                "--mitigation none --seed 3".split()
+            ),
+            1,
         ),
         (lambda: run_protocol(PARAMS, Target.V, D, 1_000, 3), 1),
     ],
-    ids=["noisy one-pair report", "mitigated run E1", "clean run_protocol"],
+    ids=["noisy one-pair report", "mitigated run E1", "noisy run V", "clean run_protocol"],
 )
 def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_generators):
     built = {"sequences": 0, "generators": 0}
@@ -168,6 +177,42 @@ def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_gener
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     operation()
     assert built == {"sequences": n_generators, "generators": n_generators}
+
+
+# Raw multinomial draws of numpy's default generator from spawned seed
+# sequences, for a 1-D pvals (shots) and a 2-D one (calibration's four columns
+# in one call). Every pinned output digest depends on this stream, and NEP 19
+# lets numpy change it between releases.
+PVALS_1D = [0.5, 0.25, 0.125, 0.125]
+PVALS_2D = [[0.9, 0.05, 0.04, 0.01], [0.02, 0.95, 0.0, 0.03], [0.1, 0.2, 0.3, 0.4],
+            [0.0, 0.0, 0.0, 1.0]]
+MULTINOMIAL_DRAWS = [
+    ((0, 1), PVALS_1D, 1000, [500, 224, 145, 131]),
+    ((0, 1), PVALS_1D, 2**63 - 1,
+     [4611686019225633792, 2305843010051802624, 1152921503653481984, 1152921503923857407]),
+    ((1,), PVALS_2D, 1000,
+     [[904, 51, 39, 6], [27, 957, 0, 16], [102, 192, 279, 427], [0, 0, 0, 1000]]),
+    ((1,), PVALS_2D, 2**63 - 1,
+     [[8301034832577551999, 461168602505037760, 368934881779593568, 92233719992592480],
+      [184467441017297504, 8762203434794059167, 0, 276701161043419136],
+      [922337204156588800, 1844674408877609984, 2767011610784936448, 3689348813035640575],
+      [0, 0, 0, 9223372036854775807]]),
+]
+
+
+def test_numpy_multinomial_stream_is_pinned():
+    # draws follow each other on one generator per spawn key, as in the program
+    generators = {
+        key: np.random.default_rng(np.random.SeedSequence(2024, spawn_key=key))
+        for key in ((0, 1), (1,))
+    }
+    for key, pvals, n, expected in MULTINOMIAL_DRAWS:
+        got = generators[key].multinomial(n, pvals).tolist()
+        assert got == expected, (
+            f"numpy {np.__version__} draws Generator.multinomial(n={n}, pvals of "
+            f"{np.ndim(pvals)} dimensions) differently from the release these values "
+            f"were taken with (numpy 2.4.6): its stream changed, as NEP 19 allows"
+        )
 
 
 INVALID_SEEDS = [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("7", TypeError)]
