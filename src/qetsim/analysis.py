@@ -8,12 +8,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import reduce
+import math
 from operator import add
+
 import numpy as np
 
 from .model import (
     ModelParams,
-    _branches,
+    _receiver_energies,
     analytic_E0,
     analytic_E1,
     analytic_H1,
@@ -48,7 +50,7 @@ class SweepGrid:
         object.__setattr__(self, "k_values", tuple(float(k) for k in self.k_values))
         if not self.h_values or not self.k_values:
             raise ValueError("grid must be nonempty")
-        if not all(v > 0 and np.isfinite(v) for v in self.h_values + self.k_values):
+        if not all(v > 0 and math.isfinite(v) for v in self.h_values + self.k_values):
             raise ValueError("grid values must be positive and finite")
         # the smallest pair has the smallest max(h, k) and the largest pair the
         # largest h^2 + 2 k^2 of any cell
@@ -61,23 +63,13 @@ def default_grid(n: int = 50, lo: float = 0.05, hi: float = 2.0) -> SweepGrid:
     return SweepGrid(values, values)
 
 
-def _receiver_energies(h, k, branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """<V> and <H1> of sum_mu |b_mu><b_mu| from the branch vectors alone: X0X1
-    reverses the basis index, Z1 is diag(1, -1, 1, -1), the trace is 1."""
-    r = np.sqrt(h * h + k * k)
-    x0x1 = np.einsum("...mi,...mi->...", branches, branches[..., ::-1])
-    z1 = np.einsum("...mi,...mi,i->...", branches, branches, [1.0, -1.0, 1.0, -1.0])
-    return 2 * k * x0x1 + 2 * k**2 / r, h * z1 + h**2 / r
-
-
 def heatmap(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray]:
     """Exact interaction and local-field expectations per grid cell, as two
-    arrays indexed [i_h, i_k], in one broadcast pass (SweepGrid's extreme-pair
-    checks stand in for a ModelParams per cell). The first is negative and
-    the second positive everywhere in the valid coupling range."""
-    h = np.array(grid.h_values)[:, None]
-    k = np.array(grid.k_values)
-    return _receiver_energies(h, k, _branches(h, k))
+    arrays indexed [i_h, i_k], from one broadcast of the closed-form kernel
+    model._receiver_energies (SweepGrid's extreme-pair checks stand in for a
+    ModelParams per cell). The first is negative and the second positive
+    everywhere in the valid coupling range."""
+    return _receiver_energies(np.array(grid.h_values)[:, None], np.array(grid.k_values))
 
 
 @dataclass(frozen=True)
@@ -93,12 +85,11 @@ def phi_scan(
     params: ModelParams, n_points: int = 10_000, phi_max: float = np.pi / 2
 ) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
-    angle in one pass over the branch vectors of model._branches (the kernel
-    rho_qet and heatmap share), and how far the argmin sits from the protocol
-    angle."""
+    angle in one call of the closed-form kernel model._receiver_energies (the
+    one heatmap and the analytic energies use), and how far the argmin sits
+    from the protocol angle."""
     phis = np.linspace(0.0, phi_max, n_points, endpoint=False)
-    h, k = params.h, params.k
-    energies = sum(_receiver_energies(h, k, _branches(h, k, phis)))
+    energies = sum(_receiver_energies(params.h, params.k, phis))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
     return PhiScanResult(

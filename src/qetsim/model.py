@@ -104,10 +104,15 @@ def build_hamiltonians(params: ModelParams) -> HamiltonianSet:
 
 def ground_state(params: ModelParams) -> PureState:
     """Unique ground state of the total Hamiltonian: a|00> - b|11>."""
-    h, r = params.h, params.r
-    a = np.sqrt((1.0 - h / r) / 2.0)
-    b = np.sqrt((1.0 + h / r) / 2.0)
+    a, b = _amplitudes(params)
     return np.array([a, 0.0, 0.0, -b], dtype=complex)
+
+
+def _amplitudes(params: ModelParams) -> tuple[float, float]:
+    """a and b of the ground state. a^2 = (1 - h/r)/2 = (k/r)^2 / (2 + 2h/r): the
+    last form neither cancels for k << h nor, like 2r(r + h), overflows."""
+    h, k, r = params.h, params.k, params.r
+    return k / r / math.sqrt(2.0 + 2.0 * h / r), math.sqrt((1.0 + h / r) / 2.0)
 
 
 def angles(params: ModelParams) -> ProtocolAngles:
@@ -127,21 +132,18 @@ def _protocol_phi(h, k):
     return 0.5 * np.arctan2(h * k, h**2 + 2 * k**2)
 
 
-def _branches(h, k, phi=None) -> np.ndarray:
-    """Real receiver-side branch vectors over broadcast arrays of h, k and phi
-    (default: the protocol angle), shape (..., 2, 4), mu = +1 first. Projecting
-    qubit 0 of a|00> - b|11> on the X outcome mu leaves (1, mu) (x) (a, -mu b)/2;
-    RY(2 mu phi) on qubit 1 turns (a, -mu b) into (a c + b s, mu (a s - b c))
-    with c, s = cos(phi), sin(phi). The ensemble sums |branch><branch|."""
-    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    r = np.sqrt(h * h + k * k)
-    a = np.sqrt((1.0 - h / r) / 2.0)
-    b = np.sqrt((1.0 + h / r) / 2.0)
+def _receiver_energies(h, k, phi=None):
+    """<V> and <H1> after the receiver's rotation RY(2 mu phi), over broadcast
+    floats or arrays of h, k and phi (default: the protocol angle). With
+    a^2 - b^2 = -h/r and ab = k/(2r) the ensemble's 2k <X0X1> + 2k^2/r and
+    h <Z1> + h^2/r become the forms below, free of cancelling terms; 2k and h
+    are factored out so that neither 4k^2 nor 2h^2 overflows."""
     if phi is None:
         phi = _protocol_phi(h, k)
-    c, s = np.cos(phi), np.sin(phi)
-    p, q = np.broadcast_arrays((a * c + b * s) / 2.0, (a * s - b * c) / 2.0)
-    return np.stack([p, q, p, q, p, -q, -p, q], axis=-1).reshape(p.shape + (2, 4))
+    sin_sq, sin_2phi = np.sin(phi) ** 2, np.sin(2.0 * phi)
+    r = np.sqrt(h * h + k * k)
+    v = 2 * k * ((2.0 * k * sin_sq - h * sin_2phi) / r)
+    return v, h * ((2.0 * h * sin_sq + k * sin_2phi) / r)
 
 
 def analytic_E0(params: ModelParams) -> float:
@@ -161,17 +163,12 @@ def analytic_E1(params: ModelParams) -> float:
 
 def analytic_H1(params: ModelParams) -> float:
     """Exact local-field expectation after the conditional rotation."""
-    h, k, r = params.h, params.k, params.r
-    phi = angles(params).phi
-    return (h**2 * 2.0 * np.sin(phi) ** 2 + h * k * np.sin(2.0 * phi)) / r
+    return _receiver_energies(params.h, params.k)[1]
 
 
 def analytic_V(params: ModelParams) -> float:
     """Exact interaction expectation after the conditional rotation."""
-    h, k, r = params.h, params.k, params.r
-    phi = angles(params).phi
-    # 2k factored out: 4 k^2 overflows for k past 6.7e153, where 2 k^2 does not
-    return 2 * k * (2.0 * k * np.sin(phi) ** 2 - h * np.sin(2.0 * phi)) / r
+    return _receiver_energies(params.h, params.k)[0]
 
 
 def rho_measured(params: ModelParams) -> DensityMatrix:
@@ -182,10 +179,15 @@ def rho_measured(params: ModelParams) -> DensityMatrix:
 
 def rho_qet(params: ModelParams, phi: float | None = None) -> DensityMatrix:
     """Ensemble after the receiver's outcome-conditioned rotation RY(2 mu phi)
-    on qubit 1, summed from the branch vectors of _branches, the kernel that
-    heatmap and phi_scan share. phi defaults to the protocol angle; passing
-    another value models a receiver using a suboptimal rotation."""
-    plus, minus = _branches(params.h, params.k, phi)
+    on qubit 1; passing phi other than the protocol angle models a suboptimal
+    receiver. The X outcome mu leaves (1, mu) (x) (a, -mu b)/2, which the
+    rotation turns into (1, mu) (x) (p, mu q) with c, s = cos(phi), sin(phi)."""
+    a, b = _amplitudes(params)
+    if phi is None:
+        phi = _protocol_phi(params.h, params.k)
+    c, s = math.cos(phi), math.sin(phi)
+    p, q = (a * c + b * s) / 2.0, (a * s - b * c) / 2.0
+    plus, minus = np.array([p, q, p, q]), np.array([p, -q, -p, q])
     return (np.outer(plus, plus) + np.outer(minus, minus)).astype(complex)
 
 

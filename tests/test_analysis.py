@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -19,13 +20,14 @@ from qetsim.analysis import (
     phi_scan,
     sampled_calibration_matrix,
 )
-from qetsim.cli import format_float
+from qetsim.cli import format_float, main
 from qetsim.model import (
     GRID_H,
     GRID_K,
     REPORT_PAIRS,
     ModelParams,
     analytic_E1,
+    analytic_H1,
     analytic_V,
     angles,
     build_hamiltonians,
@@ -75,6 +77,13 @@ def test_sweep_grid_validation():
         SweepGrid((1e-300, 1.0), (1e-300, 1.0))
     grid = SweepGrid([1], [2])
     assert grid.h_values == (1.0,) and grid.k_values == (2.0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=str)
+def test_sweep_grid_bad_axis_value_message(bad):
+    for h_values, k_values in (((1.0, bad), (1.0,)), ((1.0,), (bad, 1.0))):
+        with pytest.raises(ValueError, match="^grid values must be positive and finite$"):
+            SweepGrid(h_values, k_values)
 
 
 def test_default_grid_shape():
@@ -139,11 +148,14 @@ EDGE_PAIRS = ((1e-160, 1.0), (1.0, 1e-160))
 SCAN_PAIRS = tuple((h, k) for h in LOG_AXIS[::3] for k in LOG_AXIS[::3]) + EDGE_PAIRS
 
 
-def _assert_matches(batched, definition, scale):
+def _bound(definition, scale):
     # each side sums operator terms as large as `scale` (for example 2 k^2 / r
     # against a V of -h^2 / 8 when k >> h), so both round at 1e-16 of it
-    bound = 1e-14 * np.maximum(np.maximum(1.0, np.abs(definition)), scale)
-    assert np.all(np.abs(np.asarray(batched) - definition) <= bound)
+    return 1e-14 * np.maximum(np.maximum(1.0, np.abs(definition)), scale)
+
+
+def _assert_matches(batched, definition, scale):
+    assert np.all(np.abs(np.asarray(batched) - definition) <= _bound(definition, scale))
 
 
 def _term_scales(params: ModelParams) -> tuple[float, float]:
@@ -173,9 +185,60 @@ def test_heatmap_matches_per_cell_definition(h_values, k_values):
     v, h1, v_scale, h1_scale = _per_cell_heatmap(h_values, k_values)
     _assert_matches(v_map, v, v_scale)
     _assert_matches(h1_map, h1, h1_scale)
-    # and no six-decimal CLI cell flips
-    for batched, cell in ((v_map, v), (h1_map, h1)):
-        assert [format_float(x) for x in batched.flat] == [format_float(x) for x in cell.flat]
+    # and no six-decimal CLI cell flips, except where the per-cell reference
+    # lies within its own bound of a rounding boundary and so cannot decide
+    # the digit: BOUNDARY_CELLS pins each such cell from high precision
+    for name, batched, cell, scale in (("V", v_map, v, v_scale), ("H1", h1_map, h1, h1_scale)):
+        bound = _bound(cell, scale)
+        for (i, j), x in np.ndenumerate(cell):
+            if format_float(x - bound[i, j]) != format_float(x + bound[i, j]):
+                assert (name, h_values[i], k_values[j]) in BOUNDARY_CELLS
+            else:
+                assert format_float(batched[i, j]) == format_float(x)
+
+
+# The LOG_AXIS cells whose per-cell reference lies within its bound of a
+# six-decimal rounding boundary, with their value and printed digits. Values
+# from mpmath at 50 digits: phi = atan2(h k, h^2 + 2 k^2)/2, r = sqrt(h^2 + k^2),
+# V = 2k (2k sin^2 phi - h sin 2phi)/r and H1 = h (2h sin^2 phi + k sin 2phi)/r,
+# rounded to 17 significant digits. The first and last once printed wrong.
+BOUNDARY_CELLS = {
+    ("V", 0.1, 1000.0): (-7.4999999296875014e-6, "-0.000007"),
+    ("V", 0.03162277660168379, 100.0): (-7.4999992968750606e-6, "-0.000007"),
+    ("H1", 0.01, 100.0): (4.9999999562500006e-7, "0.000000"),
+    ("H1", 0.03162277660168379, 1000.0): (4.9999999956249994e-7, "0.000000"),
+    ("H1", 100.0, 0.01): (1.4999999437500020e-6, "0.000001"),
+    ("H1", 1000.0, 0.03162277660168379): (1.4999999943749998e-6, "0.000001"),
+}
+
+
+@pytest.mark.parametrize("cell", BOUNDARY_CELLS, ids=str)
+def test_cells_near_rounding_boundary_print_right(capsys, cell):
+    name, h, k = cell
+    value, printed = BOUNDARY_CELLS[cell]
+    analytic = analysis.ANALYTIC[name](ModelParams(h, k))
+    assert abs(analytic - value) <= 1e-15 * abs(value)
+    assert format_float(analytic) == printed
+    # the sweep cell and the run's analytic value print the same digits
+    assert main(["sweep", "--grid-h", repr(h), "--grid-k", repr(k)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[2 if name == "V" else 3] == printed
+    assert main(["run", "--target", name, "--h", repr(h), "--k", repr(k), "--shots", "10"]) == 0
+    assert format_float(json.loads(capsys.readouterr().out)["analytic"]) == printed
+
+
+def test_receiver_energies_at_largest_couplings(capsys):
+    # h^2 * 2 overflows here; <H1> is 1.44565145190689755e152 (mpmath, 50 digits)
+    params, expected = ModelParams(1e154, 1e153), 1.44565145190689755e152
+    _, h1_map = heatmap(SweepGrid((1e154,), (1e153,)))
+    for value in (analytic_H1(params), h1_map[0, 0]):
+        assert abs(value - expected) <= 1e-15 * expected
+    # every scanned angle stays finite: an overflow warning fails the test
+    result = phi_scan(params)
+    e1 = analytic_E1(params)
+    assert e1 - 1e-12 * abs(e1) <= result.min_e1 < 0.0
+    assert main(["run", "--target", "H1", "--h", "1e154", "--k", "1e153", "--shots", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["analytic"] == analytic_H1(params)
 
 
 @pytest.mark.parametrize("pair", SCAN_PAIRS, ids=str)

@@ -211,6 +211,23 @@ def test_closed_forms_match_matrix_route(params):
     )
 
 
+def test_rho_qet_free_of_cancellation_when_k_much_smaller_than_h():
+    # (1 - h/r)/2 loses about h^2/k^2 ulps of a^2 here, which once put <V>
+    # at -6.3246258e-9 against the true -6.3245553e-9
+    params = ModelParams(316.2277660168379, 0.001)
+    h, k, r = params.h, params.k, params.r
+    rho, hams = rho_qet(params), build_hamiltonians(params)
+    for obs, closed, scale in ((hams.v, analytic_V(params), 2 * k + 2 * k * k / r),
+                               (hams.h1, analytic_H1(params), h + h * h / r)):
+        assert abs(expectation(rho, obs) - closed) <= 1e-14 * max(1.0, abs(closed), scale)
+
+
+def test_rho_qet_finite_at_largest_couplings():
+    rho = rho_qet(ModelParams(1e154, 1e153))
+    assert np.all(np.isfinite(rho))
+    assert np.trace(rho).real == pytest.approx(1.0, abs=ATOL_ALGEBRA)
+
+
 @pytest.mark.parametrize("params", all_params(), ids=str)
 def test_density_matrix_invariants(params):
     for rho in (rho_measured(params), rho_qet(params)):
