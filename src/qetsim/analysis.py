@@ -58,8 +58,8 @@ class SweepGrid:
         ModelParams(max(self.h_values), max(self.k_values))
 
 
-def default_grid(n: int = 50, lo: float = 0.05, hi: float = 2.0) -> SweepGrid:
-    values = tuple(np.linspace(lo, hi, n))
+def default_grid() -> SweepGrid:
+    values = tuple(np.linspace(0.05, 2.0, 50))
     return SweepGrid(values, values)
 
 
@@ -81,14 +81,12 @@ class PhiScanResult:
     resolution: float  # scan step
 
 
-def phi_scan(
-    params: ModelParams, n_points: int = 10_000, phi_max: float = np.pi / 2
-) -> PhiScanResult:
+def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
     angle in one call of the closed-form kernel model._receiver_energies (the
     one heatmap and the analytic energies use), and how far the argmin sits
-    from the protocol angle."""
-    phis = np.linspace(0.0, phi_max, n_points, endpoint=False)
+    from the protocol angle. The scan covers [0, pi/2)."""
+    phis = np.linspace(0.0, np.pi / 2, n_points, endpoint=False)
     energies = sum(_receiver_energies(params.h, params.k, phis))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi

@@ -90,7 +90,6 @@ _I4 = np.eye(4, dtype=complex)
 
 Z0 = on_qubits({0: _Z})
 Z1 = on_qubits({1: _Z})
-X0 = on_qubits({0: _X})
 X0X1 = on_qubits({0: _X, 1: _X})
 
 
@@ -121,10 +120,8 @@ def angles(params: ModelParams) -> ProtocolAngles:
     phi comes from a single atan2 so that cos(2 phi) and sin(2 phi) satisfy
     their defining pair of equations simultaneously, with 0 < phi < pi/4.
     """
-    h, k, r = params.h, params.k, params.r
-    a = math.sqrt((1.0 - h / r) / 2.0)
-    theta = -float(np.arccos(a))
-    return ProtocolAngles(theta=theta, phi=float(_protocol_phi(h, k)))
+    theta = -float(np.arccos(_amplitudes(params)[0]))
+    return ProtocolAngles(theta=theta, phi=float(_protocol_phi(params.h, params.k)))
 
 
 def _protocol_phi(h, k):
@@ -209,10 +206,10 @@ def entropy_report(params: ModelParams) -> EntropyReport:
     bounds it implies. Post-measurement branches are pure products, so the
     drop equals the ground-state entropy itself. Natural logarithms."""
     h, k, r = params.h, params.k, params.r
-    a2 = (1.0 - h / r) / 2.0
-    b2 = (1.0 + h / r) / 2.0
-    # 0 log 0 = 0: a2 rounds to 0 once k/h is below about 1e-8
-    s_ab = float(-sum(p * np.log(p) for p in (a2, b2) if p > 0.0))
+    # -a2 ln a2 - b2 ln b2 with b2 = 1 - a2 through log1p, which keeps the
+    # a2-sized part of the second term as k/h -> 0; 0 log 0 = 0 once a2 underflows
+    a2 = _amplitudes(params)[0] ** 2
+    s_ab = -a2 * math.log(a2) - (1.0 - a2) * math.log1p(-a2) if a2 > 0.0 else 0.0
     delta_s = s_ab
     xi = float(np.arctan(k / h))
     # cos(xi) and sin(xi) straight from the couplings: cos(arctan(k/h)) is

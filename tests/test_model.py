@@ -164,6 +164,12 @@ def test_prep_angle_amplitudes():
     assert g[3].real == pytest.approx(-1 / np.sqrt(2), abs=1e-7)
 
 
+def test_prep_angle_without_cancellation():
+    # k << h: a from (1 - h/r)/2 loses about h^2/k^2 ulps; 40-digit reference
+    theta = angles(ModelParams(316.2277660168379, 0.001)).theta
+    assert theta == pytest.approx(-1.5707947456560665, rel=1e-15)
+
+
 @pytest.mark.parametrize("params", all_params(), ids=str)
 def test_phi_range_and_defining_equation(params):
     phi = angles(params).phi
@@ -302,9 +308,10 @@ def test_entropy_limit_weak_field():
 
 
 def test_entropy_limit_weak_coupling():
-    # k/h = 1e-9 leaves a product ground state: no entropy, both bounds 0
+    # k/h = 1e-9 leaves a nearly product ground state, a^2 = 2.5e-19: s_ab from
+    # a 50-digit reference, and both bounds 0 since h/r rounds to 1
     rep = entropy_report(ModelParams(1.0, 1e-9))
-    assert rep.s_ab == 0.0
+    assert rep.s_ab == pytest.approx(1.0958206508753180e-17, rel=1e-15)
     assert rep.delta_s_lower_bound == rep.max_eb_lower_bound == 0.0
     assert rep.e_b == pytest.approx(0.0, abs=1e-15)
 

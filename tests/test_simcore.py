@@ -287,7 +287,7 @@ def test_exact_distribution_output_is_pinned():
         for target, mode in PROTOCOL_CIRCUITS
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "25fae539f062e64330ad46c3f12e14ae31ada80f804beed1b01597fbc4c1b222"
+    assert digest == "633af71c1af8bd17b03d894f9ee606e2a26465e564c30987a55443c160a0ce6f"
 
 
 def test_exact_distribution_is_plain_float_arithmetic(monkeypatch):
