@@ -37,7 +37,7 @@ from .protocol import (
     estimate_energy,
     sample_protocol,
 )
-from .simcore import SHOT_LIMIT, _rng, evolved_expectations, exact_distribution
+from .simcore import NumericalError, _rng, evolved_expectations, exact_distribution, shot_count
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class SweepGrid:
         # largest h^2 + 2 k^2 of any cell
         ModelParams(min(self.h_values), min(self.k_values))
         ModelParams(max(self.h_values), max(self.k_values))
-
-
-def default_grid() -> SweepGrid:
-    values = tuple(np.linspace(0.05, 2.0, 50))
-    return SweepGrid(values, values)
 
 
 def heatmap(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -111,15 +106,25 @@ ANALYTIC: dict[str, Callable[[ModelParams], float]] = {
 
 
 _EVOLVE_CHUNK = 4096  # time steps per kernel call: 1 MB of phase products
+_EVOLVE_RESOLUTION = 1e-6  # six digits of a unit-scale swing, as the CLI prints
 
 
 def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
     """Free evolution of the post-measurement ensemble under the total
     Hamiltonian: rows (t, simulated local-field energy, closed form,
-    simulated interaction energy), one eigendecomposition per chunk of times."""
+    simulated interaction energy), one eigendecomposition per chunk of times.
+
+    <H1> swings by h^2/r. Rounding the eigenvalues, which reach 4r, moves the
+    phases by about eps 4r t and <H1> by about eps h: h1_sim is off by eps
+    max(4r t, r/h) of the swing (v_sim, 0 exactly, by no more of its terms'
+    size 2k). Past _EVOLVE_RESOLUTION this raises NumericalError."""
+    t = np.asarray(t_values, dtype=float)
+    r, t_max = params.r, np.abs(t).max(initial=0.0)
+    rounding = np.finfo(float).eps * max(4.0 * r * t_max, r / params.h)
+    if not rounding <= _EVOLVE_RESOLUTION:
+        raise NumericalError(f"float64 rounding reaches {rounding:.1e} of the swing of <H1>")
     hams = build_hamiltonians(params)
     rho0 = rho_measured(params)
-    t = np.asarray(t_values, dtype=float)
     rows = np.empty((len(t), 4))
     rows[:, 0] = t
     rows[:, 2] = free_evolution_H1(params, t)
@@ -138,13 +143,12 @@ def sampled_calibration_matrix(
     basis state through the same noisy readout and tabulate. Noise acts on the record
     only, so state j records j on every shot and column j is one multinomial draw
     over response[:, j]; seed itself seeds the one generator that draws all four."""
-    if not (n_shots % 1 == 0 and 1 <= n_shots < SHOT_LIMIT):
-        raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
+    n_shots = shot_count(n_shots)
     root = _seed_sequence(seed)  # a bad seed raises here, with or without noise
     if noise is None:
         return np.eye(4)
     columns = []
-    for tally in _rng(root).multinomial(int(n_shots), noise.response.T).tolist():
+    for tally in _rng(root).multinomial(n_shots, noise.response.T).tolist():
         total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
         columns.append([c / total for c in tally])
     return np.array(columns).T
@@ -194,7 +198,7 @@ def _mitigated(
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
     scaled = {key: p * n_shots for key, p in corrected.items()}
     # the weights' float total need not round to n_shots past 2**53
-    mitigated = replace(estimate_energy(params, target, scaled), n_shots=n_shots)
+    mitigated = replace(estimate_energy(params, target, scaled), n_shots=unmitigated.n_shots)
     return unmitigated, mitigated, cal_matrix
 
 

@@ -41,11 +41,12 @@ from .analysis import (
 from .model import REPORT_PAIRS, ModelParams
 from .noise import MITIGATION_METHODS, PRESETS, ReadoutNoise, measurement_fidelity
 from .protocol import EstimationResult, Mode
-from .simcore import BITSTRINGS, SHOT_LIMIT, NumericalError
+from .simcore import BITSTRINGS, NumericalError, shot_count
 
 SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
 DEFAULT_SHOTS = 100_000
+DEFAULT_AXIS = "0.05:2:50"  # each sweep axis: 50 values from 0.05 to 2
 SEED_ENV_VAR = "QET_SEED"
 # Most output rows (evolve time steps, sweep cells, points on one lo:hi:n
 # axis) a run may ask for: each row is allocated and computed up front.
@@ -175,13 +176,6 @@ def _positive_int(value: Any) -> int:
     return n
 
 
-def _shot_count(value: Any) -> int:
-    n = _positive_int(value)
-    if n >= SHOT_LIMIT:
-        raise ValueError(value)
-    return n
-
-
 def _choice(allowed: tuple[str, ...]) -> Callable[[Any], str]:
     def cast(value: Any) -> str:
         text = str(value)
@@ -233,8 +227,6 @@ def parse_pairs(spec: Any) -> list[ModelParams]:
         if not sep:
             raise ValueError(spec)
         pairs.append(ModelParams(float(h_text), float(k_text)))
-    if not pairs:
-        raise ValueError(spec)
     return pairs
 
 
@@ -253,7 +245,7 @@ def _sampling(
     """Mode, shots, noise, mitigation and seed of a sampling subcommand, and
     their config entries in output order."""
     mode = opts.get("mode", Mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", _shot_count, DEFAULT_SHOTS)
+    shots = opts.get("shots", lambda value: shot_count(int(value)), DEFAULT_SHOTS)
     noise_spec = opts.get("noise", str, noise_default)
     noise = opts.get("noise", parse_noise, noise_default)
     method = opts.get("mitigation", _choice(methods), method_default)
@@ -322,8 +314,8 @@ def cmd_run(opts: Options) -> str:
 
 
 def cmd_sweep(opts: Options) -> str:
-    h_axis = opts.get("grid-h", parse_axis, "0.05:2:50")
-    k_axis = opts.get("grid-k", parse_axis, "0.05:2:50")
+    h_axis = opts.get("grid-h", parse_axis, DEFAULT_AXIS)
+    k_axis = opts.get("grid-k", parse_axis, DEFAULT_AXIS)
     if len(h_axis) * len(k_axis) > ROW_LIMIT:
         raise ConfigError(f"a sweep has at most {ROW_LIMIT} cells")
     try:
@@ -447,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
 
     p_sweep = sub.add_parser("sweep", help="exact energy maps over a grid")
-    p_sweep.add_argument("--grid-h", help="value or lo:hi:n (default 0.05:2:50)")
-    p_sweep.add_argument("--grid-k", help="value or lo:hi:n (default 0.05:2:50)")
+    p_sweep.add_argument("--grid-h", help=f"value or lo:hi:n (default {DEFAULT_AXIS})")
+    p_sweep.add_argument("--grid-k", help=f"value or lo:hi:n (default {DEFAULT_AXIS})")
     common(p_sweep)
 
     p_evolve = sub.add_parser("evolve", help="free relaxation after measurement")

@@ -246,4 +246,5 @@ def free_evolution_H1(params: ModelParams, t: float) -> float:
     """Local-field expectation at time t when the post-measurement ensemble
     evolves freely under the total Hamiltonian."""
     h, k, r = params.h, params.k, params.r
-    return h**2 * (1.0 - np.cos(4.0 * k * t)) / (2.0 * r)
+    # halved first: h^2 (1 - cos) overflows near h = 1e154, where the result cannot
+    return h**2 / 2.0 * (1.0 - np.cos(4.0 * k * t)) / r

@@ -22,12 +22,12 @@ import numpy as np
 from .simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
-    SHOT_LIMIT,
     NumericalError,
     _rng,
     check_counts,
     distribution_vector,
     on_qubits,
+    shot_count,
 )
 
 MITIGATION_METHODS = ("direct", "least-squares")
@@ -84,9 +84,7 @@ def apply_noise(
     for key, c in counts.items():
         if c != int(c):
             raise ValueError(f"counts must be integers, got {key}={c}")
-    total = sum(int(c) for c in counts.values())
-    if total >= SHOT_LIMIT:
-        raise ValueError(f"counts must total less than 2**63, got {total}")
+    shot_count(sum(int(c) for c in counts.values()))  # the total, drawn as int64 tallies
     rng = _rng(seed)
     draws = [rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)]).tolist()
              for key in sorted(counts)]

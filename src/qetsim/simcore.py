@@ -25,6 +25,14 @@ BITSTRINGS = ("00", "01", "10", "11")
 # of a counts map that is resampled must stay below this.
 SHOT_LIMIT = 2**63
 
+
+def shot_count(n_shots: float) -> int:
+    """n_shots as an int: an integral count in [1, SHOT_LIMIT), or ValueError."""
+    if not (1 <= n_shots < SHOT_LIMIT and int(n_shots) == n_shots):
+        raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
+    return int(n_shots)
+
+
 PureState = np.ndarray      # shape (4,), complex, unit norm
 DensityMatrix = np.ndarray  # shape (4, 4), complex, Hermitian, trace 1
 Observable = np.ndarray     # shape (4, 4), complex, Hermitian
@@ -35,83 +43,61 @@ class NumericalError(Exception):
     input, singular matrix)."""
 
 
-def _check_qubit(q: int) -> None:
-    if q not in (0, 1):
-        raise ValueError(f"qubit index must be 0 or 1, got {q}")
+class _Step:
+    """Base of the circuit steps, holding their one validator. Every field but
+    theta is a qubit (target, control) or a bit (cbit, control_value,
+    required_value), and is 0 or 1; a control is not its own target."""
 
-
-def _check_cbit(c: int) -> None:
-    if c not in (0, 1):
-        raise ValueError(f"classical bit index must be 0 or 1, got {c}")
-
-
-@dataclass(frozen=True)
-class Ry:
-    theta: float
-    target: int
+    def __init_subclass__(cls) -> None:
+        # named once per class, so that a construction reads only its 0/1 fields
+        cls._bits = tuple(name for name in cls.__annotations__ if name != "theta")
 
     def __post_init__(self) -> None:
-        _check_qubit(self.target)
-
-
-@dataclass(frozen=True)
-class Hadamard:
-    target: int
-
-    def __post_init__(self) -> None:
-        _check_qubit(self.target)
-
-
-@dataclass(frozen=True)
-class Cnot:
-    control: int
-    target: int
-
-    def __post_init__(self) -> None:
-        _check_qubit(self.control)
-        _check_qubit(self.target)
-        if self.control == self.target:
+        for name in self._bits:
+            value = getattr(self, name)
+            if value not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+        if getattr(self, "control", None) == self.target:
             raise ValueError("control and target must differ")
 
 
 @dataclass(frozen=True)
-class ControlledRy:
+class Ry(_Step):
+    theta: float
+    target: int
+
+
+@dataclass(frozen=True)
+class Hadamard(_Step):
+    target: int
+
+
+@dataclass(frozen=True)
+class Cnot(_Step):
+    control: int
+    target: int
+
+
+@dataclass(frozen=True)
+class ControlledRy(_Step):
     control: int
     control_value: int
     theta: float
     target: int
 
-    def __post_init__(self) -> None:
-        _check_qubit(self.control)
-        _check_qubit(self.target)
-        if self.control == self.target:
-            raise ValueError("control and target must differ")
-        if self.control_value not in (0, 1):
-            raise ValueError("control_value must be 0 or 1")
-
 
 @dataclass(frozen=True)
-class MeasureZ:
+class MeasureZ(_Step):
     target: int
     cbit: int
 
-    def __post_init__(self) -> None:
-        _check_qubit(self.target)
-        _check_cbit(self.cbit)
-
 
 @dataclass(frozen=True)
-class ClassicallyControlledRy:
+class ClassicallyControlledRy(_Step):
     cbit: int
     required_value: int
     theta: float
     target: int
-
-    def __post_init__(self) -> None:
-        _check_cbit(self.cbit)
-        _check_qubit(self.target)
-        if self.required_value not in (0, 1):
-            raise ValueError("required_value must be 0 or 1")
 
 
 GateStep = Ry | Hadamard | Cnot | ControlledRy | MeasureZ | ClassicallyControlledRy
@@ -237,8 +223,7 @@ def run_shots(
     depend on n_shots. Only nonzero tallies are returned."""
     if not isinstance(dist, dict):
         raise TypeError(f"run_shots takes an exact_distribution dict, got {type(dist).__name__}")
-    if not 1 <= n_shots < SHOT_LIMIT:
-        raise ValueError(f"n_shots must be in [1, 2**63), got {n_shots}")
+    n_shots = shot_count(n_shots)
     if unknown := dist.keys() - BITSTRINGS:
         raise ValueError(f"invalid outcome key {unknown.pop()!r}")
     p = distribution_vector(dist)
@@ -306,14 +291,17 @@ def distribution_vector(dist: dict[str, float]) -> np.ndarray:
 
 def expectation(rho: DensityMatrix, obs: Observable) -> float | np.ndarray:
     """Tr[rho  obs], also over the leading axes of a stack of states; every
-    imaginary residue must stay below ATOL_DECOMP."""
-    return _real_trace(np.trace(rho @ obs, axis1=-2, axis2=-1))
+    imaginary residue must stay below ATOL_DECOMP times obs's scale."""
+    return _real_trace(np.trace(rho @ obs, axis1=-2, axis2=-1), obs)
 
 
-def _real_trace(tr: np.ndarray) -> float | np.ndarray:
-    residue = np.max(np.abs(tr.imag), initial=0.0)
-    if residue >= ATOL_DECOMP:
-        raise NumericalError(f"imaginary residue {residue:.3e} in expectation value")
+def _real_trace(tr: np.ndarray, obs: np.ndarray) -> float | np.ndarray:
+    # a residue is rounding when below ATOL_DECOMP times the largest |entry| of
+    # its observable (a stack of them runs along tr's last axis); the bound
+    # scales with the observable, not the value, which may itself be 0
+    residue = np.abs(tr.imag)
+    if (residue > ATOL_DECOMP * np.abs(obs).max(axis=(-2, -1))).any():
+        raise NumericalError(f"imaginary residue {residue.max():.3e} in expectation value")
     return tr.real if tr.ndim else float(tr.real)
 
 
@@ -342,11 +330,12 @@ def evolved_expectations(
     rho' = V^dag rho V and O' = V^dag O V. Shape t.shape + (len(observables),)."""
     evals, evecs = _eigh(hamiltonian)
     vh = evecs.conj().T
-    obs_e = vh @ np.asarray(observables) @ evecs
+    observables = np.asarray(observables)
+    obs_e = vh @ observables @ evecs
     weights = (vh @ rho @ evecs * obs_e.swapaxes(-1, -2)).reshape(-1, 16).T
     p = np.exp(-1j * np.multiply.outer(t, evals))
     phases = (p[..., :, None] * p.conj()[..., None, :]).reshape(*np.shape(t), 16)
-    return _real_trace(phases @ weights)
+    return _real_trace(phases @ weights, observables)
 
 
 def is_unitary(u: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:

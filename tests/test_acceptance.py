@@ -12,7 +12,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from qetsim.analysis import default_grid, heatmap, mitigated_run, phi_scan
+from qetsim.analysis import SweepGrid, heatmap, mitigated_run, phi_scan
+from qetsim.cli import DEFAULT_AXIS, parse_axis
 from qetsim.model import (
     GRID_H,
     GRID_K,
@@ -190,7 +191,8 @@ def test_criterion_08_noisy_magnitude_ordering():
 
 def test_criterion_09_heatmap_sign_structure():
     start = time.perf_counter()
-    v_map, h1_map = heatmap(default_grid())
+    axis = parse_axis(DEFAULT_AXIS)  # the default sweep grid
+    v_map, h1_map = heatmap(SweepGrid(axis, axis))
     elapsed = time.perf_counter() - start
     print(f"criterion 9: 2500-cell sign check, {elapsed:.2f} s")
     assert v_map.shape == (50, 50)

@@ -13,14 +13,13 @@ from qetsim.analysis import (
     ComparisonRow,
     SweepGrid,
     comparison_report,
-    default_grid,
     evolution_scan,
     heatmap,
     mitigated_run,
     phi_scan,
     sampled_calibration_matrix,
 )
-from qetsim.cli import format_float, main
+from qetsim.cli import DEFAULT_AXIS, format_float, main, parse_axis
 from qetsim.model import (
     GRID_H,
     GRID_K,
@@ -87,7 +86,8 @@ def test_sweep_grid_bad_axis_value_message(bad):
 
 
 def test_default_grid_shape():
-    grid = default_grid()
+    axis = parse_axis(DEFAULT_AXIS)
+    grid = SweepGrid(axis, axis)
     assert len(grid.h_values) == 50 and len(grid.k_values) == 50
     assert grid.h_values[0] == pytest.approx(0.05)
     assert grid.h_values[-1] == pytest.approx(2.0)
@@ -259,6 +259,10 @@ def test_evolution_scan_matches_per_step_evolve(pair, monkeypatch):
     monkeypatch.setattr(analysis, "_EVOLVE_CHUNK", 5)
     params = ModelParams(*pair)
     t_values = np.linspace(0.0, 2 * np.pi / params.k, 33)
+    if pair in EDGE_PAIRS:
+        with pytest.raises(NumericalError, match="rounding reaches"):
+            evolution_scan(params, t_values)
+        return
     rows = evolution_scan(params, t_values)
     hams = build_hamiltonians(params)
     states = [evolve(rho_measured(params), hams.htot, t) for t in t_values]
@@ -279,12 +283,37 @@ def test_evolution_table_cells_match_per_step_evolve(pair):
     # the default qet evolve table: no six-decimal CLI cell flips
     params = ModelParams(*pair)
     t_values = np.linspace(0.0, 2 * np.pi / params.k, 101)
+    if pair in EDGE_PAIRS:
+        with pytest.raises(NumericalError, match="rounding reaches"):
+            evolution_scan(params, t_values)
+        return
     rows = evolution_scan(params, t_values)
     hams = build_hamiltonians(params)
     states = [evolve(rho_measured(params), hams.htot, t) for t in t_values]
     for column, obs in ((1, hams.h1), (3, hams.v)):
         per_step = [format_float(expectation(rho, obs)) for rho in states]
         assert [format_float(x) for x in rows[:, column]] == per_step
+
+
+@pytest.mark.parametrize("pair", [(1.0, 1e-8), (1e3, 1e-5), (1.0, 1e9), (1e-3, 1e6)], ids=str)
+def test_evolution_scan_keeps_the_swing_where_it_runs(pair):
+    # the largest coupling ratios that pass the rounding check: h1_sim keeps
+    # the closed form to a part in 1e6 of the swing h^2/r, and v_sim (0 exactly)
+    # rounds at a part in 1e6 of its terms' size 2k
+    params = ModelParams(*pair)
+    rows = evolution_scan(params, np.linspace(0.0, 2 * np.pi / params.k, 101))
+    h, k, r = params.h, params.k, params.r
+    assert np.max(np.abs(rows[:, 1] - rows[:, 2])) <= 1e-6 * h * h / r
+    assert np.max(np.abs(rows[:, 3])) <= 1e-6 * 2 * k
+
+
+def test_evolution_scan_rejects_unresolved_phases():
+    # the 4k oscillation is 1e-9 of the eigenvalues' size 4r: a short run
+    # resolves its phases, a full period does not
+    params = ModelParams(1.0, 1e-9)
+    assert np.all(np.isfinite(evolution_scan(params, [0.0, 1e3])))
+    with pytest.raises(NumericalError, match="rounding reaches"):
+        evolution_scan(params, [0.0, 2 * np.pi / params.k])
 
 
 def test_sampled_calibration_matrix_noiseless_and_deterministic():
@@ -402,6 +431,29 @@ def test_sampled_calibration_matrix_rejects_bad_shot_counts(n_shots, noise):
         reference_calibration_matrix(LIMA, n_shots, 0)
     with pytest.raises(ValueError):
         sampled_calibration_matrix(noise, n_shots, 0)
+
+
+def test_shot_counts_are_integral():
+    params = ModelParams(1.0, 1.0)
+    for noise in (None, LIMA):
+        with pytest.raises(ValueError):
+            run_protocol(params, Target.V, Mode.DEFERRED, 5.5, 1, noise)
+        with pytest.raises(ValueError):
+            mitigated_run(params, Target.V, Mode.DEFERRED, 5.5, 1, noise)
+    # an integral float is a count: the same results, each with an int n_shots
+    as_int = (
+        run_protocol(params, Target.V, Mode.DEFERRED, 5, 1),
+        *mitigated_run(params, "E1", Mode.DEFERRED, 5, 1, LIMA)[:2],
+    )
+    as_float = (
+        run_protocol(params, Target.V, Mode.DEFERRED, 5.0, 1),
+        *mitigated_run(params, "E1", Mode.DEFERRED, 5.0, 1, LIMA)[:2],
+    )
+    assert as_float == as_int
+    for result in as_float:
+        assert type(result.n_shots) is int
+        for part in result.components or ():
+            assert type(part.n_shots) is int and part.n_shots == 5
 
 
 def test_sampled_calibration_matrix_spawns_no_children():

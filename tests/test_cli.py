@@ -346,6 +346,28 @@ def test_evolve_output(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("h,k", [(1e8, 1e8), (1e154, 1e153)])
+def test_evolve_at_large_couplings(capsys, h, k):
+    # each imaginary residue is bounded by its observable's scale, not an
+    # absolute tolerance, and the closed form stays finite where 2 h^2 is not
+    code, out = invoke(capsys, ["evolve", f"--h={h}", f"--k={k}"])
+    assert code == 0
+    rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+    assert rows.shape == (101, 4) and np.all(np.isfinite(rows))
+    h1_sim, h1_closed = rows[:, 1], rows[:, 2]
+    assert np.max(h1_closed) == pytest.approx(h / math.hypot(h, k) * h, rel=1e-2)
+    assert np.max(np.abs(h1_sim - h1_closed)) <= 1e-12 * h
+
+
+@pytest.mark.parametrize("h,k", [(1e25, 1e50), (1, 1e-25)])
+def test_evolve_rejects_unresolved_couplings(capsys, h, k):
+    # rounding of order eps max(h, k) / min(h, k) of the swing h^2/r would
+    # print noise as h1_sim (k >> h) or lose the 4k oscillation (k << h)
+    assert main(["evolve", f"--h={h}", f"--k={k}", "--t-steps=4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rounding reaches" in captured.err
+
+
 E1_RUN = ["run", "--target", "E1", "--h", "1", "--k", "1"]
 LIMA_LS = ["--noise", "lima-like", "--mitigation", "least-squares"]
 

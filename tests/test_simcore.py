@@ -3,6 +3,7 @@ evolution."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -167,17 +168,54 @@ def test_apply_gate_rejects_non_unitary_steps():
         gate_unitary(ClassicallyControlledRy(0, 1, 0.3, 1))
 
 
-def test_step_index_validation():
-    with pytest.raises(ValueError):
-        Ry(0.1, 2)
-    with pytest.raises(ValueError):
-        MeasureZ(0, 5)
-    with pytest.raises(ValueError):
-        Cnot(1, 1)
-    with pytest.raises(ValueError):
-        ControlledRy(0, 2, 0.1, 1)
-    with pytest.raises(ValueError):
-        ClassicallyControlledRy(0, 3, 0.1, 1)
+# one valid instance of each step class
+STEPS = (
+    Ry(0.1, 0),
+    Hadamard(0),
+    Cnot(0, 1),
+    ControlledRy(0, 1, 0.1, 1),
+    MeasureZ(0, 1),
+    ClassicallyControlledRy(1, 0, 0.1, 0),
+)
+# every field but theta is a qubit or a bit, and 2 and -1 are out of range;
+# a control may not be its own target
+BAD_FIELDS = [
+    (step, field.name, bad)
+    for step in STEPS
+    for field in dataclasses.fields(step)
+    if field.name != "theta"
+    for bad in (2, -1)
+] + [(Cnot(0, 1), "control", 1), (ControlledRy(0, 1, 0.1, 1), "control", 1)]
+
+
+@pytest.mark.parametrize(
+    "step,name,bad", BAD_FIELDS, ids=[f"{type(s).__name__}.{n}={v}" for s, n, v in BAD_FIELDS]
+)
+def test_step_index_validation(step, name, bad):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(step, **{name: bad})
+
+
+def test_distinct_steps_compare_unequal():
+    # pairs of kinds with equal field values, which tuple-like steps would
+    # compare (and hash) as equal
+    steps = [
+        Hadamard(0),
+        Hadamard(1),
+        Ry(0.1, 0),
+        Ry(0.1, 1),
+        Cnot(0, 1),
+        MeasureZ(0, 1),
+        Cnot(1, 0),
+        MeasureZ(1, 0),
+        ControlledRy(0, 1, 0.1, 1),
+        ClassicallyControlledRy(0, 1, 0.1, 1),
+    ]
+    for i, a in enumerate(steps):
+        assert a == dataclasses.replace(a)
+        for b in steps[i + 1:]:
+            assert a != b
+    assert len(set(steps)) == len(steps)
 
 
 def test_circuit_rejects_unwritten_classical_bit():
@@ -201,9 +239,11 @@ def test_run_shots_determinism_and_validation():
     b = run_shots(dist, 5000, 42)
     assert a == b
     assert sum(a.values()) == 5000
-    for bad in (0, 2**63, 10**20):
+    for bad in (0, -1, 1.5, 2**63, float(2**63), math.nan, math.inf, 10**20):
         with pytest.raises(ValueError):
             run_shots(dist, bad, 1)
+    # an integral float is a count
+    assert run_shots(dist, 5000.0, 42) == a
     # the largest count an int64 tally holds is still drawn
     assert sum(run_shots(dist, 2**63 - 1, 1).values()) == 2**63 - 1
 
