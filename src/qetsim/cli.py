@@ -97,21 +97,28 @@ def render_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """CSV with LF line endings, a header row, and a trailing newline. Rows
-    are equally long, and each column holds only strings, passed through, or
+def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
+    """CSV with LF line endings, a header row, and a trailing newline, from
+    equally long columns. A column holds only strings, passed through, or
     only numbers, rendered as format_float renders them."""
-    columns = [_render_column(column) for column in zip(*rows, strict=True)]
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
-
-
-def _render_column(column: tuple[Any, ...]) -> Sequence[str]:
-    if isinstance(column[0], str):
-        return column
-    text = "\n".join(["%.6f"] * len(column)) % column
-    # a numeric cell has six decimals and a sign only in front, so the
-    # pattern matches whole cells
-    return text.replace("-0.000000", "0.000000").split("\n")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    text = [n_rows > 0 and isinstance(column[0], str) for column in columns]
+    strings = [j for j, is_text in enumerate(text) if is_text]
+    numeric = [j for j, is_text in enumerate(text) if not is_text]
+    cells = np.empty((len(columns), n_rows), dtype=object)
+    if strings:
+        cells[strings] = [columns[j] for j in strings]
+    if numeric:
+        numbers = np.array([columns[j] for j in numeric], dtype=float)
+        # %.6f signs a zero exactly when |x| <= 5e-7: the double nearest
+        # 5e-7 lies below the half unit
+        numbers[np.abs(numbers) <= 5e-7] = 0.0
+        cells[numeric] = numbers
+    line = ",".join("%s" if is_text else "%.6f" for is_text in text) + "\n"
+    return ",".join(header) + "\n" + (line * n_rows) % tuple(cells.T.ravel().tolist())
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -324,14 +331,10 @@ def cmd_sweep(opts: Options) -> str:
         raise ConfigError(str(exc)) from exc
     v_map, h1_map = heatmap(grid)
     # each axis value heads many rows: render it once
-    h_cells = [format_float(h) for h in grid.h_values]
-    k_cells = [format_float(k) for k in grid.k_values]
-    rows = [
-        (h, k, v, h1)
-        for h, v_row, h1_row in zip(h_cells, v_map.tolist(), h1_map.tolist())
-        for k, v, h1 in zip(k_cells, v_row, h1_row)
-    ]
-    return render_csv(("h", "k", "V", "H1"), rows)
+    h_cells = np.array([format_float(h) for h in grid.h_values], dtype=object)
+    k_cells = np.array([format_float(k) for k in grid.k_values], dtype=object)
+    columns = (np.repeat(h_cells, len(k_cells)), np.tile(k_cells, len(h_cells)))
+    return render_csv(("h", "k", "V", "H1"), (*columns, v_map.ravel(), h1_map.ravel()))
 
 
 def cmd_evolve(opts: Options) -> str:
@@ -346,7 +349,7 @@ def cmd_evolve(opts: Options) -> str:
         raise ConfigError(f"t-steps must be in [2, {ROW_LIMIT}], got {t_steps}")
     t_values = np.linspace(0.0, t_max, t_steps)
     rows = evolution_scan(params, t_values)
-    return render_csv(EVOLUTION_COLUMNS, rows.tolist())
+    return render_csv(EVOLUTION_COLUMNS, rows.T)
 
 
 def cmd_report(opts: Options) -> str:
@@ -363,7 +366,7 @@ def cmd_report(opts: Options) -> str:
     header = ("h", "k", *(f.name for f in dataclasses.fields(ComparisonRow)[1:]))
     table = [(r.params.h, r.params.k, *(getattr(r, f) for f in header[2:])) for r in rows]
     if fmt == "csv":
-        return render_csv(header, table)
+        return render_csv(header, tuple(zip(*table)))
     payload = {
         "schema": SCHEMA,
         "command": "report",

@@ -53,6 +53,11 @@ class EstimationResult:
     components: tuple[EstimationResult, ...] | None = None
 
 
+# build_circuit's fixed steps, built once: steps are frozen, so circuits share them
+_CNOT, _HADAMARD_0, _HADAMARD_1 = Cnot(0, 1), Hadamard(0), Hadamard(1)
+_MEASURE_0, _MEASURE_1 = MeasureZ(0, 0), MeasureZ(1, 1)
+
+
 def build_circuit(params: ModelParams, target: Target, mode: Mode) -> Circuit:
     """Full protocol circuit for one measured quantity.
 
@@ -68,34 +73,28 @@ def build_circuit(params: ModelParams, target: Target, mode: Mode) -> Circuit:
     target = Target(target)
     mode = Mode(mode)
     ang = angles(params)
-    prep: list[GateStep] = [Ry(2.0 * ang.theta, 0), Cnot(0, 1), Hadamard(0)]
+    prep: list[GateStep] = [Ry(2.0 * ang.theta, 0), _CNOT, _HADAMARD_0]
 
     if target is Target.E0:
         # identical in both modes: nothing depends on the recorded bit
-        steps = prep + [
-            MeasureZ(0, 0),
-            Hadamard(0),
-            MeasureZ(0, 0),
-            MeasureZ(1, 1),
-        ]
-        return Circuit(tuple(steps))
+        return Circuit((*prep, _MEASURE_0, _HADAMARD_0, _MEASURE_0, _MEASURE_1))
 
     if mode is Mode.CONDITIONAL:
         steps = prep + [
-            MeasureZ(0, 0),
+            _MEASURE_0,
             ClassicallyControlledRy(0, 1, -2.0 * ang.phi, 1),
             ClassicallyControlledRy(0, 0, +2.0 * ang.phi, 1),
         ]
-        tail: list[GateStep] = [MeasureZ(1, 1)]
+        tail: list[GateStep] = [_MEASURE_1]
     else:
         steps = prep + [
             ControlledRy(0, 1, -2.0 * ang.phi, 1),
             ControlledRy(0, 0, +2.0 * ang.phi, 1),
         ]
-        tail = [MeasureZ(0, 0), MeasureZ(1, 1)]
+        tail = [_MEASURE_0, _MEASURE_1]
 
     if target is Target.V:
-        steps.append(Hadamard(1))
+        steps.append(_HADAMARD_1)
     return Circuit(tuple(steps + tail))
 
 

@@ -55,11 +55,11 @@ def test_render_json_deterministic_shape():
 
 
 def test_render_csv_line_endings():
-    text = render_csv(("a", "b"), [("x", 1.5)])
+    text = render_csv(("a", "b"), [("x",), (1.5,)])
     assert text == "a,b\nx,1.500000\n"
     assert "\r" not in text
     with pytest.raises(ValueError):
-        render_csv(("a", "b"), [("x", 1.5), ("y",)])
+        render_csv(("a", "b"), [("x", "y"), (1.5,)])
 
 
 def render_csv_per_cell(header, rows):
@@ -82,23 +82,36 @@ CSV_NUMBERS = (
 CSV_STRINGS = st.just("-0.000000") | st.text(alphabet="-0.1e,nai\n")
 
 
+def with_columns(header, rows):
+    """The table as the reference reads it (rows) and as render_csv does."""
+    return header, rows, [[row[j] for row in rows] for j in range(len(header))]
+
+
 @st.composite
 def csv_tables(draw):
     # every column holds only strings or only numbers
     kinds = draw(st.lists(st.sampled_from((CSV_STRINGS, CSV_NUMBERS)), min_size=1, max_size=5))
     rows = draw(st.lists(st.tuples(*kinds), max_size=8))
+    header = tuple(f"c{i}" for i in range(len(kinds)))
     if kinds.count(CSV_NUMBERS) == len(kinds) and draw(st.booleans()):
-        rows = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
-    return tuple(f"c{i}" for i in range(len(kinds))), rows
+        # the shapes cmd_sweep passes: an object array of strings and the
+        # columns of a float array
+        array = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
+        labels = draw(st.lists(CSV_STRINGS, min_size=len(rows), max_size=len(rows)))
+        rows = [(label, *row) for label, row in zip(labels, array)]
+        return ("s", *header), rows, [np.array(labels, dtype=object), *array.T]
+    return with_columns(header, rows)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(csv_tables())
-@example((("s", "x"), []))
-@example((("s", "x"), [("-0.000000", -0.0), ("-0.0000001", -4.9999995e-7), ("x", -5e-7)]))
+@example(with_columns(("s", "x"), []))
+@example(
+    with_columns(("s", "x"), [("-0.000000", -0.0), ("-0.0000001", -4.9999995e-7), ("x", -5e-7)])
+)
 def test_render_csv_matches_per_cell_rendering(table):
-    header, rows = table
-    assert render_csv(header, rows) == render_csv_per_cell(header, rows)
+    header, rows, columns = table
+    assert render_csv(header, columns) == render_csv_per_cell(header, rows)
 
 
 def test_parse_noise_forms():
