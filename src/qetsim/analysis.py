@@ -64,7 +64,8 @@ def heatmap(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray]:
     model._receiver_energies (SweepGrid's extreme-pair checks stand in for a
     ModelParams per cell). The first is negative and the second positive
     everywhere in the valid coupling range."""
-    return _receiver_energies(np.array(grid.h_values)[:, None], np.array(grid.k_values))
+    h, k = np.array(grid.h_values)[:, None], np.array(grid.k_values)
+    return _receiver_energies(h, k, np.hypot(h, k))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
     one heatmap and the analytic energies use), and how far the argmin sits
     from the protocol angle. The scan covers [0, pi/2)."""
     phis = np.linspace(0.0, np.pi / 2, n_points, endpoint=False)
-    energies = sum(_receiver_energies(params.h, params.k, phis))
+    energies = sum(_receiver_energies(params.h, params.k, params.r, phis))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
     return PhiScanResult(
@@ -116,13 +117,16 @@ def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
 
     <H1> swings by h^2/r. Rounding the eigenvalues, which reach 4r, moves the
     phases by about eps 4r t and <H1> by about eps h: h1_sim is off by eps
-    max(4r t, r/h) of the swing (v_sim, 0 exactly, by no more of its terms'
-    size 2k). Past _EVOLVE_RESOLUTION this raises NumericalError."""
+    max(4r t, r/h) of the swing and v_sim, 0 exactly, by eps 2k. Past
+    _EVOLVE_RESOLUTION (for v_sim its half, the printed half unit) this raises NumericalError."""
     t = np.asarray(t_values, dtype=float)
     r, t_max = params.r, np.abs(t).max(initial=0.0)
     rounding = np.finfo(float).eps * max(4.0 * r * t_max, r / params.h)
     if not rounding <= _EVOLVE_RESOLUTION:
         raise NumericalError(f"float64 rounding reaches {rounding:.1e} of the swing of <H1>")
+    v_rounding = np.finfo(float).eps * 2.0 * params.k
+    if not v_rounding <= _EVOLVE_RESOLUTION / 2.0:
+        raise NumericalError(f"float64 rounding reaches {v_rounding:.1e} in <V>, which is 0")
     hams = build_hamiltonians(params)
     rho0 = rho_measured(params)
     rows = np.empty((len(t), 4))

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .noise import ReadoutNoise
-from .model import ModelParams, angles
+from .model import ModelParams, _terms, angles
 from .simcore import (
     BITSTRINGS,
     Circuit,
@@ -126,11 +126,8 @@ def estimate_energy(
     n_shots = sum(map(int, counts.values())) if exact else round(total)
     if n_shots < 1:
         raise ValueError(f"counts must total at least one shot, got {total}")
-    h, k, r = params.h, params.k, params.r
-    if target is Target.V:
-        coef, const = 2.0 * k, 2.0 * k**2 / r
-    else:
-        coef, const = h, h**2 / r
+    local, interaction = _terms(params)
+    coef, const = interaction if target is Target.V else local
     eigenvalues = _EIGENVALUES[target]
     eig_mean = sum(eigenvalues[key] * c for key, c in counts.items()) / total
     # eigenvalues are +/-1, so the population variance is 1 - mean^2

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+from decimal import Decimal, localcontext
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from qetsim.model import (
     GRID_K,
     REFERENCE_PAIRS,
     ModelParams,
+    _terms,
     analytic_E0,
     analytic_E1,
     analytic_H1,
@@ -29,12 +32,14 @@ from qetsim.model import (
     rho_measured,
     rho_qet,
 )
+from qetsim.protocol import Mode, Target, build_circuit, estimate_energy
 from qetsim.simcore import (
     ATOL_ALGEBRA,
     ATOL_DECOMP,
     Cnot,
     Ry,
     evolve,
+    exact_distribution,
     expectation,
     gate_unitary,
     is_hermitian,
@@ -308,12 +313,13 @@ def test_entropy_limit_weak_field():
 
 
 def test_entropy_limit_weak_coupling():
-    # k/h = 1e-9 leaves a nearly product ground state, a^2 = 2.5e-19: s_ab from
-    # a 50-digit reference, and both bounds 0 since h/r rounds to 1
+    # k/h = 1e-9 leaves a nearly product ground state, a^2 = 2.5e-19, and h/r
+    # rounds to 1, which once set both bounds to 0: 50-digit references
     rep = entropy_report(ModelParams(1.0, 1e-9))
     assert rep.s_ab == pytest.approx(1.0958206508753180e-17, rel=1e-15)
-    assert rep.delta_s_lower_bound == rep.max_eb_lower_bound == 0.0
-    assert rep.e_b == pytest.approx(0.0, abs=1e-15)
+    assert rep.delta_s_lower_bound == pytest.approx(1.0708206508753180e-17, rel=1e-15)
+    assert rep.max_eb_lower_bound == pytest.approx(5.0000000000000006e-19, rel=1e-15)
+    assert rep.e_b == pytest.approx(5.0000000000000006e-19, rel=1e-15)
 
 
 @pytest.mark.parametrize("h", [1e-300, 1e-160, 1e-30, 1e-9, 1e-6])
@@ -359,3 +365,76 @@ def test_free_evolution_matches_simulated_evolution():
                 free_evolution_H1(params, t), abs=1e-9
             )
             assert expectation(rho_t, hams.v) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_free_evolution_finite_at_largest_couplings():
+    # h^2 (1 - cos 4kt) overflows here; the closed form peaks at h^2/r
+    params = ModelParams(1e154, 1e153)
+    h1 = free_evolution_H1(params, np.linspace(0.0, 2 * np.pi / params.k, 101))
+    assert np.all(np.isfinite(h1))
+    peak = free_evolution_H1(params, np.pi / (4 * params.k))
+    assert peak == pytest.approx(analytic_E0(params), rel=1e-15)
+
+
+SCALE_PAIRS = ((1.0, 0.1), (1.0, 1.0), (1.5, 1.0), (1e-3, 1.0), (1.0, 1e-3))
+EVOLUTION_TIMES = np.array([0.1, 0.37, 1.3, 5.0])
+PROTOCOL_CIRCUITS = [(target, mode) for target in Target for mode in Mode]
+
+
+def _invariants(params):
+    """The dimensionless outputs: functions of (h/r, k/r) alone."""
+    rep = entropy_report(params)
+    return (
+        angles(params), rep.s_ab, rep.delta_s, rep.xi, rep.delta_s_lower_bound,
+        [exact_distribution(build_circuit(params, t, m)) for t, m in PROTOCOL_CIRCUITS],
+    )
+
+
+def _energies(params, t):
+    """Every energy-valued output, with free evolution at times t."""
+    rep = entropy_report(params)
+    hams = build_hamiltonians(params)
+    closed = [analytic_E0(params), analytic_E1(params), analytic_H1(params),
+              analytic_V(params), rep.e_b, rep.max_eb_lower_bound, *np.ravel(_terms(params))]
+    matrices = [term.real.ravel() for term in (hams.h0, hams.h1, hams.v, hams.htot)]
+    return np.concatenate([closed, free_evolution_H1(params, t), *matrices])
+
+
+@pytest.mark.parametrize("pair", SCALE_PAIRS, ids=str)
+def test_closed_forms_are_scale_covariant(pair):
+    # (h, k) -> 2^m (h, k) over the accepted range, with t -> t / 2^m: each
+    # dimensionless output is bit-identical and each energy scales by exactly
+    # 2^m wherever it is normal
+    h, k = pair
+    invariants = _invariants(ModelParams(h, k))
+    energies = _energies(ModelParams(h, k), EVOLUTION_TIMES)
+    for m in range(-480, 481):
+        params = ModelParams(math.ldexp(h, m), math.ldexp(k, m))
+        assert _invariants(params) == invariants, m
+        scaled = _energies(params, np.ldexp(EVOLUTION_TIMES, -m))
+        expected = np.ldexp(energies, m)
+        normal = np.abs(expected) >= sys.float_info.min
+        assert np.array_equal(scaled[normal], expected[normal]), m
+
+
+def _decimal_references(h, k):
+    """E0 = h^2/r and the zero-mean constants h^2/r and 2k^2/r, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        h, k = Decimal(h), Decimal(k)
+        r = (h * h + k * k).sqrt()
+        return h * h / r, h * h / r, 2 * k * k / r
+
+
+@pytest.mark.parametrize("pair", [(1e-165, 1e-150), (1e-160, 1e-150), (1e-150, 1e-165)], ids=str)
+def test_closed_forms_at_tiny_couplings(pair):
+    # h^2 (or k^2) underflows while the results stay normal: h^2/r once gave
+    # 0.0 for E0 at the first pair and a 1.1e-5 relative error at the second
+    params = ModelParams(*pair)
+    (_, h_const), (_, v_const) = _terms(params)
+    values = (analytic_E0(params), h_const, v_const)
+    for value, reference in zip(values, _decimal_references(*pair)):
+        assert abs(Decimal(value) - reference) <= 4 * Decimal(math.ulp(float(reference)))
+    # the estimator adds the same constants: balanced counts estimate them exactly
+    for target, const in ((Target.H1, h_const), (Target.V, v_const)):
+        assert estimate_energy(params, target, {"00": 1, "01": 1}).mean == const

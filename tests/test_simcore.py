@@ -318,7 +318,8 @@ def test_seed_to_counts_mapping_is_pinned():
 def test_exact_distribution_output_is_pinned():
     # sha256 of the repr of every distribution of the six protocol circuits
     # over the acceptance grid and the reference pairs: an ulp shift anywhere
-    # in enumeration fails here rather than through the noisy digests
+    # in enumeration fails here rather than through the noisy digests. Taken
+    # when theta and phi came from (h/r, k/r) with r = hypot(h, k)
     pairs = [(h, k) for h in GRID_H for k in GRID_K] + list(REFERENCE_PAIRS)
     lines = [
         f"{h!r} {k!r} {target.value} {mode.value} "
@@ -327,7 +328,7 @@ def test_exact_distribution_output_is_pinned():
         for target, mode in PROTOCOL_CIRCUITS
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "633af71c1af8bd17b03d894f9ee606e2a26465e564c30987a55443c160a0ce6f"
+    assert digest == "97f4df70b4b4d827b530a3e45af5c87c328b06d7a141ceed09565ec432765ca1"
 
 
 def test_exact_distribution_is_plain_float_arithmetic(monkeypatch):
