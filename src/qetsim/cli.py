@@ -18,11 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
 from collections.abc import Callable, Sequence
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -80,12 +80,12 @@ def render_json(obj: Any, indent: int = 0) -> str:
             return "null"
         return format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(key))}: {render_json(value, indent + 1)}"
+            f"{inner}{encode_basestring_ascii(str(key))}: {render_json(value, indent + 1)}"
             for key, value in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -145,6 +145,9 @@ class Options:
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
         self._file = read_config_file(args.config) if args.config else {}
+        unknown = [key for key in self._file if key not in build_parser().config_keys]
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
 
     def raw(self, key: str) -> Any:
         value = getattr(self._args, key.replace("-", "_"), None)
@@ -466,13 +469,27 @@ def build_parser() -> argparse.ArgumentParser:
     sampling(p_demo)
     common(p_demo)
 
+    parser.subcommands = sub.choices
+    # every subcommand's options, so that one config file serves them all
+    dests = {dest for p in sub.choices.values() for dest in vars(p.parse_args([]))}
+    parser.config_keys = {dest.replace("_", "-") for dest in dests}
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one qet call on argv (default sys.argv[1:]); return its exit code.
+    The named subcommand's parser parses argv once. The full parser parses it
+    instead, printing its own usage, help or error, when argv names no
+    subcommand or the subcommand's parser leaves arguments unrecognized."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if name in parser.subcommands:
+            namespace = argparse.Namespace(command=name)
+            args, extras = parser.subcommands[name].parse_known_args(argv[1:], namespace)
+        if name not in parser.subcommands or extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qetsim import cli
 from qetsim.cli import (
     ROW_LIMIT,
     build_parser,
@@ -52,6 +54,20 @@ def test_format_float_parse_back():
 def test_render_json_deterministic_shape():
     text = render_json({"a": 1, "b": [0.5, None, True], "c": "x"})
     assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": "x"}
+
+
+# quotes, backslashes, control characters, the line separators JavaScript
+# rejects in strings, non-BMP characters and lone surrogates
+JSON_SPECIALS = '"\\/\x00\x08\x1f\x7f\x80\u2028\U0001f600\U0010ffff\ud800\udfff'
+JSON_TEXT = st.text(st.sampled_from(JSON_SPECIALS) | st.characters(exclude_categories=()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(JSON_TEXT)
+@example(JSON_SPECIALS)
+def test_render_json_quotes_strings_as_json_dumps(text):
+    assert render_json(text) == json.dumps(text)
+    assert render_json({text: 1}) == "{\n  " + json.dumps(text) + ": 1\n}"
 
 
 def test_render_csv_line_endings():
@@ -327,6 +343,30 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("h 1\n")
     assert main(["run", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, typo", [(["run"], "shot = 10"), (["sweep"], "grid_h = 1")], ids=["run", "sweep"]
+)
+def test_unknown_config_key_is_a_config_error(capsys, tmp_path, argv, typo):
+    # a misspelt key would otherwise fall back to its default: 100,000 shots,
+    # or the full 50 x 50 grid
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"h = 1\nk = 1\ntarget = V\n{typo}\n")
+    code = main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {cfg}: unknown key {typo.split()[0]!r}\n"
+
+
+def test_config_file_serves_every_subcommand(capsys, tmp_path):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("h = 1\nk = 1\ntarget = V\nshots = 2000\nseed = 7\ngrid-h = 1\ngrid-k = 1\n")
+    _, flagged = invoke(capsys, RUN_ARGS)
+    assert invoke(capsys, ["run", "--config", str(cfg)]) == (0, flagged)
+    assert invoke(capsys, ["sweep", "--config", str(cfg)]) == (
+        0, "h,k,V,H1\n1.000000,1.000000,-0.374641,0.259893\n"
+    )
 
 
 def test_sweep_single_cell(capsys):
@@ -623,19 +663,69 @@ def test_cli_fuzz_exit_codes_and_clean_stdout(command, values, shape, t_steps):
     assert _run_quietly(argv) == (code, out)
 
 
-def test_parser_is_built_once_and_reused(capsys):
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     assert build_parser() is build_parser()
+    commands = build_parser().subcommands
+    assert list(commands) == ["run", "sweep", "evolve", "report", "mitigate-demo"]
 
     def capture(argv):
         code = main(argv)
         out, err = capsys.readouterr()
         return code, out, err
 
+    def no_new_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    # neither the parser nor its command map is rebuilt by later calls
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
     first = capture(RUN_ARGS)
     assert capture(["run", "--bogus"])[0] == 2
     assert capture(["--help"])[0] == 0
     assert capture([*RUN_ARGS, "--shots", "0"])[0] == 2
     assert capture(RUN_ARGS) == first
+    assert build_parser().subcommands is commands
+
+
+# argv that the subcommand's own parser handles, and argv that leave it to
+# the full parser: no subcommand, help, unknown or ambiguous options, extra
+# positionals, missing or ill-typed values, abbreviations and "--"
+PARITY_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["ru"], ["--seed", "1", "run"], ["--", "run"],
+    ["run", "-h"], ["mitigate-demo", "--shots", "10", "-h"], ["run", "--bogus"],
+    ["run", "-x"], ["run", "--h", "1", "--bogus", "--k"],
+    [*RUN_ARGS, "extra", "more"], ["run", "run"], ["evolve", "--h", "1", "--k", "1", "sweep"],
+    ["run", "--h"], ["mitigate-demo", "--shots"], ["sweep", "--config"],
+    ["run", "--seed", "abc"], ["run", "--seed=1.5"],
+    [*RUN_ARGS[:-4], "--sh", "10"], ["report", "--pairs", "1:1", "--m", "none"],
+    ["run", "--", "--h", "1"], [*RUN_ARGS, "--", "--seed", "3"],
+    ["sweep", "--grid-h=1", "--grid-k=2"], ["sweep", "--grid", "1"],
+    ["evolve", "--h", "1", "--k", "1", "--t-steps", "3"], ["report", "--pairs=1:1", "--shots=10"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=[shlex.join(a) or "empty" for a in PARITY_ARGV])
+def test_main_parses_argv_as_the_full_parser_does(capsys, monkeypatch, argv):
+    # the reference: the full parser's namespace, or its exit code and output
+    try:
+        expected = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        expected = int(exc.code or 0)
+    reference = capsys.readouterr()
+    seen = []
+
+    class Recording(cli.Options):
+        def __init__(self, args):
+            seen.append(vars(args))
+            super().__init__(args)
+
+    monkeypatch.setattr(cli, "Options", Recording)
+    code = main(argv)
+    captured = capsys.readouterr()
+    if isinstance(expected, int):
+        assert (code, captured.out, captured.err) == (expected, reference.out, reference.err)
+        assert seen == []
+    else:
+        assert seen == [expected]
 
 
 def test_unknown_command_exits_nonzero(capsys):
