@@ -5,10 +5,11 @@ a coupling grid), evolve (free relaxation of the measured state), report
 (analytic vs sampled comparison table), mitigate-demo (readout-error
 calibration and correction walkthrough).
 
-Every option may also come from a flat ``key = value`` config file passed via
---config; command-line flags win over the file, which wins over the QET_SEED
-environment variable (seed only), which wins over built-in defaults. Output
-is written to stdout and, when --out is given, byte-identically to a file.
+Each subcommand's options, with their casts and defaults, are listed once in
+SUBCOMMANDS. Every option may also come from a flat ``key = value`` config
+file passed via --config; command-line flags win over the file, which wins
+over the option's default. Output is written to stdout and, when --out is
+given, byte-identically to a file.
 Floats are rendered with six decimals so repeated runs compare equal. Exit
 codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -45,7 +46,6 @@ from .simcore import BITSTRINGS, NumericalError, shot_count
 
 SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
-DEFAULT_SHOTS = 100_000
 DEFAULT_AXIS = "0.05:2:50"  # each sweep axis: 50 values from 0.05 to 2
 SEED_ENV_VAR = "QET_SEED"
 # Most output rows (evolve time steps, sweep cells, points on one lo:hi:n
@@ -140,12 +140,15 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 class Options:
-    """Merged view of command-line flags and a config file."""
+    """The options of one qet call. Each is taken from its flag, else from the
+    --config file, else from its default in SUBCOMMANDS; the seed's default is
+    QET_SEED, else 12345."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
+        self._options = SUBCOMMANDS[args.command][1]
         self._file = read_config_file(args.config) if args.config else {}
-        unknown = [key for key in self._file if key not in build_parser().config_keys]
+        unknown = [key for key in self._file if key not in CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"{args.config}: unknown key {unknown[0]!r}")
 
@@ -155,45 +158,25 @@ class Options:
             return value
         return self._file.get(key)
 
-    def get(self, key: str, cast: Callable[[Any], Any], default: Any = None) -> Any:
+    def get(self, key: str) -> Any:
+        _, cast, default = self._options[key]
         value = self.raw(key)
         if value is None:
-            if default is None:
-                raise ConfigError(f"missing required option --{key}")
-            value = default
+            value = default(self) if callable(default) else default
+        if value is None:
+            raise ConfigError(f"missing required option --{key}")
         try:
-            return cast(value)
+            # a listed value comes back as listed: --mode gives a Mode member
+            return cast[cast.index(str(value))] if isinstance(cast, tuple) else cast(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid value for --{key}: {value!r}") from exc
 
-    def seed(self) -> int:
-        for raw in (self._args.seed, self._file.get("seed"), os.environ.get(SEED_ENV_VAR)):
-            if raw is not None and raw != "":
-                try:
-                    seed = int(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"invalid seed: {raw!r}") from exc
-                if seed < 0:
-                    raise ConfigError(f"seed must be nonnegative, got {seed}")
-                return seed
-        return DEFAULT_SEED
 
-
-def _positive_int(value: Any) -> int:
+def _int_at_least(value: Any, least: int = 1) -> int:
     n = int(value)
-    if n < 1:
+    if n < least:
         raise ValueError(value)
     return n
-
-
-def _choice(allowed: tuple[str, ...]) -> Callable[[Any], str]:
-    def cast(value: Any) -> str:
-        text = str(value)
-        if text not in allowed:
-            raise ValueError(value)
-        return text
-
-    return cast
 
 
 def parse_noise(spec: Any) -> ReadoutNoise | None:
@@ -223,7 +206,7 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
         # the largest double on a span within a factor 2 of it
         if not math.isfinite(2.0 * (hi - lo)):
             raise ValueError(spec)
-        n = _positive_int(parts[2])
+        n = _int_at_least(parts[2])
         if n > ROW_LIMIT:
             raise ValueError(spec)
         return tuple(np.linspace(lo, hi, n))
@@ -240,26 +223,77 @@ def parse_pairs(spec: Any) -> list[ModelParams]:
     return pairs
 
 
-def _params(opts: Options, default: float | None = None) -> ModelParams:
-    h = opts.get("h", float, default)
-    k = opts.get("k", float, default)
+# An option: (help, cast, default). A tuple cast lists the accepted values, a
+# callable default is computed from the call's other options, and a None
+# default makes the option required.
+Option = tuple[str, Any, Any]
+
+
+def _couplings(default: float | None = None) -> dict[str, Option]:
+    return {"h": ("local field strength", float, default),
+            "k": ("coupling strength", float, default)}
+
+
+def _sampling_options(
+    noise: str, mitigation: str, methods: tuple[str, ...] = ("none", *MITIGATION_METHODS)
+) -> dict[str, Option]:
+    return {
+        "mode": ("circuit form", tuple(Mode), Mode.DEFERRED.value),
+        "shots": ("shots per estimate", lambda n: shot_count(int(n)), 100_000),
+        # the spec as given is echoed in the output's config
+        "noise": ("none, a preset, or flip probabilities",
+                  lambda spec: (spec, parse_noise(spec)), noise),
+        "mitigation": ("readout-error mitigation", methods, mitigation),
+    }
+
+
+_COMMON: dict[str, Option] = {
+    "seed": (f"RNG seed (default {SEED_ENV_VAR}, else {DEFAULT_SEED})",
+             lambda n: _int_at_least(n, 0),
+             lambda opts: os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED),
+    "out": ("also write the output to this file", str, None),
+}
+# Each subcommand's help line and its options by flag name.
+SUBCOMMANDS: dict[str, tuple[str, dict[str, Option]]] = {
+    "run": ("sample one observable estimate", {
+        **_couplings(), "target": ("observable", ("E0", "H1", "V", "E1"), None),
+        **_sampling_options("none", "none"), **_COMMON}),
+    "sweep": ("exact energy maps over a grid", {
+        "grid-h": ("h values: one value or lo:hi:n", parse_axis, DEFAULT_AXIS),
+        "grid-k": ("k values: one value or lo:hi:n", parse_axis, DEFAULT_AXIS), **_COMMON}),
+    "evolve": ("free relaxation after measurement", {
+        **_couplings(),
+        "t-max": ("final time (default one period)", float,
+                  lambda opts: 2.0 * math.pi / opts.get("k")),
+        "t-steps": ("number of samples", _int_at_least, 101), **_COMMON}),
+    "report": ("analytic vs sampled comparison", {
+        "pairs": ("h:k pairs, comma separated", parse_pairs,
+                  ",".join(f"{h:g}:{k:g}" for h, k in REPORT_PAIRS)),
+        "format": ("output format", ("csv", "json"), "csv"),
+        **_sampling_options("none", "least-squares"), **_COMMON}),
+    "mitigate-demo": ("readout calibration demo", {
+        **_couplings(1.0), "target": ("observable", ("E0", "H1", "V"), "V"),
+        **_sampling_options("lima-like", "least-squares", MITIGATION_METHODS), **_COMMON}),
+}
+# one config file may serve every subcommand
+CONFIG_KEYS = {key for _, options in SUBCOMMANDS.values() for key in options}
+
+
+def _params(opts: Options) -> ModelParams:
     try:
-        return ModelParams(h, k)
+        return ModelParams(opts.get("h"), opts.get("k"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _sampling(
-    opts: Options, noise_default: str, methods: tuple[str, ...], method_default: str
-) -> tuple[Mode, int, ReadoutNoise | None, str, int, dict[str, Any]]:
+def _sampling(opts: Options) -> tuple[Mode, int, ReadoutNoise | None, str, int, dict[str, Any]]:
     """Mode, shots, noise, mitigation and seed of a sampling subcommand, and
     their config entries in output order."""
-    mode = opts.get("mode", Mode, Mode.DEFERRED.value)
-    shots = opts.get("shots", lambda value: shot_count(int(value)), DEFAULT_SHOTS)
-    noise_spec = opts.get("noise", str, noise_default)
-    noise = opts.get("noise", parse_noise, noise_default)
-    method = opts.get("mitigation", _choice(methods), method_default)
-    seed = opts.seed()
+    mode = opts.get("mode")
+    shots = opts.get("shots")
+    noise_spec, noise = opts.get("noise")
+    method = opts.get("mitigation")
+    seed = opts.get("seed")
     config = {
         "mode": mode.value,
         "shots": shots,
@@ -291,10 +325,8 @@ def _deviation_sigma(result: EstimationResult, analytic: float) -> float | None:
 
 
 def cmd_run(opts: Options) -> str:
-    target_name = opts.get("target", _choice(("E0", "H1", "V", "E1")))
-    mode, shots, noise, method, seed, config = _sampling(
-        opts, "none", ("none",) + MITIGATION_METHODS, "none"
-    )
+    target_name = opts.get("target")
+    mode, shots, noise, method, seed, config = _sampling(opts)
     params = _params(opts)
     analytic = ANALYTIC[target_name](params)
 
@@ -324,8 +356,8 @@ def cmd_run(opts: Options) -> str:
 
 
 def cmd_sweep(opts: Options) -> str:
-    h_axis = opts.get("grid-h", parse_axis, DEFAULT_AXIS)
-    k_axis = opts.get("grid-k", parse_axis, DEFAULT_AXIS)
+    h_axis = opts.get("grid-h")
+    k_axis = opts.get("grid-k")
     if len(h_axis) * len(k_axis) > ROW_LIMIT:
         raise ConfigError(f"a sweep has at most {ROW_LIMIT} cells")
     try:
@@ -342,12 +374,12 @@ def cmd_sweep(opts: Options) -> str:
 
 def cmd_evolve(opts: Options) -> str:
     params = _params(opts)
-    t_max = opts.get("t-max", float, 2.0 * math.pi / params.k)
+    t_max = opts.get("t-max")
     # the total Hamiltonian's eigenvalues reach 4 r in magnitude, so every
     # evolution phase stays finite when 4 r t-max does
     if not (t_max > 0.0 and math.isfinite(4.0 * params.r * t_max)):
         raise ConfigError(f"t-max must be positive with 4 r t-max finite, got {t_max}")
-    t_steps = opts.get("t-steps", _positive_int, 101)
+    t_steps = opts.get("t-steps")
     if not 2 <= t_steps <= ROW_LIMIT:
         raise ConfigError(f"t-steps must be in [2, {ROW_LIMIT}], got {t_steps}")
     t_values = np.linspace(0.0, t_max, t_steps)
@@ -356,12 +388,9 @@ def cmd_evolve(opts: Options) -> str:
 
 
 def cmd_report(opts: Options) -> str:
-    pairs_default = ",".join(f"{h:g}:{k:g}" for h, k in REPORT_PAIRS)
-    params_list = opts.get("pairs", parse_pairs, pairs_default)
-    mode, shots, noise, method_name, seed, config = _sampling(
-        opts, "none", ("none",) + MITIGATION_METHODS, "least-squares"
-    )
-    fmt = opts.get("format", _choice(("csv", "json")), "csv")
+    params_list = opts.get("pairs")
+    mode, shots, noise, method_name, seed, config = _sampling(opts)
+    fmt = opts.get("format")
     method = None if method_name == "none" else method_name
     rows = comparison_report(params_list, shots, seed, noise, method, mode)
 
@@ -380,13 +409,11 @@ def cmd_report(opts: Options) -> str:
 
 
 def cmd_mitigate_demo(opts: Options) -> str:
-    target_name = opts.get("target", _choice(("E0", "H1", "V")), "V")
-    mode, shots, noise, method, seed, config = _sampling(
-        opts, "lima-like", MITIGATION_METHODS, "least-squares"
-    )
+    target_name = opts.get("target")
+    mode, shots, noise, method, seed, config = _sampling(opts)
     if noise is None:
         raise ConfigError("mitigate-demo needs a noise model, got none")
-    params = _params(opts, 1.0)
+    params = _params(opts)
     analytic = ANALYTIC[target_name](params)
 
     unmitigated, mitigated, matrix = mitigated_run(
@@ -425,54 +452,16 @@ def build_parser() -> argparse.ArgumentParser:
         "teleportation protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (about, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for key, (text, cast, default) in options.items():
+            if isinstance(cast, tuple):  # Mode's members join as their values
+                text += ": " + ", ".join(cast)
+            if default is not None and not callable(default):
+                text += f" (default {default})"
+            p.add_argument(f"--{key}", help=text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, help="RNG seed (also QET_SEED env)")
-        p.add_argument("--out", help="also write the output to this file")
-
-    def sampling(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mode", help="conditional or deferred (default deferred)")
-        p.add_argument("--shots", help="shots per estimate (default 100000)")
-        p.add_argument("--noise", help="none, a preset, or flip probabilities")
-        p.add_argument("--mitigation", help="none, direct, or least-squares")
-
-    p_run = sub.add_parser("run", help="sample one observable estimate")
-    p_run.add_argument("--h", help="local field strength")
-    p_run.add_argument("--k", help="coupling strength")
-    p_run.add_argument("--target", help="E0, H1, V, or E1")
-    sampling(p_run)
-    common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="exact energy maps over a grid")
-    p_sweep.add_argument("--grid-h", help=f"value or lo:hi:n (default {DEFAULT_AXIS})")
-    p_sweep.add_argument("--grid-k", help=f"value or lo:hi:n (default {DEFAULT_AXIS})")
-    common(p_sweep)
-
-    p_evolve = sub.add_parser("evolve", help="free relaxation after measurement")
-    p_evolve.add_argument("--h", help="local field strength")
-    p_evolve.add_argument("--k", help="coupling strength")
-    p_evolve.add_argument("--t-max", help="final time (default one period)")
-    p_evolve.add_argument("--t-steps", help="number of samples (default 101)")
-    common(p_evolve)
-
-    p_report = sub.add_parser("report", help="analytic vs sampled comparison")
-    p_report.add_argument("--pairs", help="h:k pairs, comma separated")
-    p_report.add_argument("--format", help="csv or json (default csv)")
-    sampling(p_report)
-    common(p_report)
-
-    p_demo = sub.add_parser("mitigate-demo", help="readout calibration demo")
-    p_demo.add_argument("--h", help="local field strength (default 1)")
-    p_demo.add_argument("--k", help="coupling strength (default 1)")
-    p_demo.add_argument("--target", help="E0, H1, or V (default V)")
-    sampling(p_demo)
-    common(p_demo)
-
     parser.subcommands = sub.choices
-    # every subcommand's options, so that one config file serves them all
-    dests = {dest for p in sub.choices.values() for dest in vars(p.parse_args([]))}
-    parser.config_keys = {dest.replace("_", "-") for dest in dests}
     return parser
 
 

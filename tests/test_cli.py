@@ -303,6 +303,9 @@ def test_seed_precedence(capsys, monkeypatch):
     assert flag_wins == flagged
     _, env_wins = invoke(capsys, RUN_ARGS[:-2])
     assert env_wins != flagged
+    # an empty QET_SEED counts as unset
+    monkeypatch.setenv("QET_SEED", "")
+    assert invoke(capsys, RUN_ARGS[:-2]) == invoke(capsys, [*RUN_ARGS[:-2], "--seed", "12345"])
 
 
 @pytest.mark.parametrize("command", ["run", "report"])
@@ -342,15 +345,22 @@ def test_config_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("h 1\n")
     assert main(["run", "--config", str(bad)]) == 2
+    # an empty value is an error for the seed as for any other option
+    empty_seed = tmp_path / "empty-seed.cfg"
+    empty_seed.write_text("seed =\n")
+    assert invoke(capsys, RUN_ARGS[:-2] + ["--config", str(empty_seed)]) == (2, "")
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
-    "argv, typo", [(["run"], "shot = 10"), (["sweep"], "grid_h = 1")], ids=["run", "sweep"]
+    "argv, typo",
+    [(["run"], "shot = 10"), (["sweep"], "grid_h = 1"), (["run"], "config = inner.cfg")],
+    ids=["run", "sweep", "nested-config"],
 )
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path, argv, typo):
     # a misspelt key would otherwise fall back to its default: 100,000 shots,
-    # or the full 50 x 50 grid
+    # or the full 50 x 50 grid; a file names no further file
+    (tmp_path / "inner.cfg").write_text("shots = 10\n")
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"h = 1\nk = 1\ntarget = V\n{typo}\n")
     code = main(argv + ["--config", str(cfg)])
@@ -726,6 +736,26 @@ def test_main_parses_argv_as_the_full_parser_does(capsys, monkeypatch, argv):
         assert seen == []
     else:
         assert seen == [expected]
+
+
+def option_help(capsys, command, flag):
+    assert main([command, "--help"]) == 0
+    # the last mention of the flag heads its help; the next option ends it
+    text = capsys.readouterr().out.rsplit(f"{flag} ", 1)[1].split("\n  --")[0]
+    return " ".join(text.split()[1:])  # without the metavar
+
+
+def test_help_states_each_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a word
+    assert option_help(capsys, "run", "--mitigation").endswith("(default none)")
+    assert option_help(capsys, "report", "--mitigation").endswith("(default least-squares)")
+    assert option_help(capsys, "report", "--noise").endswith("(default none)")
+    demo = option_help(capsys, "mitigate-demo", "--mitigation")
+    assert "none" not in demo
+    assert demo.endswith("direct, least-squares (default least-squares)")
+    assert option_help(capsys, "mitigate-demo", "--noise").endswith("(default lima-like)")
+    assert option_help(capsys, "evolve", "--t-steps").endswith("(default 101)")
+    assert "QET_SEED" in option_help(capsys, "sweep", "--seed")
 
 
 def test_unknown_command_exits_nonzero(capsys):
