@@ -37,11 +37,11 @@ from .protocol import (
     estimate_energy,
     sample_protocol,
 )
-from .simcore import NumericalError, _rng, evolved_expectations, exact_distribution, shot_count
+from .simcore import (NumericalError, _Record, _rng, evolved_expectations, exact_distribution,
+                      shot_count)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(_Record):
     h_values: tuple[float, ...]
     k_values: tuple[float, ...]
 
@@ -206,8 +206,7 @@ def _mitigated(
     return unmitigated, mitigated, cal_matrix
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(_Record):
     params: ModelParams
     quantity: str  # E0 | H1 | V | E1
     analytic: float
@@ -253,17 +252,8 @@ def comparison_report(
         for table in (noiseless, unmit, mit):
             table["E1"] = combine_E1(table["H1"], table["V"])
         for quantity in ("E0", "H1", "V", "E1"):
-            rows.append(
-                ComparisonRow(
-                    params=params,
-                    quantity=quantity,
-                    analytic=float(ANALYTIC[quantity](params)),
-                    noiseless=noiseless[quantity].mean,
-                    noiseless_err=noiseless[quantity].std_error,
-                    unmitigated=unmit[quantity].mean,
-                    unmitigated_err=unmit[quantity].std_error,
-                    mitigated=mit[quantity].mean,
-                    mitigated_err=mit[quantity].std_error,
-                )
-            )
+            # each table fills a value column and its _err column
+            estimates = [table[quantity] for table in (noiseless, unmit, mit)]
+            rows.append(ComparisonRow(params, quantity, float(ANALYTIC[quantity](params)),
+                                      *(x for e in estimates for x in (e.mean, e.std_error))))
     return rows

@@ -17,7 +17,6 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -179,11 +178,11 @@ def _int_at_least(value: Any, least: int = 1) -> int:
     return n
 
 
-def parse_noise(spec: Any) -> ReadoutNoise | None:
-    """'none', a preset name, or 2 (symmetric per qubit) / 4 comma-separated
-    flip probabilities ordered p(1|0),p(0|1) for qubit 0 then qubit 1."""
+def parse_noise(spec: Any, none_ok: bool = True) -> ReadoutNoise | None:
+    """'none' if none_ok, a preset name, or 2 (symmetric per qubit) / 4 comma-
+    separated flip probabilities ordered p(1|0),p(0|1) for qubit 0 then qubit 1."""
     text = str(spec).strip()
-    if text == "none":
+    if text == "none" and none_ok:
         return None
     if text in PRESETS:
         return PRESETS[text]
@@ -234,16 +233,16 @@ def _couplings(default: float | None = None) -> dict[str, Option]:
             "k": ("coupling strength", float, default)}
 
 
-def _sampling_options(
-    noise: str, mitigation: str, methods: tuple[str, ...] = ("none", *MITIGATION_METHODS)
-) -> dict[str, Option]:
+def _sampling_options(noise: str, mitigation: str, none_ok: bool = True) -> dict[str, Option]:
+    # none_ok: --noise and --mitigation accept none, and their help offers it
+    none = ("none",) if none_ok else ()
     return {
         "mode": ("circuit form", tuple(Mode), Mode.DEFERRED.value),
         "shots": ("shots per estimate", lambda n: shot_count(int(n)), 100_000),
         # the spec as given is echoed in the output's config
-        "noise": ("none, a preset, or flip probabilities",
-                  lambda spec: (spec, parse_noise(spec)), noise),
-        "mitigation": ("readout-error mitigation", methods, mitigation),
+        "noise": (", ".join((*none, "a preset", "or flip probabilities")),
+                  lambda spec: (spec, parse_noise(spec, none_ok)), noise),
+        "mitigation": ("readout-error mitigation", (*none, *MITIGATION_METHODS), mitigation),
     }
 
 
@@ -273,7 +272,7 @@ SUBCOMMANDS: dict[str, tuple[str, dict[str, Option]]] = {
         **_sampling_options("none", "least-squares"), **_COMMON}),
     "mitigate-demo": ("readout calibration demo", {
         **_couplings(1.0), "target": ("observable", ("E0", "H1", "V"), "V"),
-        **_sampling_options("lima-like", "least-squares", MITIGATION_METHODS), **_COMMON}),
+        **_sampling_options("lima-like", "least-squares", none_ok=False), **_COMMON}),
 }
 # one config file may serve every subcommand
 CONFIG_KEYS = {key for _, options in SUBCOMMANDS.values() for key in options}
@@ -395,8 +394,8 @@ def cmd_report(opts: Options) -> str:
     rows = comparison_report(params_list, shots, seed, noise, method, mode)
 
     # the params field becomes the h and k columns
-    header = ("h", "k", *(f.name for f in dataclasses.fields(ComparisonRow)[1:]))
-    table = [(r.params.h, r.params.k, *(getattr(r, f) for f in header[2:])) for r in rows]
+    header = ("h", "k", *ComparisonRow._fields[1:])
+    table = [(r.params.h, r.params.k, *r._values()[1:]) for r in rows]
     if fmt == "csv":
         return render_csv(header, tuple(zip(*table)))
     payload = {
@@ -411,8 +410,6 @@ def cmd_report(opts: Options) -> str:
 def cmd_mitigate_demo(opts: Options) -> str:
     target_name = opts.get("target")
     mode, shots, noise, method, seed, config = _sampling(opts)
-    if noise is None:
-        raise ConfigError("mitigate-demo needs a noise model, got none")
     params = _params(opts)
     analytic = ANALYTIC[target_name](params)
 

@@ -14,7 +14,6 @@ outward so that nothing underflows before the result does. Scaling (h, k) by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 import sys
 
@@ -25,6 +24,7 @@ from .simcore import (
     DensityMatrix,
     Observable,
     PureState,
+    _Record,
     expectation,
     is_unitary,
     on_qubits,
@@ -39,8 +39,7 @@ REPORT_PAIRS = ((1.0, 0.2), (1.0, 0.5), (1.0, 1.0), (1.5, 1.0))
 REFERENCE_PAIRS = ((1.0, 0.1),) + REPORT_PAIRS
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     h: float
     k: float
 
@@ -63,22 +62,19 @@ class ModelParams:
         return math.hypot(self.h, self.k)
 
 
-@dataclass(frozen=True)
-class HamiltonianSet:
+class HamiltonianSet(_Record):
     h0: Observable
     h1: Observable
     v: Observable
     htot: Observable
 
 
-@dataclass(frozen=True)
-class ProtocolAngles:
+class ProtocolAngles(_Record):
     theta: float
     phi: float
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(_Record):
     s_ab: float                 # ground-state entanglement entropy, nats
     delta_s: float              # entropy drop caused by the measurement, nats
     xi: float                   # arctan(k/h), radians
@@ -233,14 +229,8 @@ def entropy_report(params: ModelParams) -> EntropyReport:
     # 2 r c^2 (q - 1)/(q + 2) delta_s / ((1+c) log(2/(1+c)) + (1-c) log(2/(1-c))), whose
     # denominator is 2 delta_s (a2 = (1 - c)/2), with q - 1 = 3 s^2 / (q + 1)
     max_eb_lower_bound = 3.0 * params.h * c * s * s / ((q + 1.0) * (q + 2.0))
-    return EntropyReport(
-        s_ab=s_ab,
-        delta_s=s_ab,
-        xi=float(np.arctan(params.k / params.h)),
-        e_b=e_b,
-        delta_s_lower_bound=delta_s_lower_bound,
-        max_eb_lower_bound=max_eb_lower_bound,
-    )
+    xi = float(np.arctan(params.k / params.h))
+    return EntropyReport(s_ab, s_ab, xi, e_b, delta_s_lower_bound, max_eb_lower_bound)
 
 
 def free_evolution_H1(params: ModelParams, t: float) -> float:

@@ -14,7 +14,6 @@ a direct solution with no positive mass raise NumericalError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 import numpy as np
@@ -23,6 +22,7 @@ from .simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
     NumericalError,
+    _Record,
     _rng,
     check_counts,
     distribution_vector,
@@ -36,14 +36,12 @@ MITIGATION_METHODS = ("direct", "least-squares")
 _COND_LIMIT = 1e6
 
 
-@dataclass(frozen=True)
-class ReadoutNoise:
+class ReadoutNoise(_Record):
     """Per-qubit flip probabilities: read1_given0[q] = P(read 1 | true 0),
     read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix."""
 
     read1_given0: tuple[float, float]
     read0_given1: tuple[float, float]
-    response: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not len(self.read1_given0) == len(self.read0_given1) == 2:

@@ -11,7 +11,7 @@ A generator at a seed tree's leaf is seeded from its entropy words (_rng).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 import math
 import numpy as np
 
@@ -43,14 +43,48 @@ class NumericalError(Exception):
     input, singular matrix)."""
 
 
-class _Step:
+class _Record:
+    """Base of the frozen records. The fields are the class's own annotations,
+    set by a generated __init__ that then calls __post_init__, if any; records
+    compare and hash by type and fields and print as Name(field=value, ...)."""
+
+    def __init_subclass__(cls) -> None:
+        # one compiled __init__ per class: a generic *args one costs every instance
+        cls._fields = tuple(cls.__annotations__)
+        body = [f"_set(self, {name!r}, {name})" for name in cls._fields]
+        body.append("self.__post_init__()" if hasattr(cls, "__post_init__") else "pass")
+        code = f"def __init__(self, {', '.join(cls._fields)}):\n    " + "\n    ".join(body)
+        exec(code, {"_set": object.__setattr__}, namespace := {})
+        cls.__init__ = namespace["__init__"]
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Step(_Record):
     """Base of the circuit steps, holding their one validator. Every field but
     theta is a qubit (target, control) or a bit (cbit, control_value,
     required_value), and is 0 or 1; a control is not its own target."""
 
     def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
         # named once per class, so that a construction reads only its 0/1 fields
-        cls._bits = tuple(name for name in cls.__annotations__ if name != "theta")
+        cls._bits = tuple(name for name in cls._fields if name != "theta")
 
     def __post_init__(self) -> None:
         for name in self._bits:
@@ -61,24 +95,20 @@ class _Step:
             raise ValueError("control and target must differ")
 
 
-@dataclass(frozen=True)
 class Ry(_Step):
     theta: float
     target: int
 
 
-@dataclass(frozen=True)
 class Hadamard(_Step):
     target: int
 
 
-@dataclass(frozen=True)
 class Cnot(_Step):
     control: int
     target: int
 
 
-@dataclass(frozen=True)
 class ControlledRy(_Step):
     control: int
     control_value: int
@@ -86,13 +116,11 @@ class ControlledRy(_Step):
     target: int
 
 
-@dataclass(frozen=True)
 class MeasureZ(_Step):
     target: int
     cbit: int
 
 
-@dataclass(frozen=True)
 class ClassicallyControlledRy(_Step):
     cbit: int
     required_value: int
@@ -103,8 +131,7 @@ class ClassicallyControlledRy(_Step):
 GateStep = Ry | Hadamard | Cnot | ControlledRy | MeasureZ | ClassicallyControlledRy
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Record):
     steps: tuple[GateStep, ...]
 
     def __post_init__(self) -> None:
@@ -112,9 +139,7 @@ class Circuit:
         written: set[int] = set()
         for step in self.steps:
             if isinstance(step, ClassicallyControlledRy) and step.cbit not in written:
-                raise ValueError(
-                    f"classical bit {step.cbit} read before any measurement wrote it"
-                )
+                raise ValueError(f"classical bit {step.cbit} read before any measurement wrote it")
             if isinstance(step, MeasureZ):
                 written.add(step.cbit)
 

@@ -753,7 +753,9 @@ def test_help_states_each_default(capsys, monkeypatch):
     demo = option_help(capsys, "mitigate-demo", "--mitigation")
     assert "none" not in demo
     assert demo.endswith("direct, least-squares (default least-squares)")
-    assert option_help(capsys, "mitigate-demo", "--noise").endswith("(default lima-like)")
+    demo_noise = option_help(capsys, "mitigate-demo", "--noise")
+    assert "none" not in demo_noise
+    assert demo_noise.endswith("(default lima-like)")
     assert option_help(capsys, "evolve", "--t-steps").endswith("(default 101)")
     assert "QET_SEED" in option_help(capsys, "sweep", "--seed")
 

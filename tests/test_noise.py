@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qetsim.analysis import sampled_calibration_matrix
 from qetsim.cli import parse_noise
+from qetsim.model import ModelParams
 from qetsim.noise import (
     MITIGATION_METHODS,
     PRESETS,
@@ -22,6 +23,7 @@ from qetsim.noise import (
 from qetsim.simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
+    ControlledRy,
     NumericalError,
     check_counts,
     distribution_vector,
@@ -58,6 +60,13 @@ def test_response_matrix_is_built_once_and_read_only():
     p0 = np.array([[0.9, 0.3], [0.1, 0.7]])
     p1 = np.array([[0.98, 0.05], [0.02, 0.95]])
     assert np.array_equal(noise.response, np.kron(p0, p1))
+
+
+def test_record_reprs_name_every_field():
+    # the form a frozen dataclass prints; parametrized test ids are built from it
+    assert repr(ModelParams(1.0, 0.5)) == "ModelParams(h=1.0, k=0.5)"
+    step = ControlledRy(0, 1, 0.1, 1)
+    assert repr(step) == "ControlledRy(control=0, control_value=1, theta=0.1, target=1)"
 
 
 def test_confusion_matrix_kronecker_entries():
