@@ -31,6 +31,7 @@ import numpy as np
 from .analysis import (
     ANALYTIC,
     EVOLUTION_COLUMNS,
+    HALF_UNIT,
     ComparisonRow,
     SweepGrid,
     comparison_report,
@@ -57,11 +58,8 @@ class ConfigError(Exception):
 
 
 def format_float(x: float) -> str:
-    """Fixed six-decimal rendering; negative zero normalizes to 0.000000."""
-    text = f"{float(x):.6f}"
-    if text == "-0.000000":
-        return "0.000000"
-    return text
+    """Fixed six-decimal rendering; a zero prints unsigned, as 0.000000."""
+    return "%.6f" % (0.0 if abs(x) <= HALF_UNIT else x)
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
@@ -112,9 +110,7 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
         cells[strings] = [columns[j] for j in strings]
     if numeric:
         numbers = np.array([columns[j] for j in numeric], dtype=float)
-        # %.6f signs a zero exactly when |x| <= 5e-7: the double nearest
-        # 5e-7 lies below the half unit
-        numbers[np.abs(numbers) <= 5e-7] = 0.0
+        numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
         cells[numeric] = numbers
     line = ",".join("%s" if is_text else "%.6f" for is_text in text) + "\n"
     return ",".join(header) + "\n" + (line * n_rows) % tuple(cells.T.ravel().tolist())
@@ -145,6 +141,7 @@ class Options:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = args
+        self.command = args.command
         self._options = SUBCOMMANDS[args.command][1]
         self._file = read_config_file(args.config) if args.config else {}
         unknown = [key for key in self._file if key not in CONFIG_KEYS]
@@ -285,9 +282,11 @@ def _params(opts: Options) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _sampling(opts: Options) -> tuple[Mode, int, ReadoutNoise | None, str, int, dict[str, Any]]:
-    """Mode, shots, noise, mitigation and seed of a sampling subcommand, and
-    their config entries in output order."""
+def _sampling(
+    opts: Options,
+) -> tuple[Mode, int, ReadoutNoise | None, str | None, int, dict[str, Any]]:
+    """Mode, shots, noise, mitigation (None without noise or for none) and seed
+    of a sampling subcommand, and their config entries in output order."""
     mode = opts.get("mode")
     shots = opts.get("shots")
     noise_spec, noise = opts.get("noise")
@@ -300,7 +299,22 @@ def _sampling(opts: Options) -> tuple[Mode, int, ReadoutNoise | None, str, int, 
         "noise": noise_spec,
         "mitigation": method,
     }
-    return mode, shots, noise, method, seed, config
+    return mode, shots, noise, None if noise is None or method == "none" else method, seed, config
+
+
+def _sampled_run(
+    opts: Options,
+) -> tuple[dict[str, Any], float, EstimationResult, EstimationResult, np.ndarray | None]:
+    """The head of run and mitigate-demo: the output's schema, command and
+    config, the target's closed form, and mitigated_run's (unmitigated,
+    final estimate, calibration matrix)."""
+    target_name = opts.get("target")
+    mode, shots, noise, method, seed, config = _sampling(opts)
+    params = _params(opts)
+    analytic = ANALYTIC[target_name](params)
+    head = {"schema": SCHEMA, "command": opts.command,
+            "config": {"h": params.h, "k": params.k, "target": target_name, **config}}
+    return head, analytic, *mitigated_run(params, target_name, mode, shots, seed, noise, method)
 
 
 def _estimate_payload(result: EstimationResult) -> dict[str, Any]:
@@ -324,22 +338,8 @@ def _deviation_sigma(result: EstimationResult, analytic: float) -> float | None:
 
 
 def cmd_run(opts: Options) -> str:
-    target_name = opts.get("target")
-    mode, shots, noise, method, seed, config = _sampling(opts)
-    params = _params(opts)
-    analytic = ANALYTIC[target_name](params)
-
-    payload: dict[str, Any] = {
-        "schema": SCHEMA,
-        "command": "run",
-        "config": {"h": params.h, "k": params.k, "target": target_name, **config},
-        "analytic": analytic,
-    }
-
-    mitigation = None if noise is None or method == "none" else method
-    unmitigated, result, matrix = mitigated_run(
-        params, target_name, mode, shots, seed, noise, mitigation
-    )
+    payload, analytic, unmitigated, result, matrix = _sampled_run(opts)
+    payload["analytic"] = analytic
     if matrix is not None:
         payload["measurement_fidelity"] = measurement_fidelity(matrix)
         payload["unmitigated"] = _estimate_payload(unmitigated)
@@ -388,9 +388,8 @@ def cmd_evolve(opts: Options) -> str:
 
 def cmd_report(opts: Options) -> str:
     params_list = opts.get("pairs")
-    mode, shots, noise, method_name, seed, config = _sampling(opts)
+    mode, shots, noise, method, seed, config = _sampling(opts)
     fmt = opts.get("format")
-    method = None if method_name == "none" else method_name
     rows = comparison_report(params_list, shots, seed, noise, method, mode)
 
     # the params field becomes the h and k columns
@@ -408,18 +407,9 @@ def cmd_report(opts: Options) -> str:
 
 
 def cmd_mitigate_demo(opts: Options) -> str:
-    target_name = opts.get("target")
-    mode, shots, noise, method, seed, config = _sampling(opts)
-    params = _params(opts)
-    analytic = ANALYTIC[target_name](params)
-
-    unmitigated, mitigated, matrix = mitigated_run(
-        params, target_name, mode, shots, seed, noise, method
-    )
+    head, analytic, unmitigated, mitigated, matrix = _sampled_run(opts)
     payload = {
-        "schema": SCHEMA,
-        "command": "mitigate-demo",
-        "config": {"h": params.h, "k": params.k, "target": target_name, **config},
+        **head,
         "calibration_matrix": [list(row) for row in matrix],
         "measurement_fidelity": measurement_fidelity(matrix),
         "analytic": analytic,

@@ -10,6 +10,7 @@ import pytest
 
 from qetsim import analysis, protocol
 from qetsim.analysis import (
+    HALF_UNIT,
     ComparisonRow,
     SweepGrid,
     comparison_report,
@@ -146,6 +147,10 @@ def test_evolution_scan_table():
 LOG_AXIS = tuple(float(x) for x in np.logspace(-3, 3, 13))
 EDGE_PAIRS = ((1e-160, 1.0), (1.0, 1e-160))
 SCAN_PAIRS = tuple((h, k) for h in LOG_AXIS[::3] for k in LOG_AXIS[::3]) + EDGE_PAIRS
+# the pairs whose one-period evolve table float64 cannot resolve to the printed
+# half unit: (1, 1e-160) loses the 4k oscillation, and (1e3, 1e-3) rounds h1_sim
+# by 1e-6
+UNRESOLVED_PAIRS = ((1.0, 1e-160), (1e3, 1e-3))
 
 
 def _bound(definition, scale):
@@ -259,7 +264,7 @@ def test_evolution_scan_matches_per_step_evolve(pair, monkeypatch):
     monkeypatch.setattr(analysis, "_EVOLVE_CHUNK", 5)
     params = ModelParams(*pair)
     t_values = np.linspace(0.0, 2 * np.pi / params.k, 33)
-    if pair in EDGE_PAIRS:
+    if pair in UNRESOLVED_PAIRS:
         with pytest.raises(NumericalError, match="rounding reaches"):
             evolution_scan(params, t_values)
         return
@@ -283,7 +288,7 @@ def test_evolution_table_cells_match_per_step_evolve(pair):
     # the default qet evolve table: no six-decimal CLI cell flips
     params = ModelParams(*pair)
     t_values = np.linspace(0.0, 2 * np.pi / params.k, 101)
-    if pair in EDGE_PAIRS:
+    if pair in UNRESOLVED_PAIRS:
         with pytest.raises(NumericalError, match="rounding reaches"):
             evolution_scan(params, t_values)
         return
@@ -295,16 +300,38 @@ def test_evolution_table_cells_match_per_step_evolve(pair):
         assert [format_float(x) for x in rows[:, column]] == per_step
 
 
-@pytest.mark.parametrize("pair", [(1.0, 1e-8), (1e3, 1e-5), (1.0, 1e9), (1e-3, 1e6)], ids=str)
+@pytest.mark.parametrize(
+    "pair", [(1.0, 3e-8), (1e3, 0.03), (3e7, 3e7), (1.0, 4e8), (1e-3, 4e8), (1e-3, 1e6)], ids=str
+)
 def test_evolution_scan_keeps_the_swing_where_it_runs(pair):
-    # the largest coupling ratios that pass the rounding check: h1_sim keeps
-    # the closed form to a part in 1e6 of the swing h^2/r, and v_sim (0 exactly)
-    # rounds at a part in 1e6 of its terms' size 2k
+    # pairs at the edges of the rounding check over one period (h^2/k, h and k
+    # each near its largest): h1_sim keeps the closed form, and v_sim its 0,
+    # to the printed half unit
     params = ModelParams(*pair)
     rows = evolution_scan(params, np.linspace(0.0, 2 * np.pi / params.k, 101))
-    h, k, r = params.h, params.k, params.r
-    assert np.max(np.abs(rows[:, 1] - rows[:, 2])) <= 1e-6 * h * h / r
-    assert np.max(np.abs(rows[:, 3])) <= 1e-6 * 2 * k
+    assert np.max(np.abs(rows[:, 1] - rows[:, 2])) <= HALF_UNIT
+    assert np.max(np.abs(rows[:, 3])) <= HALF_UNIT
+
+
+def test_evolution_scan_prints_no_rounding_as_digits():
+    # wherever the scan runs, on a log grid of couplings and of times from a
+    # thousandth of a period to a thousand periods, each printed cell is off by
+    # at most half its last digit
+    ran = 0
+    for h in np.logspace(-3, 9, 25):
+        for k in np.logspace(-3, 9, 25):
+            params = ModelParams(h, k)
+            for periods in (1e-3, 1.0, 1e3):
+                t_values = np.linspace(0.0, periods * 2 * np.pi / k, 101)
+                try:
+                    rows = evolution_scan(params, t_values)
+                except NumericalError:
+                    continue
+                ran += 1
+                h1_closed = free_evolution_H1(params, t_values)
+                assert np.max(np.abs(rows[:, 1] - h1_closed)) <= HALF_UNIT, (h, k, periods)
+                assert np.max(np.abs(rows[:, 3])) <= HALF_UNIT, (h, k, periods)
+    assert ran > 1000
 
 
 def test_evolution_scan_rejects_unresolved_phases():

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qetsim import cli
+from qetsim.analysis import mitigated_run
 from qetsim.cli import (
     ROW_LIMIT,
     build_parser,
@@ -28,6 +29,9 @@ from qetsim.cli import (
     render_csv,
     render_json,
 )
+from qetsim.model import ModelParams
+from qetsim.noise import PRESETS
+from qetsim.protocol import Mode
 
 RUN_ARGS = ["run", "--h", "1", "--k", "1", "--target", "V", "--shots", "2000", "--seed", "7"]
 
@@ -409,29 +413,43 @@ def test_evolve_output(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("h,k", [(1e8, 1e8)])
-def test_evolve_at_large_couplings(capsys, h, k):
-    # each imaginary residue is bounded by its observable's scale, not an
-    # absolute tolerance; v_sim's rounding eps 2k is 4.4e-8, below the printed
-    # half unit
-    code, out = invoke(capsys, ["evolve", f"--h={h}", f"--k={k}"])
-    assert code == 0
-    rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
-    assert rows.shape == (101, 4) and np.all(np.isfinite(rows))
-    h1_sim, h1_closed = rows[:, 1], rows[:, 2]
-    assert np.max(h1_closed) == pytest.approx(h / math.hypot(h, k) * h, rel=1e-2)
-    assert np.max(np.abs(h1_sim - h1_closed)) <= 1e-12 * h
-
-
-@pytest.mark.parametrize("h,k", [(1e25, 1e50), (1, 1e-25), (1e5, 1e14), (1e154, 1e153)])
+@pytest.mark.parametrize(
+    "h,k", [(1e25, 1e50), (1, 1e-25), (1e5, 1e14), (1e154, 1e153), (1e8, 1e8), (1e5, 1), (1e3, 1e-5)]
+)
 def test_evolve_rejects_unresolved_couplings(capsys, h, k):
-    # rounding of order eps max(h, k) / min(h, k) of the swing h^2/r would
-    # print noise as h1_sim (k >> h) or lose the 4k oscillation (k << h), and
-    # rounding of order eps 2k past the printed half unit would print noise
-    # as v_sim, which is 0 exactly
+    # rounding past the printed half unit would print noise as digits: in
+    # h1_sim when its swing h^2/r is large (1e8:1e8, 1e5:1, 1e3:1e-5) or its
+    # 4k oscillation is lost (1:1e-25), and in v_sim, which is 0 exactly, when
+    # k is large
     assert main(["evolve", f"--h={h}", f"--k={k}", "--t-steps=4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "rounding reaches" in captured.err
+
+
+@pytest.mark.parametrize("target", ["E0", "H1", "V", "E1"])
+def test_run_mitigates_only_a_noisy_readout(capsys, target):
+    argv = ["run", "--target", target, "--h", "1", "--k", "0.5", "--shots", "2000", "--seed", "7"]
+    plain = json.loads(invoke(capsys, argv)[1])
+    # without a noise model a mitigation method changes nothing but the config
+    for method in ("direct", "least-squares"):
+        code, out = invoke(capsys, [*argv, "--noise", "none", "--mitigation", method])
+        payload = json.loads(out)
+        assert code == 0 and payload["config"]["mitigation"] == method
+        assert payload.keys() == plain.keys()  # no measurement_fidelity or unmitigated
+        for key in ("estimate", "deviation_sigma", "counts"):
+            assert payload[key] == plain[key]
+    # --mitigation none prints the noisy run itself, with no calibration
+    code, out = invoke(capsys, [*argv, "--noise", "lima-like", "--mitigation", "none"])
+    payload = json.loads(out)
+    assert code == 0 and payload.keys() == plain.keys()
+    _, noisy, matrix = mitigated_run(
+        ModelParams(1, 0.5), target, Mode.DEFERRED, 2000, 7, PRESETS["lima-like"], None
+    )
+    assert matrix is None
+    assert payload["estimate"]["mean"] == pytest.approx(noisy.mean, abs=5e-7)
+    if target != "E1":
+        assert payload["counts"] == noisy.raw_counts
+        assert all(type(n) is int for n in payload["counts"].values())
 
 
 E1_RUN = ["run", "--target", "E1", "--h", "1", "--k", "1"]
