@@ -6,7 +6,7 @@ side by side.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 import math
 from operator import add
@@ -151,13 +151,14 @@ def sampled_calibration_matrix(
     """Response matrix estimated the way an experiment would: read n_shots of each
     basis state through the same noisy readout and tabulate. Noise acts on the record
     only, so state j records j on every shot and column j is one multinomial draw
-    over response[:, j]; seed itself seeds the one generator that draws all four."""
+    over response[:, j]; seed itself seeds the one generator that draws the four in order."""
     n_shots = shot_count(n_shots)
     root = _seed_sequence(seed)  # a bad seed raises here, with or without noise
     if noise is None:
         return np.eye(4)
-    columns = []
-    for tally in _rng(root).multinomial(n_shots, noise.response.T).tolist():
+    rng, columns = _rng(root), []
+    for column in noise.response_columns:
+        tally = rng.multinomial(n_shots, column).tolist()
         total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
         columns.append([c / total for c in tally])
     return np.array(columns).T
@@ -205,9 +206,9 @@ def _mitigated(
     unmitigated = sample_protocol(params, target, dist, n_shots, run_seed, noise)
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
-    scaled = {key: p * n_shots for key, p in corrected.items()}
+    est = estimate_energy(params, target, {key: p * n_shots for key, p in corrected.items()})
     # the weights' float total need not round to n_shots past 2**53
-    mitigated = replace(estimate_energy(params, target, scaled), n_shots=unmitigated.n_shots)
+    mitigated = EstimationResult(est.mean, est.std_error, unmitigated.n_shots, est.raw_counts)
     return unmitigated, mitigated, cal_matrix
 
 

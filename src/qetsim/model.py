@@ -67,6 +67,13 @@ class HamiltonianSet(_Record):
     h1: Observable
     v: Observable
     htot: Observable
+    __hash__ = _Record.__hash__  # which defining __eq__ alone would unset
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, by np.array_equal. hash raises TypeError: matrices do not hash."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
 
 
 class ProtocolAngles(_Record):

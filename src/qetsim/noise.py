@@ -15,6 +15,7 @@ a direct solution with no positive mass raise NumericalError.
 from __future__ import annotations
 
 from functools import reduce
+import math
 from operator import add
 import numpy as np
 
@@ -38,7 +39,8 @@ _COND_LIMIT = 1e6
 
 class ReadoutNoise(_Record):
     """Per-qubit flip probabilities: read1_given0[q] = P(read 1 | true 0),
-    read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix."""
+    read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix,
+    response_rows and response_columns its entries as tuples of plain floats."""
 
     read1_given0: tuple[float, float]
     read0_given1: tuple[float, float]
@@ -55,6 +57,8 @@ class ReadoutNoise(_Record):
         })
         response.flags.writeable = False
         object.__setattr__(self, "response", response)
+        object.__setattr__(self, "response_rows", tuple(map(tuple, response.tolist())))
+        object.__setattr__(self, "response_columns", tuple(zip(*self.response_rows)))
 
     @classmethod
     def symmetric(cls, error_q0: float, error_q1: float) -> ReadoutNoise:
@@ -94,15 +98,13 @@ def estimate_calibration_matrix(calibration_counts: list[dict[str, int]]) -> np.
     of the run that prepared basis state j."""
     if len(calibration_counts) != 4:
         raise ValueError("need exactly 4 calibration runs, one per basis state")
-    a = np.zeros((4, 4))
-    for j, counts in enumerate(calibration_counts):
-        a[:, j] = distribution_vector(counts) / check_counts(counts)
-    return a
+    return np.array([distribution_vector(c) / check_counts(c) for c in calibration_counts]).T
 
 
 def measurement_fidelity(a: np.ndarray) -> float:
-    """Mean diagonal of the response matrix."""
-    return float(np.mean(np.diag(a)))
+    """Mean diagonal of the response matrix, summed in order: the bits of np.mean's."""
+    diagonal = [row[i] for i, row in enumerate(np.asarray(a, dtype=float).tolist())]
+    return reduce(add, diagonal) / len(diagonal)
 
 
 def _solve(m: list[list[float]], b: list[float]) -> list[float]:
@@ -164,8 +166,8 @@ def mitigate(
     if a.shape != (4, 4):
         raise ValueError("calibration matrix must be 4x4")
     total = check_counts(counts)
-    y = [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
-    if not np.isfinite(a).all():
+    rows, y = a.tolist(), [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise NumericalError("calibration matrix has a non-finite entry")
 
     if method == "direct":
@@ -173,9 +175,9 @@ def mitigate(
         sv = np.linalg.svd(a, compute_uv=False).tolist()
         if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
             raise NumericalError("calibration matrix is singular or ill-conditioned")
-        x = [max(v, 0.0) for v in _solve(a.tolist(), y)]
+        x = [max(v, 0.0) for v in _solve(rows, y)]
     else:
-        x = _simplex_least_squares(a.tolist(), y)[0]
+        x = _simplex_least_squares(rows, y)[0]
     mass = reduce(add, x, 0.0)  # in order, as ndarray.sum adds four entries
     if not mass > 0.0:
         raise NumericalError("corrected distribution has no positive mass")

@@ -210,7 +210,7 @@ def sample_protocol(
     if noise is not None:
         p = [dist.get(key, 0.0) for key in BITSTRINGS]
         dist = {key: a0 * p[0] + a1 * p[1] + a2 * p[2] + a3 * p[3]
-                for key, (a0, a1, a2, a3) in zip(BITSTRINGS, noise.response.tolist())}
+                for key, (a0, a1, a2, a3) in zip(BITSTRINGS, noise.response_rows)}
     return estimate_energy(params, target, run_shots(dist, n_shots, shot_seed))
 
 

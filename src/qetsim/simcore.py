@@ -251,13 +251,13 @@ def run_shots(
     n_shots = shot_count(n_shots)
     if unknown := dist.keys() - BITSTRINGS:
         raise ValueError(f"invalid outcome key {unknown.pop()!r}")
-    p = distribution_vector(dist)
-    total = p.sum()
+    p = [float(dist.get(key, 0.0)) for key in BITSTRINGS]
+    total = p[0] + p[1] + p[2] + p[3]  # in order: the bits of ndarray.sum's
     # a non-finite entry leaves a non-finite total, which fails the comparison
     if not abs(total - 1.0) <= ATOL_DECOMP:
-        raise NumericalError(f"outcome probabilities {p} do not form a distribution")
+        raise NumericalError(f"outcome probabilities {np.array(p)} do not form a distribution")
     # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
-    tallies = _rng(seed).multinomial(n_shots, p / total)
+    tallies = _rng(seed).multinomial(n_shots, [v / total for v in p])
     return {key: c for key, c in zip(BITSTRINGS, tallies.tolist()) if c > 0}
 
 

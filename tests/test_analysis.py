@@ -398,11 +398,12 @@ def assert_in_band(tallies, n, q, what):
 @pytest.mark.parametrize("n_shots", [1, 2_000, 2**63 - 1])
 @pytest.mark.parametrize("seed", BAND_SEEDS)
 def test_sampled_calibration_matrix_is_one_generator_tabulation(noise, n_shots, seed):
-    # the four columns' draws follow each other on the one generator seed seeds
+    # the four columns' draws follow each other on the one generator seed seeds,
+    # one 1-D call per column; numpy's one 2-D call over the transposed response
+    # draws its rows in the same order on the same stream
     g = np.random.default_rng(np.random.SeedSequence(seed))
-    expected = estimate_calibration_matrix(
-        [dict(zip(BITSTRINGS, g.multinomial(n_shots, p).tolist())) for p in noise.response.T]
-    )
+    tallies = g.multinomial(n_shots, noise.response.T).tolist()
+    expected = estimate_calibration_matrix([dict(zip(BITSTRINGS, t)) for t in tallies])
     a = sampled_calibration_matrix(noise, n_shots, seed)
     assert a.dtype == expected.dtype and a.tobytes() == expected.tobytes()
 

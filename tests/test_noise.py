@@ -60,6 +60,9 @@ def test_response_matrix_is_built_once_and_read_only():
     p0 = np.array([[0.9, 0.3], [0.1, 0.7]])
     p1 = np.array([[0.98, 0.05], [0.02, 0.95]])
     assert np.array_equal(noise.response, np.kron(p0, p1))
+    # the plain-float copies the sampling path reads hold the same entries
+    assert noise.response_rows == tuple(map(tuple, noise.response.tolist()))
+    assert noise.response_columns == tuple(map(tuple, noise.response.T.tolist()))
 
 
 def test_record_reprs_name_every_field():
@@ -176,6 +179,19 @@ def test_measurement_fidelity_values():
     )
 
 
+def test_measurement_fidelity_is_the_mean_of_the_diagonal():
+    # the diagonal summed in order and divided by four: the bits of np.mean's
+    matrices = [np.eye(4), *(noise.response for noise in PRESETS.values())]
+    matrices += [
+        sampled_calibration_matrix(noise, n_shots, seed)
+        for noise in (*PRESETS.values(), ReadoutNoise((0.05, 0.02), (0.1, 0.3)))
+        for n_shots in (1, 7, 2_000, 10**6, 2**63 - 1)
+        for seed in range(10)
+    ]
+    for a in matrices:
+        assert measurement_fidelity(a) == float(np.mean(np.diag(a)))
+
+
 @pytest.mark.parametrize("method", MITIGATION_METHODS)
 def test_mitigate_identity_matrix(method):
     out = mitigate({"00": 2, "01": 2}, np.eye(4), method)
@@ -264,10 +280,11 @@ NON_FINITE = [(method, bad) for method in MITIGATION_METHODS for bad in (np.nan,
     "method, bad", NON_FINITE, ids=[f"{m}-{b}" if m != "direct" else str(b) for m, b in NON_FINITE]
 )
 def test_mitigate_direct_rejects_non_finite_matrix(method, bad):
-    a = np.eye(4)
-    a[2, 1] = bad
-    with pytest.raises(NumericalError):
-        mitigate({"00": 3, "11": 1}, a, method)
+    for i, j in np.ndindex(4, 4):
+        a = np.eye(4)
+        a[i, j] = bad
+        with pytest.raises(NumericalError, match="non-finite entry"):
+            mitigate({"00": 3, "11": 1}, a, method)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,13 @@ import pytest
 
 import qetsim.cli  # noqa: F401  (loads every module that defines a record)
 from qetsim.analysis import ComparisonRow, SweepGrid
-from qetsim.model import EntropyReport, HamiltonianSet, ModelParams, ProtocolAngles
+from qetsim.model import (
+    EntropyReport,
+    HamiltonianSet,
+    ModelParams,
+    ProtocolAngles,
+    build_hamiltonians,
+)
 from qetsim.noise import ReadoutNoise
 from qetsim.simcore import (
     Circuit,
@@ -23,9 +29,9 @@ from qetsim.simcore import (
 )
 
 # two distinct field-value tuples per record class. HamiltonianSet takes
-# stand-in scalars: records check no types, and matrices neither hash nor
-# compare to a bool. ProtocolAngles shares ModelParams' values, so that only
-# the type tells them apart.
+# stand-in scalars: records check no types, and matrices do not hash.
+# ProtocolAngles shares ModelParams' values, so that only the type tells them
+# apart.
 RECORDS = {
     Ry: ((0.1, 0), (0.2, 0)),
     Hadamard: ((0,), (1,)),
@@ -94,3 +100,19 @@ def test_record_equality_and_hash_go_by_type_and_fields(cls):
     for other, (values, _) in RECORDS.items():
         if other is not cls:
             assert record != other(*values)
+
+
+def test_hamiltonian_sets_compare_by_their_matrices():
+    hams = build_hamiltonians(ModelParams(1.0, 1.0))
+    assert hams == build_hamiltonians(ModelParams(1.0, 1.0))
+    assert not hams != build_hamiltonians(ModelParams(1.0, 1.0))
+    assert hams != build_hamiltonians(ModelParams(1.0, 0.5))
+    for i in range(4):
+        fields = list(hams._values())
+        fields[i] = fields[i].copy()
+        fields[i][3, 0] += 1e-9
+        assert hams != HamiltonianSet(*fields)
+        assert not hams == HamiltonianSet(*fields)
+    assert hams != ModelParams(1.0, 1.0) and hams.__eq__(hams._values()) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(hams)

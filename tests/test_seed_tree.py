@@ -180,9 +180,11 @@ def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_gener
 
 
 # Raw multinomial draws of numpy's default generator from spawned seed
-# sequences, for a 1-D pvals (shots) and a 2-D one (calibration's four columns
-# in one call). Every pinned output digest depends on this stream, and NEP 19
-# lets numpy change it between releases.
+# sequences, for a 1-D pvals (shots, and each calibration column in turn) and a
+# 2-D one (all four columns in one call: the reference that
+# test_sampled_calibration_matrix_is_one_generator_tabulation checks calibration
+# against). Every pinned output digest depends on this stream, and NEP 19 lets
+# numpy change it between releases.
 PVALS_1D = [0.5, 0.25, 0.125, 0.125]
 PVALS_2D = [[0.9, 0.05, 0.04, 0.01], [0.02, 0.95, 0.0, 0.03], [0.1, 0.2, 0.3, 0.4],
             [0.0, 0.0, 0.0, 1.0]]

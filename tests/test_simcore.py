@@ -254,6 +254,27 @@ def test_run_shots_determinism_and_validation():
     assert sum(run_shots(dist, 2**63 - 1, 1).values()) == 2**63 - 1
 
 
+def test_run_shots_tallies_are_those_of_the_ndarray_route():
+    # run_shots sums and divides four plain floats; the route it replaced drew
+    # on p / p.sum() of the ndarray p, and gave these tallies bit for bit
+    rng = np.random.default_rng(26)
+    for _ in range(400):
+        p = rng.random(4) * 10.0 ** rng.uniform(-18, 0, 4) * (rng.random(4) < 0.8)
+        p[rng.integers(4)] += 1e-3
+        p = p / p.sum() * (1.0 + rng.uniform(-1e-11, 1e-11))  # off 1 within the guard
+        seed = int(rng.integers(2**63))
+        n_shots = int(rng.choice([1, 1_000, 10**6, 2**63 - 1]))
+        tallies = np.random.default_rng(seed).multinomial(n_shots, p / p.sum()).tolist()
+        expected = {key: c for key, c in zip(BITSTRINGS, tallies) if c > 0}
+        assert run_shots(dict(zip(BITSTRINGS, p.tolist())), n_shots, seed) == expected
+
+
+def test_run_shots_names_the_probabilities_it_refuses():
+    with pytest.raises(NumericalError) as excinfo:
+        run_shots({"00": 0.5, "01": 0.6}, 10, 1)
+    assert str(excinfo.value) == "outcome probabilities [0.5 0.6 0.  0. ] do not form a distribution"
+
+
 @pytest.mark.parametrize("key", ["", "0", "011", "2", 0, None])
 def test_run_shots_rejects_keys_outside_the_bitstrings(key):
     # distribution_vector alone would read such a key as absent
