@@ -173,7 +173,7 @@ def mitigated_run(
     noise: ReadoutNoise | None,
     method: str | None = "least-squares",
 ) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
-    """One noisy run plus the full calibration-and-correction pipeline.
+    """The noisy run, one draw on noise.recorded, plus calibration and correction.
     Returns (unmitigated, mitigated, estimated calibration matrix); the
     calibration reads as many shots of each basis state as the run. With no
     method the run is seeded with `seed` itself and returned twice, without a
@@ -198,12 +198,15 @@ def _mitigated(
     noise: ReadoutNoise | None,
     method: str | None,
 ) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
-    """mitigated_run of one target, from its circuit's exact distribution."""
+    """mitigated_run of one target, from its circuit's exact distribution. Readout
+    flips each shot's record alone, so the run is one draw on noise.recorded(dist)."""
+    if noise is not None:
+        dist = noise.recorded(dist)
     if method is None:
-        result = sample_protocol(params, target, dist, n_shots, seed, noise)
+        result = sample_protocol(params, target, dist, n_shots, seed)
         return result, result, None
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
-    unmitigated = sample_protocol(params, target, dist, n_shots, run_seed, noise)
+    unmitigated = sample_protocol(params, target, dist, n_shots, run_seed)
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
     corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
     est = estimate_energy(params, target, {key: p * n_shots for key, p in corrected.items()})
@@ -242,24 +245,17 @@ def comparison_report(
     pair_seeds = _seed_sequence(seed).spawn(len(params_list))
     for params, pair_seed in zip(params_list, pair_seeds):
         seeds = pair_seed.spawn(6)
-        noiseless: dict[str, EstimationResult] = {}
-        unmit: dict[str, EstimationResult] = {}
-        mit: dict[str, EstimationResult] = {}
+        # quantity -> its (noiseless, unmitigated, mitigated) estimates, in row order
+        table: dict[str, tuple[EstimationResult, ...]] = {}
         for i, target in enumerate((Target.E0, Target.H1, Target.V)):
             dist = exact_distribution(build_circuit(params, target, mode))
             clean = sample_protocol(params, target, dist, n_shots, seeds[i])
-            noiseless[target.value] = clean
-            if noise is None:
-                unmit[target.value] = mit[target.value] = clean
-            else:
-                unmit[target.value], mit[target.value], _ = _mitigated(
-                    params, target, dist, n_shots, seeds[3 + i], noise, method
-                )
-        for table in (noiseless, unmit, mit):
-            table["E1"] = combine_E1(table["H1"], table["V"])
-        for quantity in ("E0", "H1", "V", "E1"):
-            # each table fills a value column and its _err column
-            estimates = [table[quantity] for table in (noiseless, unmit, mit)]
+            noisy = (clean, clean) if noise is None else _mitigated(
+                params, target, dist, n_shots, seeds[3 + i], noise, method)[:2]
+            table[target.value] = (clean, *noisy)
+        table["E1"] = tuple(map(combine_E1, table["H1"], table["V"]))
+        for quantity, estimates in table.items():
+            # each estimate fills a value column and its _err column
             rows.append(ComparisonRow(params, quantity, float(ANALYTIC[quantity](params)),
                                       *(x for e in estimates for x in (e.mean, e.std_error))))
     return rows

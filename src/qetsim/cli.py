@@ -212,9 +212,7 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
 def parse_pairs(spec: Any) -> list[ModelParams]:
     pairs: list[ModelParams] = []
     for chunk in str(spec).split(","):
-        h_text, sep, k_text = chunk.partition(":")
-        if not sep:
-            raise ValueError(spec)
+        h_text, _, k_text = chunk.partition(":")
         pairs.append(ModelParams(float(h_text), float(k_text)))
     return pairs
 

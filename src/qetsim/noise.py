@@ -40,7 +40,7 @@ _COND_LIMIT = 1e6
 class ReadoutNoise(_Record):
     """Per-qubit flip probabilities: read1_given0[q] = P(read 1 | true 0),
     read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix,
-    response_rows and response_columns its entries as tuples of plain floats."""
+    response_columns its columns as tuples of plain floats."""
 
     read1_given0: tuple[float, float]
     read0_given1: tuple[float, float]
@@ -57,8 +57,14 @@ class ReadoutNoise(_Record):
         })
         response.flags.writeable = False
         object.__setattr__(self, "response", response)
-        object.__setattr__(self, "response_rows", tuple(map(tuple, response.tolist())))
-        object.__setattr__(self, "response_columns", tuple(zip(*self.response_rows)))
+        object.__setattr__(self, "response_columns", tuple(zip(*response.tolist())))
+
+    def recorded(self, dist: dict[str, float]) -> dict[str, float]:
+        """A p: the distribution of the record when outcomes are drawn from dist.
+        Row i sums a[i][0] p0 + ... + a[i][3] p3 in order, on plain floats."""
+        p0, p1, p2, p3 = (dist.get(key, 0.0) for key in BITSTRINGS)
+        return {key: a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3
+                for key, a0, a1, a2, a3 in zip(BITSTRINGS, *self.response_columns)}
 
     @classmethod
     def symmetric(cls, error_q0: float, error_q1: float) -> ReadoutNoise:
@@ -81,7 +87,7 @@ def apply_noise(
 ) -> dict[str, int]:
     """Flip recorded bits stochastically in a counts map of integer tallies
     totalling less than 2**63. Deterministic for a fixed seed. The per-shot
-    reference for the pipeline's single draw on response @ p; only tests call it."""
+    reference for the pipeline's single draw on recorded(p); only tests call it."""
     check_counts(counts)
     for key, c in counts.items():
         if c != int(c):

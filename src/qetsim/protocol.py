@@ -13,10 +13,8 @@ from enum import Enum
 import math
 import numpy as np
 
-from .noise import ReadoutNoise
 from .model import ModelParams, _terms, angles
 from .simcore import (
-    BITSTRINGS,
     Circuit,
     ClassicallyControlledRy,
     Cnot,
@@ -160,9 +158,10 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.
     _SeedNode, a node or a caller's SeedSequence passes through, and anything
     else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
     Spawn keys below a root and what they seed:
-      sample_protocol             (0,) shots, clean or through readout noise
+      sample_protocol             (0,) shots
       e1_parts                    (0,) H1, (1,) V: each a root of its own
-      _mitigated with a method    (0,) sample_protocol; (1,) calibration
+      _mitigated                  the root seeds sample_protocol; with a method,
+                                  (0,) sample_protocol and (1,) calibration
       sampled_calibration_matrix  no spawn: the root seeds all four columns
       comparison_report           (p,) pair p; (p, i<3) sample_protocol of
                                   E0, H1, V; (p, 3+i) their _mitigated"""
@@ -187,12 +186,11 @@ def run_protocol(
     mode: Mode,
     n_shots: int,
     seed: int | np.random.SeedSequence,
-    noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
     """Build and enumerate the circuit once, then sample_protocol: deterministic
-    per seed, one generator samples (through readout noise, if given) to estimate."""
+    per seed, one generator samples to estimate."""
     dist = exact_distribution(build_circuit(params, target, mode))
-    return sample_protocol(params, target, dist, n_shots, seed, noise)
+    return sample_protocol(params, target, dist, n_shots, seed)
 
 
 def sample_protocol(
@@ -201,16 +199,11 @@ def sample_protocol(
     dist: dict[str, float],
     n_shots: int,
     seed: int | np.random.SeedSequence,
-    noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
-    """The sampling step of run_protocol, from dist, the exact distribution of
-    target's circuit: a caller that reruns a circuit enumerates it once. Readout
-    flips each shot's record alone, so noisy tallies are one draw on response @ dist."""
+    """The sampling step of run_protocol, from dist, the outcome distribution of
+    target's circuit: a caller that reruns a circuit enumerates it once. A noisy
+    run passes the record's distribution, ReadoutNoise.recorded of the exact one."""
     (shot_seed,) = _seed_sequence(seed).spawn(1)
-    if noise is not None:
-        p = [dist.get(key, 0.0) for key in BITSTRINGS]
-        dist = {key: a0 * p[0] + a1 * p[1] + a2 * p[2] + a3 * p[3]
-                for key, (a0, a1, a2, a3) in zip(BITSTRINGS, noise.response_rows)}
     return estimate_energy(params, target, run_shots(dist, n_shots, shot_seed))
 
 
@@ -219,12 +212,11 @@ def run_protocol_E1(
     mode: Mode,
     n_shots: int,
     seed: int | np.random.SeedSequence,
-    noise: ReadoutNoise | None = None,
 ) -> EstimationResult:
     """Two-circuit estimate of the receiver's total energy: the local-field
     and interaction terms never share a circuit, so each gets n_shots."""
     h1, v = (
-        run_protocol(params, part, mode, n_shots, part_seed, noise)
+        run_protocol(params, part, mode, n_shots, part_seed)
         for part, part_seed in e1_parts(seed)
     )
     return combine_E1(h1, v)

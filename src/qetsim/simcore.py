@@ -367,5 +367,5 @@ def is_unitary(u: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < atol)
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) < atol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) < ATOL_ALGEBRA)

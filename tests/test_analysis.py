@@ -47,6 +47,7 @@ from qetsim.protocol import (
     Target,
     build_circuit,
     combine_E1,
+    e1_parts,
     run_protocol,
     run_protocol_E1,
     sample_protocol,
@@ -435,7 +436,7 @@ def test_noisy_tallies_lie_in_band(noise, target, mode):
         dist = exact_distribution(build_circuit(params, target, mode))
         q = noise.response @ distribution_vector(dist)
         for seed in BAND_SEEDS:
-            run = sample_protocol(params, target, dist, n_shots, seed, noise).raw_counts
+            run = sample_protocol(params, target, noise.recorded(dist), n_shots, seed).raw_counts
             for name, counts in (
                 ("sample_protocol", run),
                 ("run_shots then apply_noise", reference_noisy_counts(dist, noise, n_shots, seed)),
@@ -449,7 +450,7 @@ def test_noisy_tallies_lie_in_band(noise, target, mode):
 def test_noisy_sample_rejects_non_finite_distribution(bad):
     dist = {"00": bad, "01": 0.0, "10": 0.0, "11": 0.0}
     with pytest.raises(NumericalError):
-        sample_protocol(ModelParams(1.0, 1.0), Target.V, dist, 100, 0, LIMA)
+        sample_protocol(ModelParams(1.0, 1.0), Target.V, LIMA.recorded(dist), 100, 0)
 
 
 @pytest.mark.parametrize("n_shots", [0, -1, 1.5, 2**63, float(2**63), np.nan, np.inf])
@@ -463,11 +464,12 @@ def test_sampled_calibration_matrix_rejects_bad_shot_counts(n_shots, noise):
 
 def test_shot_counts_are_integral():
     params = ModelParams(1.0, 1.0)
+    with pytest.raises(ValueError):
+        run_protocol(params, Target.V, Mode.DEFERRED, 5.5, 1)
     for noise in (None, LIMA):
-        with pytest.raises(ValueError):
-            run_protocol(params, Target.V, Mode.DEFERRED, 5.5, 1, noise)
-        with pytest.raises(ValueError):
-            mitigated_run(params, Target.V, Mode.DEFERRED, 5.5, 1, noise)
+        for method in ("least-squares", None):
+            with pytest.raises(ValueError):
+                mitigated_run(params, Target.V, Mode.DEFERRED, 5.5, 1, noise, method)
     # an integral float is a count: the same results, each with an int n_shots
     as_int = (
         run_protocol(params, Target.V, Mode.DEFERRED, 5, 1),
@@ -565,17 +567,29 @@ def test_mitigated_run_without_method_is_the_plain_run(noise):
         params, Target.V, Mode.DEFERRED, 5_000, 3, noise, method=None
     )
     assert matrix is None
-    assert unmit == mit == run_protocol(params, Target.V, Mode.DEFERRED, 5_000, 3, noise)
+    # one draw, seeded with seed itself, on the distribution the readout records
+    dist = exact_distribution(build_circuit(params, Target.V, Mode.DEFERRED))
+    record = dist if noise is None else noise.recorded(dist)
+    assert unmit == mit == sample_protocol(params, Target.V, record, 5_000, 3)
+    if noise is None:
+        assert unmit == run_protocol(params, Target.V, Mode.DEFERRED, 5_000, 3)
 
 
 @pytest.mark.parametrize("noise", [None, LIMA], ids=["clean", "lima-like"])
-def test_mitigated_run_of_E1_is_run_protocol_E1(noise):
+def test_mitigated_run_of_E1_without_method_sums_the_plain_runs(noise):
     params = ModelParams(1.0, 1.0)
     unmit, mit, matrix = mitigated_run(
         params, "E1", Mode.DEFERRED, 5_000, 3, noise, method=None
     )
     assert matrix is None
-    assert unmit == mit == run_protocol_E1(params, Mode.DEFERRED, 5_000, 3, noise)
+    parts = []
+    for part, part_seed in e1_parts(3):
+        dist = exact_distribution(build_circuit(params, part, Mode.DEFERRED))
+        record = dist if noise is None else noise.recorded(dist)
+        parts.append(sample_protocol(params, part, record, 5_000, part_seed))
+    assert unmit == mit == combine_E1(*parts)
+    if noise is None:
+        assert unmit == run_protocol_E1(params, Mode.DEFERRED, 5_000, 3)
 
 
 def test_mitigated_run_of_E1_sums_the_mitigated_parts():

@@ -60,6 +60,29 @@ def test_render_json_deterministic_shape():
     assert json.loads(text) == {"a": 1, "b": [0.5, None, True], "c": "x"}
 
 
+def test_render_json_non_finite_floats_are_null():
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(-math.inf)):
+        assert render_json(x) == "null"
+    assert render_json({"a": [math.nan, math.inf, -math.inf]}) == (
+        '{\n  "a": [\n    null,\n    null,\n    null\n  ]\n}'
+    )
+
+
+def test_render_json_empty_containers_render_as_themselves():
+    assert render_json({}) == "{}"
+    assert render_json([]) == "[]"
+    assert render_json(()) == "[]"
+    assert render_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+    assert render_json([{}, []]) == "[\n  {},\n  []\n]"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"x", 1j, object()],
+                         ids=["set", "bytes", "complex", "object"])
+def test_render_json_rejects_unsupported_types(value):
+    with pytest.raises(TypeError, match=f"cannot render {type(value).__name__} as JSON"):
+        render_json({"a": [value]})
+
+
 # quotes, backslashes, control characters, the line separators JavaScript
 # rejects in strings, non-BMP characters and lone surrogates
 JSON_SPECIALS = '"\\/\x00\x08\x1f\x7f\x80\u2028\U0001f600\U0010ffff\ud800\udfff'
@@ -354,6 +377,14 @@ def test_config_file_errors(capsys, tmp_path):
     empty_seed.write_text("seed =\n")
     assert invoke(capsys, RUN_ARGS[:-2] + ["--config", str(empty_seed)]) == (2, "")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["1", "1:", ":1", "1:2:3"])
+def test_malformed_pairs_are_a_config_error(capsys, spec):
+    code = main(["report", "--pairs", spec, "--shots", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: invalid value for --pairs: {spec!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -60,9 +60,50 @@ def test_response_matrix_is_built_once_and_read_only():
     p0 = np.array([[0.9, 0.3], [0.1, 0.7]])
     p1 = np.array([[0.98, 0.05], [0.02, 0.95]])
     assert np.array_equal(noise.response, np.kron(p0, p1))
-    # the plain-float copies the sampling path reads hold the same entries
-    assert noise.response_rows == tuple(map(tuple, noise.response.tolist()))
+    # the plain-float copy the sampling path reads holds the same entries
     assert noise.response_columns == tuple(map(tuple, noise.response.T.tolist()))
+    assert not hasattr(noise, "response_rows")
+
+
+def row_wise_recorded(noise, dist):
+    # A p as sample_protocol's noisy branch summed it, row by row over the
+    # response matrix's rows as plain floats: the bits recorded must keep
+    p = [dist.get(key, 0.0) for key in BITSTRINGS]
+    rows = noise.response.tolist()
+    return {key: a[0] * p[0] + a[1] * p[1] + a[2] * p[2] + a[3] * p[3]
+            for key, a in zip(BITSTRINGS, rows)}
+
+
+def _random_noise(rng):
+    return ReadoutNoise(tuple(rng.uniform(0.0, 0.5, 2)), tuple(rng.uniform(0.0, 0.5, 2)))
+
+
+def _random_dists(rng):
+    weights = rng.dirichlet(np.ones(4), size=20).tolist()
+    dists = [dict(zip(BITSTRINGS, w)) for w in weights]
+    # a zero entry, missing keys, one certain outcome, and no keys at all
+    dists += [{"00": 0.25, "01": 0.0, "10": 0.5, "11": 0.25}, {"01": 0.3, "11": 0.7},
+              {"10": 1.0}, {}]
+    return dists
+
+
+RECORDED_NOISE = {
+    **PRESETS,
+    "asymmetric": ReadoutNoise((0.1, 0.02), (0.3, 0.05)),
+    "noiseless": ReadoutNoise.symmetric(0.0, 0.0),
+    **{f"random {i}": _random_noise(np.random.default_rng(i)) for i in range(5)},
+}
+
+
+@pytest.mark.parametrize("noise", RECORDED_NOISE.values(), ids=RECORDED_NOISE.keys())
+def test_recorded_is_the_row_wise_sum(noise):
+    for dist in _random_dists(np.random.default_rng(11)):
+        got = noise.recorded(dist)
+        assert list(got) == list(BITSTRINGS)
+        want = row_wise_recorded(noise, dist)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        matmul = noise.response @ distribution_vector(dist)
+        assert np.max(np.abs(np.array(list(got.values())) - matmul)) <= 1e-15
 
 
 def test_record_reprs_name_every_field():

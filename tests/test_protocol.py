@@ -27,6 +27,7 @@ from qetsim.protocol import (
     estimate_energy,
     run_protocol,
     run_protocol_E1,
+    sample_protocol,
 )
 from qetsim.simcore import (
     BITSTRINGS,
@@ -198,8 +199,11 @@ def test_run_protocol_determinism():
     a = run_protocol(params, Target.V, Mode.CONDITIONAL, 20_000, 99)
     b = run_protocol(params, Target.V, Mode.CONDITIONAL, 20_000, 99)
     assert a == b
-    noisy_a = run_protocol(params, Target.V, Mode.DEFERRED, 20_000, 99, PRESETS["lima-like"])
-    noisy_b = run_protocol(params, Target.V, Mode.DEFERRED, 20_000, 99, PRESETS["lima-like"])
+    record = PRESETS["lima-like"].recorded(
+        exact_distribution(build_circuit(params, Target.V, Mode.DEFERRED))
+    )
+    noisy_a = sample_protocol(params, Target.V, record, 20_000, 99)
+    noisy_b = sample_protocol(params, Target.V, record, 20_000, 99)
     assert noisy_a == noisy_b
 
 
@@ -225,7 +229,7 @@ def test_readout_noise_shrinks_interaction_magnitude():
     noisy_mean = estimate_energy(params, Target.V, noisy_counts).mean
     assert abs(noisy_mean) < abs(analytic_V(params))
     # the sampled noisy run concentrates around the pushed-through value
-    result = run_protocol(params, Target.V, Mode.DEFERRED, 100_000, 11, noise)
+    result = sample_protocol(params, Target.V, noise.recorded(clean_dist), 100_000, 11)
     assert abs(result.mean - noisy_mean) < 4 * result.std_error
 
 

@@ -44,10 +44,10 @@ def _results_equal(a, b):
 
 RUNS = {
     "run_protocol": lambda s: run_protocol(PARAMS, Target.V, D, 2_000, s),
-    "run_protocol noisy": lambda s: run_protocol(
-        PARAMS, Target.H1, Mode.CONDITIONAL, 2_000, s, LIMA
+    "sample_protocol noisy": lambda s: sample_protocol(
+        PARAMS, Target.H1, LIMA.recorded(_dist(Target.H1, Mode.CONDITIONAL)), 2_000, s
     ),
-    "run_protocol_E1": lambda s: run_protocol_E1(PARAMS, D, 2_000, s, LIMA),
+    "run_protocol_E1": lambda s: run_protocol_E1(PARAMS, D, 2_000, s),
     "sampled_calibration_matrix": lambda s: sampled_calibration_matrix(LIMA, 2_000, s),
     **{
         f"mitigated_run {target} {method}": (
@@ -93,8 +93,8 @@ def test_leaf_seeding_equals_numpy_seeding(entropy, key):
     assert got.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
 
 
-def _dist():
-    return exact_distribution(build_circuit(PARAMS, Target.V, D))
+def _dist(target=Target.V, mode=D):
+    return exact_distribution(build_circuit(PARAMS, target, mode))
 
 
 # Each use of a caller's SeedSequence, and the children it spawns from it: one
@@ -103,7 +103,7 @@ def _dist():
 SPAWNS = {
     "sample_protocol clean": (lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s), 1),
     "sample_protocol noisy": (
-        lambda s: sample_protocol(PARAMS, Target.V, _dist(), 500, s, LIMA), 1
+        lambda s: sample_protocol(PARAMS, Target.V, LIMA.recorded(_dist()), 500, s), 1
     ),
     "e1_parts": (e1_parts, 2),
     **{
@@ -219,7 +219,9 @@ def test_numpy_multinomial_stream_is_pinned():
 
 INVALID_SEEDS = [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("7", TypeError)]
 SEEDED = {
-    "run_protocol": lambda s: run_protocol(PARAMS, Target.V, D, 100, s, LIMA),
+    "sample_protocol noisy": lambda s: sample_protocol(
+        PARAMS, Target.V, LIMA.recorded(_dist()), 100, s
+    ),
     "run_protocol_E1": lambda s: run_protocol_E1(PARAMS, D, 100, s),
     **{
         f"mitigated_run {target} {method}": (
