@@ -81,7 +81,9 @@ def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
     angle in one call of the closed-form kernel model._receiver_energies (the
     one heatmap and the analytic energies use), and how far the argmin sits
-    from the protocol angle. The scan covers [0, pi/2)."""
+    from the protocol angle. The scan covers [0, pi/2) in n_points >= 2 steps."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}")
     phis = np.linspace(0.0, np.pi / 2, n_points, endpoint=False)
     energies = sum(_receiver_energies(params.h, params.k, params.r, phis))
     best = int(np.argmin(energies))
@@ -144,7 +146,7 @@ def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
 
 
 def sampled_calibration_matrix(
-    noise: ReadoutNoise | None,
+    noise: ReadoutNoise,
     n_shots: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
@@ -153,10 +155,7 @@ def sampled_calibration_matrix(
     only, so state j records j on every shot and column j is one multinomial draw
     over response[:, j]; seed itself seeds the one generator that draws the four in order."""
     n_shots = shot_count(n_shots)
-    root = _seed_sequence(seed)  # a bad seed raises here, with or without noise
-    if noise is None:
-        return np.eye(4)
-    rng, columns = _rng(root), []
+    rng, columns = _rng(_seed_sequence(seed)), []
     for column in noise.response_columns:
         tally = rng.multinomial(n_shots, column).tolist()
         total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
@@ -176,9 +175,10 @@ def mitigated_run(
     """The noisy run, one draw on noise.recorded, plus calibration and correction.
     Returns (unmitigated, mitigated, estimated calibration matrix); the
     calibration reads as many shots of each basis state as the run. With no
-    method the run is seeded with `seed` itself and returned twice, without a
-    matrix. Target "E1" sums the H1 and V pipelines of protocol.e1_parts and
-    returns the H1 run's matrix."""
+    noise or no method the run is seeded with `seed` itself and returned twice,
+    without a matrix; with no noise it is run_protocol's (run_protocol_E1's for
+    "E1"), whatever the method. Target "E1" sums the H1 and V pipelines of
+    protocol.e1_parts and returns the H1 run's matrix."""
     if target == "E1":
         (u_h1, m_h1, matrix), (u_v, m_v, _) = (
             mitigated_run(params, part, mode, n_shots, part_seed, noise, method)
@@ -199,10 +199,11 @@ def _mitigated(
     method: str | None,
 ) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
     """mitigated_run of one target, from its circuit's exact distribution. Readout
-    flips each shot's record alone, so the run is one draw on noise.recorded(dist)."""
+    flips each shot's record alone, so the run is one draw on noise.recorded(dist).
+    Without noise there is no readout error to correct: the clean run on dist."""
     if noise is not None:
         dist = noise.recorded(dist)
-    if method is None:
+    if noise is None or method is None:
         result = sample_protocol(params, target, dist, n_shots, seed)
         return result, result, None
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)

@@ -238,15 +238,13 @@ def _sampling_options(noise: str, mitigation: str, none_ok: bool = True) -> dict
         "noise": (", ".join((*none, "a preset", "or flip probabilities")),
                   lambda spec: (spec, parse_noise(spec, none_ok)), noise),
         "mitigation": ("readout-error mitigation", (*none, *MITIGATION_METHODS), mitigation),
+        "seed": (f"RNG seed (default {SEED_ENV_VAR}, else {DEFAULT_SEED})",
+                 lambda n: _int_at_least(n, 0),
+                 lambda opts: os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED),
     }
 
 
-_COMMON: dict[str, Option] = {
-    "seed": (f"RNG seed (default {SEED_ENV_VAR}, else {DEFAULT_SEED})",
-             lambda n: _int_at_least(n, 0),
-             lambda opts: os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED),
-    "out": ("also write the output to this file", str, None),
-}
+_COMMON: dict[str, Option] = {"out": ("also write the output to this file", str, None)}
 # Each subcommand's help line and its options by flag name.
 SUBCOMMANDS: dict[str, tuple[str, dict[str, Option]]] = {
     "run": ("sample one observable estimate", {
@@ -283,8 +281,9 @@ def _params(opts: Options) -> ModelParams:
 def _sampling(
     opts: Options,
 ) -> tuple[Mode, int, ReadoutNoise | None, str | None, int, dict[str, Any]]:
-    """Mode, shots, noise, mitigation (None without noise or for none) and seed
-    of a sampling subcommand, and their config entries in output order."""
+    """Mode, shots, noise, mitigation (None for none) and seed of a sampling
+    subcommand, and their config entries in output order. Without noise,
+    mitigated_run and comparison_report give the clean run whatever the method."""
     mode = opts.get("mode")
     shots = opts.get("shots")
     noise_spec, noise = opts.get("noise")
@@ -297,7 +296,7 @@ def _sampling(
         "noise": noise_spec,
         "mitigation": method,
     }
-    return mode, shots, noise, None if noise is None or method == "none" else method, seed, config
+    return mode, shots, noise, None if method == "none" else method, seed, config
 
 
 def _sampled_run(

@@ -160,8 +160,8 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.
     Spawn keys below a root and what they seed:
       sample_protocol             (0,) shots
       e1_parts                    (0,) H1, (1,) V: each a root of its own
-      _mitigated                  the root seeds sample_protocol; with a method,
-                                  (0,) sample_protocol and (1,) calibration
+      _mitigated                  the root seeds sample_protocol; with noise and a
+                                  method, (0,) sample_protocol and (1,) calibration
       sampled_calibration_matrix  no spawn: the root seeds all four columns
       comparison_report           (p,) pair p; (p, i<3) sample_protocol of
                                   E0, H1, V; (p, 3+i) their _mitigated"""

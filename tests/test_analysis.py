@@ -120,6 +120,13 @@ def test_phi_scan_finds_protocol_angle(pair):
     assert analytic_E1(params) - 1e-12 <= result.min_e1 <= analytic_E1(params) + 1e-5
 
 
+@pytest.mark.parametrize("n_points", [1, 0, -1])
+def test_phi_scan_needs_two_points(n_points):
+    # one angle has no step to report as the resolution
+    with pytest.raises(ValueError, match="n_points"):
+        phi_scan(ModelParams(1.0, 1.0), n_points)
+
+
 def test_phi_scan_starts_at_zero_energy():
     # the first grid angle is 0, where the receiver does nothing
     params = ModelParams(1.0, 1.0)
@@ -344,9 +351,7 @@ def test_evolution_scan_rejects_unresolved_phases():
         evolution_scan(params, [0.0, 2 * np.pi / params.k])
 
 
-def test_sampled_calibration_matrix_noiseless_and_deterministic():
-    a = sampled_calibration_matrix(None, 2_000, 7)
-    assert np.allclose(a, np.eye(4))
+def test_sampled_calibration_matrix_is_deterministic():
     b1 = sampled_calibration_matrix(LIMA, 2_000, 7)
     b2 = sampled_calibration_matrix(LIMA, 2_000, 7)
     assert np.array_equal(b1, b2)
@@ -455,11 +460,22 @@ def test_noisy_sample_rejects_non_finite_distribution(bad):
 
 @pytest.mark.parametrize("n_shots", [0, -1, 1.5, 2**63, float(2**63), np.nan, np.inf])
 @pytest.mark.parametrize("noise", [LIMA, None])
-def test_sampled_calibration_matrix_rejects_bad_shot_counts(n_shots, noise):
+def test_sampled_calibration_matrix_rejects_bad_shot_counts(monkeypatch, n_shots, noise):
     with pytest.raises(ValueError):
         reference_calibration_matrix(LIMA, n_shots, 0)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    # a noise-free run calibrates nothing, whatever its method, and still
+    # checks its shot count before it samples
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
     with pytest.raises(ValueError):
-        sampled_calibration_matrix(noise, n_shots, 0)
+        if noise is None:
+            mitigated_run(ModelParams(1.0, 1.0), Target.V, Mode.DEFERRED, n_shots, 0, None,
+                          "least-squares")
+        else:
+            sampled_calibration_matrix(noise, n_shots, 0)
 
 
 def test_shot_counts_are_integral():
@@ -488,13 +504,10 @@ def test_shot_counts_are_integral():
 
 def test_sampled_calibration_matrix_spawns_no_children():
     # the calibration seed seeds its one generator itself: a caller's
-    # SeedSequence has spawned nothing afterwards, with or without noise;
-    # without it the matrix is exactly the identity
-    for noise in (LIMA, None):
-        seed = np.random.SeedSequence(3)
-        a = sampled_calibration_matrix(noise, 10, seed)
-        assert seed.n_children_spawned == 0
-    assert np.array_equal(a, np.eye(4))
+    # SeedSequence has spawned nothing afterwards
+    seed = np.random.SeedSequence(3)
+    sampled_calibration_matrix(LIMA, 10, seed)
+    assert seed.n_children_spawned == 0
 
 
 def test_report_enumerates_each_circuit_once(monkeypatch):
@@ -560,11 +573,17 @@ def test_mitigated_run_calibrates_with_the_run_shots():
     assert np.array_equal(matrix, sampled_calibration_matrix(LIMA, 2_000, cal_seed))
 
 
-@pytest.mark.parametrize("noise", [None, LIMA], ids=["clean", "lima-like"])
-def test_mitigated_run_without_method_is_the_plain_run(noise):
+# a run without a method, and a noise-free run whatever its method: there is
+# no readout error to correct
+PLAIN_RUNS = [(None, None), (None, "direct"), (None, "least-squares"), (LIMA, None)]
+PLAIN_IDS = ["clean", "clean-direct", "clean-least-squares", "lima-like"]
+
+
+@pytest.mark.parametrize("noise, method", PLAIN_RUNS, ids=PLAIN_IDS)
+def test_mitigated_run_without_method_is_the_plain_run(noise, method):
     params = ModelParams(1.0, 1.0)
     unmit, mit, matrix = mitigated_run(
-        params, Target.V, Mode.DEFERRED, 5_000, 3, noise, method=None
+        params, Target.V, Mode.DEFERRED, 5_000, 3, noise, method
     )
     assert matrix is None
     # one draw, seeded with seed itself, on the distribution the readout records
@@ -575,11 +594,11 @@ def test_mitigated_run_without_method_is_the_plain_run(noise):
         assert unmit == run_protocol(params, Target.V, Mode.DEFERRED, 5_000, 3)
 
 
-@pytest.mark.parametrize("noise", [None, LIMA], ids=["clean", "lima-like"])
-def test_mitigated_run_of_E1_without_method_sums_the_plain_runs(noise):
+@pytest.mark.parametrize("noise, method", PLAIN_RUNS, ids=PLAIN_IDS)
+def test_mitigated_run_of_E1_without_method_sums_the_plain_runs(noise, method):
     params = ModelParams(1.0, 1.0)
     unmit, mit, matrix = mitigated_run(
-        params, "E1", Mode.DEFERRED, 5_000, 3, noise, method=None
+        params, "E1", Mode.DEFERRED, 5_000, 3, noise, method
     )
     assert matrix is None
     parts = []

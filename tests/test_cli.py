@@ -197,12 +197,19 @@ def test_run_reports_analytic_value(capsys):
     assert sum(payload["counts"].values()) == 2000
 
 
-def test_run_byte_identical_reruns(capsys, tmp_path):
-    _, first = invoke(capsys, RUN_ARGS)
-    _, second = invoke(capsys, RUN_ARGS)
+# the second seed needs four 32-bit entropy words
+@pytest.mark.parametrize("argv", [
+    RUN_ARGS,
+    ["run", "--target", "E1", "--h", "1", "--k", "1", "--shots", "1000", "--noise", "lima-like",
+     "--mitigation", "direct", "--seed", str(2**128 - 1)],
+], ids=["V", "E1-seed-2^128-1"])
+def test_run_byte_identical_reruns(capsys, tmp_path, argv):
+    code, first = invoke(capsys, argv)
+    assert code == 0 and json.loads(first)["config"]["seed"] == int(argv[-1])
+    _, second = invoke(capsys, argv)
     assert first == second
     out_file = tmp_path / "run.json"
-    code, streamed = invoke(capsys, RUN_ARGS + ["--out", str(out_file)])
+    code, streamed = invoke(capsys, argv + ["--out", str(out_file)])
     assert code == 0
     assert out_file.read_text() == streamed == first
 
@@ -414,10 +421,20 @@ def test_config_file_serves_every_subcommand(capsys, tmp_path):
     )
 
 
-def test_sweep_single_cell(capsys):
-    code, out = invoke(capsys, ["sweep", "--grid-h", "1", "--grid-k", "1"])
+@pytest.mark.parametrize(
+    "h, k, row",
+    [
+        ("1", "1", "1.000000,1.000000,-0.374641,0.259893"),
+        # V lies 7e-14 from a rounding boundary
+        ("0.1", "1000", "0.100000,1000.000000,-0.000007,0.000005"),
+        # V = -1.0e-8 prints without a sign
+        ("2", "0.0001", "2.000000,0.000100,0.000000,0.000000"),
+    ],
+)
+def test_sweep_single_cell(capsys, h, k, row):
+    code, out = invoke(capsys, ["sweep", "--grid-h", h, "--grid-k", k])
     assert code == 0
-    assert out == "h,k,V,H1\n1.000000,1.000000,-0.374641,0.259893\n"
+    assert out == f"h,k,V,H1\n{row}\n"
 
 
 def test_sweep_row_ordering(capsys):
@@ -469,10 +486,13 @@ def test_run_mitigates_only_a_noisy_readout(capsys, target):
         assert payload.keys() == plain.keys()  # no measurement_fidelity or unmitigated
         for key in ("estimate", "deviation_sigma", "counts"):
             assert payload[key] == plain[key]
-    # --mitigation none prints the noisy run itself, with no calibration
-    code, out = invoke(capsys, [*argv, "--noise", "lima-like", "--mitigation", "none"])
+    # --mitigation none prints the noisy run itself, with no calibration, and
+    # a rerun prints the same bytes
+    noisy_argv = [*argv, "--noise", "lima-like", "--mitigation", "none"]
+    code, out = invoke(capsys, noisy_argv)
     payload = json.loads(out)
     assert code == 0 and payload.keys() == plain.keys()
+    assert invoke(capsys, noisy_argv) == (code, out)
     _, noisy, matrix = mitigated_run(
         ModelParams(1, 0.5), target, Mode.DEFERRED, 2000, 7, PRESETS["lima-like"], None
     )
@@ -806,7 +826,19 @@ def test_help_states_each_default(capsys, monkeypatch):
     assert "none" not in demo_noise
     assert demo_noise.endswith("(default lima-like)")
     assert option_help(capsys, "evolve", "--t-steps").endswith("(default 101)")
-    assert "QET_SEED" in option_help(capsys, "sweep", "--seed")
+    assert "QET_SEED" in option_help(capsys, "run", "--seed")
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["evolve", "--h", "1", "--k", "1"]],
+                         ids=["sweep", "evolve"])
+def test_exact_subcommands_take_no_seed(capsys, argv):
+    # they draw no random numbers: --seed is an unknown option, as in their help
+    code = main([*argv, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "--seed" in captured.err
+    assert main([argv[0], "--help"]) == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_unknown_command_exits_nonzero(capsys):

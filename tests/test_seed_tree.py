@@ -114,6 +114,15 @@ SPAWNS = {
         for target in (Target.V, "E1")
         for method in (*MITIGATION_METHODS, None)
     },
+    # without noise there is nothing to calibrate, whatever the method
+    **{
+        f"mitigated_run {target} clean {method}": (
+            lambda s, t=target, m=method: mitigated_run(PARAMS, t, D, 500, s, None, m),
+            1 if target is Target.V else 2,
+        )
+        for target in (Target.V, "E1")
+        for method in MITIGATION_METHODS
+    },
     "sampled_calibration_matrix": (lambda s: sampled_calibration_matrix(LIMA, 500, s), 0),
 }
 
@@ -231,7 +240,9 @@ SEEDED = {
         for method in ("least-squares", None)
     },
     "sampled_calibration_matrix": lambda s: sampled_calibration_matrix(LIMA, 100, s),
-    "sampled_calibration_matrix clean": lambda s: sampled_calibration_matrix(None, 100, s),
+    "mitigated_run clean least-squares": lambda s: mitigated_run(
+        PARAMS, Target.V, D, 100, s, None, "least-squares"
+    ),
     "comparison_report": lambda s: comparison_report([PARAMS], 100, s, LIMA),
 }
 
