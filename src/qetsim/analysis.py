@@ -25,20 +25,20 @@ from .model import (
     free_evolution_H1,
     rho_measured,
 )
-from .noise import ReadoutNoise, mitigate
+from .noise import ReadoutNoise, _correct
 from .protocol import (
     EstimationResult,
     Mode,
     Target,
+    _score,
     _seed_sequence,
     build_circuit,
     combine_E1,
     e1_parts,
-    estimate_energy,
     sample_protocol,
 )
-from .simcore import (NumericalError, _Record, _rng, evolved_expectations, exact_distribution,
-                      shot_count)
+from .simcore import (BITSTRINGS, NumericalError, _Record, _rng, evolved_expectations,
+                      exact_distribution, shot_count)
 
 
 class SweepGrid(_Record):
@@ -81,10 +81,11 @@ def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
     angle in one call of the closed-form kernel model._receiver_energies (the
     one heatmap and the analytic energies use), and how far the argmin sits
-    from the protocol angle. The scan covers [0, pi/2) in n_points >= 2 steps."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    phis = np.linspace(0.0, np.pi / 2, n_points, endpoint=False)
+    from the protocol angle. The scan covers [0, pi/2) in n_points steps, an
+    integral count in [2, ROW_LIMIT]."""
+    if not (2 <= n_points <= ROW_LIMIT and int(n_points) == n_points):
+        raise ValueError(f"n_points must be an integer in [2, {ROW_LIMIT}], got {n_points}")
+    phis = np.linspace(0.0, np.pi / 2, int(n_points), endpoint=False)
     energies = sum(_receiver_energies(params.h, params.k, params.r, phis))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
@@ -98,6 +99,9 @@ def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
 
 
 EVOLUTION_COLUMNS = ("t", "h1_sim", "h1_closed", "v_sim")
+# Most output rows (evolve time steps, sweep cells, points on one lo:hi:n axis,
+# phi_scan angles) a run may ask for: each row is allocated and computed up front.
+ROW_LIMIT = 10**6
 # qet prints six decimals: an error within this half unit moves a printed
 # number by at most its last digit, and %.6f prints x as a zero, signed if x
 # is negative, exactly when |x| <= HALF_UNIT (the double nearest the half unit
@@ -186,7 +190,7 @@ def mitigated_run(
         )
         return combine_E1(u_h1, u_v), combine_E1(m_h1, m_v), matrix
     dist = exact_distribution(build_circuit(params, target, mode))
-    return _mitigated(params, target, dist, n_shots, seed, noise, method)
+    return _mitigated(params, Target(target), dist, n_shots, seed, noise, method)
 
 
 def _mitigated(
@@ -209,11 +213,14 @@ def _mitigated(
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
     unmitigated = sample_protocol(params, target, dist, n_shots, run_seed)
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
-    corrected = mitigate(unmitigated.raw_counts, cal_matrix, method)
-    est = estimate_energy(params, target, {key: p * n_shots for key, p in corrected.items()})
+    # the kernels take the run's own tallies and matrix; totals sum as check_counts does
+    counts = unmitigated.raw_counts
+    total = reduce(add, counts.values(), 0.0)
+    corrected = _correct([counts.get(key, 0) / total for key in BITSTRINGS], cal_matrix, method)[0]
+    weights = {key: p * n_shots for key, p in zip(BITSTRINGS, corrected)}
+    mean, std_error = _score(params, target, weights, reduce(add, weights.values(), 0.0))
     # the weights' float total need not round to n_shots past 2**53
-    mitigated = EstimationResult(est.mean, est.std_error, unmitigated.n_shots, est.raw_counts)
-    return unmitigated, mitigated, cal_matrix
+    return unmitigated, EstimationResult(mean, std_error, unmitigated.n_shots, weights), cal_matrix
 
 
 class ComparisonRow(_Record):

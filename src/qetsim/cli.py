@@ -32,6 +32,7 @@ from .analysis import (
     ANALYTIC,
     EVOLUTION_COLUMNS,
     HALF_UNIT,
+    ROW_LIMIT,
     ComparisonRow,
     SweepGrid,
     comparison_report,
@@ -48,9 +49,6 @@ SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
 DEFAULT_AXIS = "0.05:2:50"  # each sweep axis: 50 values from 0.05 to 2
 SEED_ENV_VAR = "QET_SEED"
-# Most output rows (evolve time steps, sweep cells, points on one lo:hi:n
-# axis) a run may ask for: each row is allocated and computed up front.
-ROW_LIMIT = 10**6
 
 
 class ConfigError(Exception):

@@ -15,7 +15,6 @@ a direct solution with no positive mass raise NumericalError.
 from __future__ import annotations
 
 from functools import reduce
-import math
 from operator import add
 import numpy as np
 
@@ -141,8 +140,8 @@ def _solve(m: list[list[float]], b: list[float]) -> list[float]:
 def _simplex_least_squares(a: list[list[float]], y: list[float]) -> tuple[list[float], list[int]]:
     # minimize ||a x - y||^2 subject to x >= 0 and sum x = 1, by active-set
     # elimination: solve the equality-constrained problem on the free set and
-    # pin the most negative coordinate to zero until feasible; x and the final
-    # free set are returned. An empty free set leaves the system [0] x = [1],
+    # pin the most negative coordinate to zero until feasible; x (unclipped) and the
+    # final free set are returned. An empty free set leaves the system [0] x = [1],
     # whose zero pivot raises. dots is 2 a^T [a | y]: the Gram matrix, then y's column.
     columns = [list(col) for col in zip(*a)]
     dots = [[2.0 * (u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3])
@@ -153,8 +152,33 @@ def _simplex_least_squares(a: list[list[float]], y: list[float]) -> tuple[list[f
         xf = _solve(kkt, [dots[i][4] for i in cols] + [1.0])[:-1]
         if all(v >= -ATOL_ALGEBRA for v in xf):
             free = dict(zip(cols, xf))
-            return [max(free.get(i, 0.0), 0.0) for i in range(4)], cols
+            return [free.get(i, 0.0) for i in range(4)], cols
         del cols[min(range(len(cols)), key=xf.__getitem__)]
+
+
+def _correct(y: list[float], a: np.ndarray,
+             method: str) -> tuple[list[float], list[int], float, float | None, int]:
+    """mitigate's kernel, on frequencies y and a finite 4x4 matrix a: the corrected
+    distribution, the free set (all four outcomes for direct), the mass clipped from
+    negative entries, the condition number (direct only, else None) and the number
+    of linear solves (1 for direct; least squares pins one outcome per further solve)."""
+    rows = a.tolist()
+    if method == "direct":
+        # np.linalg.cond's 2-norm ratio, without its wrapper layers
+        sv = np.linalg.svd(a, compute_uv=False).tolist()
+        if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
+            raise NumericalError("calibration matrix is singular or ill-conditioned")
+        raw, free, cond = _solve(rows, y), [0, 1, 2, 3], sv[0] / sv[-1]
+    elif method == "least-squares":
+        (raw, free), cond = _simplex_least_squares(rows, y), None
+    else:
+        raise ValueError(f"unknown mitigation method {method!r}")
+    x = [max(v, 0.0) for v in raw]
+    mass = reduce(add, x, 0.0)  # in order, as ndarray.sum adds four entries
+    if not mass > 0.0:
+        raise NumericalError("corrected distribution has no positive mass")
+    clipped = reduce(add, [-v for v in raw if v < 0.0], 0.0)
+    return [v / mass for v in x], free, clipped, cond, 5 - len(free)
 
 
 def mitigate(
@@ -166,25 +190,11 @@ def mitigate(
     and a finite response matrix. The direct method requires a well-conditioned
     matrix and clips negative solution entries, which must leave positive
     mass; least squares stays on the probability simplex by construction."""
-    if method not in MITIGATION_METHODS:
-        raise ValueError(f"unknown mitigation method {method!r}")
     a = np.asarray(a, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("calibration matrix must be 4x4")
     total = check_counts(counts)
-    rows, y = a.tolist(), [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
-    if not all(math.isfinite(v) for row in rows for v in row):
+    if not np.isfinite(a).all():
         raise NumericalError("calibration matrix has a non-finite entry")
-
-    if method == "direct":
-        # np.linalg.cond's 2-norm ratio, without its wrapper layers
-        sv = np.linalg.svd(a, compute_uv=False).tolist()
-        if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
-            raise NumericalError("calibration matrix is singular or ill-conditioned")
-        x = [max(v, 0.0) for v in _solve(rows, y)]
-    else:
-        x = _simplex_least_squares(rows, y)[0]
-    mass = reduce(add, x, 0.0)  # in order, as ndarray.sum adds four entries
-    if not mass > 0.0:
-        raise NumericalError("corrected distribution has no positive mass")
-    return {key: v / mass for key, v in zip(BITSTRINGS, x)}
+    y = [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
+    return dict(zip(BITSTRINGS, _correct(y, a, method)[0]))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 import math
+from operator import add
 import numpy as np
 
 from .model import ModelParams, _terms, angles
@@ -124,6 +126,13 @@ def estimate_energy(
     n_shots = sum(map(int, counts.values())) if exact else round(total)
     if n_shots < 1:
         raise ValueError(f"counts must total at least one shot, got {total}")
+    return EstimationResult(*_score(params, target, counts, total), n_shots, dict(counts))
+
+
+def _score(params: ModelParams, target: Target, counts: dict[str, float],
+           total: float) -> tuple[float, float]:
+    """(mean, std_error) of valid counts whose float total, summed in dict order
+    as check_counts sums it, is total: estimate_energy without its checks."""
     local, interaction = _terms(params)
     coef, const = interaction if target is Target.V else local
     eigenvalues = _EIGENVALUES[target]
@@ -132,13 +141,7 @@ def estimate_energy(
     var = max(1.0 - eig_mean**2, 0.0)
     if total > 1:
         var *= total / (total - 1.0)
-    std_error = coef * math.sqrt(var / total)
-    return EstimationResult(
-        mean=coef * eig_mean + const,
-        std_error=std_error,
-        n_shots=n_shots,
-        raw_counts=dict(counts),
-    )
+    return coef * eig_mean + const, coef * math.sqrt(var / total)
 
 
 def combine_E1(h1: EstimationResult, v: EstimationResult) -> EstimationResult:
@@ -146,7 +149,7 @@ def combine_E1(h1: EstimationResult, v: EstimationResult) -> EstimationResult:
     standard errors combined in quadrature."""
     return EstimationResult(
         mean=h1.mean + v.mean,
-        std_error=float(np.hypot(h1.std_error, v.std_error)),
+        std_error=math.hypot(h1.std_error, v.std_error),
         n_shots=h1.n_shots + v.n_shots,
         raw_counts=None,
         components=(h1, v),
@@ -204,7 +207,9 @@ def sample_protocol(
     target's circuit: a caller that reruns a circuit enumerates it once. A noisy
     run passes the record's distribution, ReadoutNoise.recorded of the exact one."""
     (shot_seed,) = _seed_sequence(seed).spawn(1)
-    return estimate_energy(params, target, run_shots(dist, n_shots, shot_seed))
+    counts = run_shots(dist, n_shots, shot_seed)  # checks n_shots: the tallies total int(n_shots)
+    total = reduce(add, counts.values(), 0.0)  # in dict order, as check_counts sums
+    return EstimationResult(*_score(params, Target(target), counts, total), int(n_shots), counts)
 
 
 def run_protocol_E1(

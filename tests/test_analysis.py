@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import analysis, protocol
+from qetsim import analysis, cli, protocol
 from qetsim.analysis import (
     HALF_UNIT,
+    ROW_LIMIT,
     ComparisonRow,
     SweepGrid,
     comparison_report,
@@ -41,13 +42,16 @@ from qetsim.noise import (
     ReadoutNoise,
     apply_noise,
     estimate_calibration_matrix,
+    mitigate,
 )
 from qetsim.protocol import (
+    EstimationResult,
     Mode,
     Target,
     build_circuit,
     combine_E1,
     e1_parts,
+    estimate_energy,
     run_protocol,
     run_protocol_E1,
     sample_protocol,
@@ -125,6 +129,20 @@ def test_phi_scan_needs_two_points(n_points):
     # one angle has no step to report as the resolution
     with pytest.raises(ValueError, match="n_points"):
         phi_scan(ModelParams(1.0, 1.0), n_points)
+
+
+def test_phi_scan_takes_an_integral_count_up_to_row_limit(monkeypatch):
+    params = ModelParams(1.0, 1.0)
+    assert phi_scan(params, 10.0) == phi_scan(params, 10)
+    # refused before any array is allocated
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated"))
+    for n_points in (2.5, ROW_LIMIT + 1, 10**9, math.nan):
+        with pytest.raises(ValueError, match="n_points"):
+            phi_scan(params, n_points)
+
+
+def test_row_limit_is_stated_once():
+    assert cli.ROW_LIMIT is analysis.ROW_LIMIT
 
 
 def test_phi_scan_starts_at_zero_energy():
@@ -571,6 +589,31 @@ def test_mitigated_run_calibrates_with_the_run_shots():
     )
     cal_seed = np.random.SeedSequence(3).spawn(2)[1]
     assert np.array_equal(matrix, sampled_calibration_matrix(LIMA, 2_000, cal_seed))
+
+
+@pytest.mark.parametrize("shots", [50, 2_000, 2**53 + 1, 2**60])
+@pytest.mark.parametrize("method", MITIGATION_METHODS)
+@pytest.mark.parametrize("target", ["E0", Target.H1, "V"], ids=str)
+def test_mitigated_run_scores_as_the_public_entries(target, method, shots):
+    # the pipeline corrects its own tallies and matrix, and scores the weights,
+    # without the public entries' checks; the results are theirs, with the
+    # run's exact shot count
+    params = ModelParams(1.0, 0.5)
+    for seed in range(3):
+        unmit, mit, matrix = mitigated_run(params, target, Mode.DEFERRED, shots, seed, LIMA, method)
+        assert unmit == estimate_energy(params, target, unmit.raw_counts)
+        corrected = mitigate(unmit.raw_counts, matrix, method)
+        assert mit.raw_counts == {key: p * shots for key, p in corrected.items()}
+        est = estimate_energy(params, target, mit.raw_counts)
+        assert mit == EstimationResult(est.mean, est.std_error, shots, est.raw_counts)
+
+
+def test_noisy_pipeline_rejects_an_unknown_method():
+    params = ModelParams(1.0, 0.5)
+    with pytest.raises(ValueError, match="unknown mitigation method"):
+        mitigated_run(params, Target.V, Mode.DEFERRED, 100, 3, LIMA, "bogus")
+    with pytest.raises(ValueError, match="unknown mitigation method"):
+        comparison_report([params], 100, 3, LIMA, "bogus")
 
 
 # a run without a method, and a noise-free run whatever its method: there is

@@ -14,7 +14,9 @@ from qetsim.noise import (
     MITIGATION_METHODS,
     PRESETS,
     ReadoutNoise,
+    _correct,
     _simplex_least_squares,
+    _solve,
     apply_noise,
     estimate_calibration_matrix,
     measurement_fidelity,
@@ -399,15 +401,66 @@ def test_mitigate_matches_numpy_reference(spec, shots):
                 continue
             got = distribution_vector(mitigate(counts, a, method))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            # mitigate is its checks plus the kernel
+            record = _correct(y.tolist(), a, method)
+            assert mitigate(counts, a, method) == dict(zip(BITSTRINGS, record[0]))
+            if method == "direct":
+                assert record[1] == [0, 1, 2, 3] and record[3] == np.linalg.cond(a)
         try:
             free = reference_simplex_least_squares(a, y)[1]
         except NumericalError:
             continue
         # the same outcomes pinned to zero
         assert _simplex_least_squares(a.tolist(), y.tolist())[1] == free
+        assert _correct(y.tolist(), a, "least-squares")[1] == free
         free_sets.add(len(free))
     # solutions inside the simplex, and past one shot (0/1 matrices) ones that pin
     assert 4 in free_sets and (shots == 1 or len(free_sets) > 1), free_sets
+
+
+@pytest.mark.parametrize("method", MITIGATION_METHODS)
+def test_correct_records_what_mitigation_did(method):
+    # jakarta-like readout at 2,000 shots: the direct solutions of runs near a
+    # corner of the simplex go negative and are clipped
+    noise = PRESETS["jakarta-like"]
+    rng = np.random.default_rng(2000)
+    clipping = 0
+    for seed in range(200):
+        a = sampled_calibration_matrix(noise, 2000, seed)
+        draw = rng.multinomial(2000, noise.response @ rng.dirichlet(np.full(4, 0.3)))
+        y = (draw / 2000).tolist()
+        x, free, clipped, cond, solves = _correct(y, a, method)
+        if method == "direct":
+            raw = _solve(a.tolist(), y)
+            assert free == [0, 1, 2, 3] and cond == np.linalg.cond(a) and solves == 1
+            # the clipped entries, against numpy's solver
+            reference = np.linalg.solve(a, y)
+            assert clipped == pytest.approx(-reference[reference < 0.0].sum(), rel=0, abs=1e-12)
+        else:
+            raw = _simplex_least_squares(a.tolist(), y)[0]
+            assert cond is None and solves == 5 - len(free)
+            assert clipped <= 4 * ATOL_ALGEBRA
+        assert (clipped == 0.0) == (min(raw) >= 0.0)
+        assert clipped >= 0.0
+        clipping += clipped > 0.0
+    if method == "direct":
+        assert clipping > 0
+
+
+@pytest.mark.parametrize(
+    "a, method",
+    [
+        (ReadoutNoise.symmetric(0.5, 0.5).response, "direct"),  # singular
+        (np.diag([1.0, 1.0, 1.0, 1e-7]), "direct"),  # ill-conditioned
+        (ReadoutNoise.symmetric(0.5, 0.5).response, "least-squares"),  # zero pivot
+        (-np.eye(4), "direct"),  # no positive mass
+    ],
+    ids=["singular", "ill-conditioned", "zero-pivot", "no-positive-mass"],
+)
+def test_correct_refuses_what_it_cannot_correct(a, method):
+    # the checks that can fire on the pipeline's own matrix live in the kernel
+    with pytest.raises(NumericalError):
+        _correct([1.0, 0.0, 0.0, 0.0], a, method)
 
 
 def test_mitigate_input_validation():

@@ -113,6 +113,28 @@ def test_estimator_validation():
     assert estimate_energy(ModelParams(1.0, 1.0), Target.V, {"00": 0.3, "11": 0.25}).n_shots == 1
 
 
+@pytest.mark.parametrize("shots", [1, 2_000, 2_000.0, 2**53 + 1, 2**60])
+@pytest.mark.parametrize("target", [*Target, "V"], ids=str)
+def test_sample_protocol_scores_as_estimate_energy(target, shots):
+    # the pipeline scores run_shots' tallies without estimate_energy's checks;
+    # past 2**53 the float total is summed in dict order, as check_counts sums it
+    # (at 2**60 shots of V, seeds 13 and 31 score otherwise on float(2**60))
+    params = ModelParams(1.0, 0.5)
+    dist = exact_distribution(build_circuit(params, target, Mode.DEFERRED))
+    for seed in (0, 1, 13, 31):
+        result = sample_protocol(params, target, dist, shots, seed)
+        assert result == estimate_energy(params, target, result.raw_counts)
+        assert type(result.n_shots) is int
+
+
+def test_combine_E1_adds_errors_by_math_hypot():
+    # correctly rounded here, where np.hypot is an ulp low (against 60 digits)
+    h1 = EstimationResult(0.5, 0.55740888009091, 10, None)
+    v = EstimationResult(-0.25, 0.4989864523070149, 10, None)
+    assert combine_E1(h1, v).std_error == math.hypot(0.55740888009091, 0.4989864523070149)
+    assert combine_E1(h1, v).std_error == 0.7481257509203539
+
+
 def test_estimate_energy_degenerate_counts():
     params = ModelParams(1.0, 1.0)
     result = estimate_energy(params, Target.H1, {"00": 100})
