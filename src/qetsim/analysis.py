@@ -7,9 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
 import math
-from operator import add
 
 import numpy as np
 
@@ -37,7 +35,7 @@ from .protocol import (
     e1_parts,
     sample_protocol,
 )
-from .simcore import (BITSTRINGS, NumericalError, _Record, _rng, evolved_expectations,
+from .simcore import (BITSTRINGS, NumericalError, _Record, _rng, _total, evolved_expectations,
                       exact_distribution, shot_count)
 
 
@@ -77,15 +75,12 @@ class PhiScanResult:
     resolution: float  # scan step
 
 
-def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
+def phi_scan(params: ModelParams) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
     angle in one call of the closed-form kernel model._receiver_energies (the
     one heatmap and the analytic energies use), and how far the argmin sits
-    from the protocol angle. The scan covers [0, pi/2) in n_points steps, an
-    integral count in [2, ROW_LIMIT]."""
-    if not (2 <= n_points <= ROW_LIMIT and int(n_points) == n_points):
-        raise ValueError(f"n_points must be an integer in [2, {ROW_LIMIT}], got {n_points}")
-    phis = np.linspace(0.0, np.pi / 2, int(n_points), endpoint=False)
+    from the protocol angle. The scan covers [0, pi/2) in _PHI_POINTS steps."""
+    phis = np.linspace(0.0, np.pi / 2, _PHI_POINTS, endpoint=False)
     energies = sum(_receiver_energies(params.h, params.k, params.r, phis))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
@@ -99,9 +94,7 @@ def phi_scan(params: ModelParams, n_points: int = 10_000) -> PhiScanResult:
 
 
 EVOLUTION_COLUMNS = ("t", "h1_sim", "h1_closed", "v_sim")
-# Most output rows (evolve time steps, sweep cells, points on one lo:hi:n axis,
-# phi_scan angles) a run may ask for: each row is allocated and computed up front.
-ROW_LIMIT = 10**6
+_PHI_POINTS = 10_000  # phi_scan's angles in [0, pi/2)
 # qet prints six decimals: an error within this half unit moves a printed
 # number by at most its last digit, and %.6f prints x as a zero, signed if x
 # is negative, exactly when |x| <= HALF_UNIT (the double nearest the half unit
@@ -162,7 +155,7 @@ def sampled_calibration_matrix(
     rng, columns = _rng(_seed_sequence(seed)), []
     for column in noise.response_columns:
         tally = rng.multinomial(n_shots, column).tolist()
-        total = reduce(add, tally, 0.0)  # summed in order, as check_counts sums: the same bits
+        total = _total(tally)
         columns.append([c / total for c in tally])
     return np.array(columns).T
 
@@ -213,12 +206,12 @@ def _mitigated(
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
     unmitigated = sample_protocol(params, target, dist, n_shots, run_seed)
     cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
-    # the kernels take the run's own tallies and matrix; totals sum as check_counts does
+    # the kernels take the run's own tallies and matrix
     counts = unmitigated.raw_counts
-    total = reduce(add, counts.values(), 0.0)
+    total = _total(counts.values())
     corrected = _correct([counts.get(key, 0) / total for key in BITSTRINGS], cal_matrix, method)[0]
     weights = {key: p * n_shots for key, p in zip(BITSTRINGS, corrected)}
-    mean, std_error = _score(params, target, weights, reduce(add, weights.values(), 0.0))
+    mean, std_error = _score(params, target, weights)
     # the weights' float total need not round to n_shots past 2**53
     return unmitigated, EstimationResult(mean, std_error, unmitigated.n_shots, weights), cal_matrix
 

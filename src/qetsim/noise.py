@@ -14,8 +14,6 @@ a direct solution with no positive mass raise NumericalError.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
 import numpy as np
 
 from .simcore import (
@@ -24,6 +22,7 @@ from .simcore import (
     NumericalError,
     _Record,
     _rng,
+    _total,
     check_counts,
     distribution_vector,
     on_qubits,
@@ -107,9 +106,9 @@ def estimate_calibration_matrix(calibration_counts: list[dict[str, int]]) -> np.
 
 
 def measurement_fidelity(a: np.ndarray) -> float:
-    """Mean diagonal of the response matrix, summed in order: the bits of np.mean's."""
+    """Mean diagonal of the response matrix: the bits of np.mean's."""
     diagonal = [row[i] for i, row in enumerate(np.asarray(a, dtype=float).tolist())]
-    return reduce(add, diagonal) / len(diagonal)
+    return _total(diagonal) / len(diagonal)
 
 
 def _solve(m: list[list[float]], b: list[float]) -> list[float]:
@@ -174,10 +173,10 @@ def _correct(y: list[float], a: np.ndarray,
     else:
         raise ValueError(f"unknown mitigation method {method!r}")
     x = [max(v, 0.0) for v in raw]
-    mass = reduce(add, x, 0.0)  # in order, as ndarray.sum adds four entries
+    mass = _total(x)
     if not mass > 0.0:
         raise NumericalError("corrected distribution has no positive mass")
-    clipped = reduce(add, [-v for v in raw if v < 0.0], 0.0)
+    clipped = _total(-v for v in raw if v < 0.0)
     return [v / mass for v in x], free, clipped, cond, 5 - len(free)
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 import math
-from operator import add
 import numpy as np
 
 from .model import ModelParams, _terms, angles
@@ -26,6 +24,7 @@ from .simcore import (
     MeasureZ,
     Ry,
     _SeedNode,
+    _total,
     check_counts,
     exact_distribution,
     run_shots,
@@ -126,17 +125,17 @@ def estimate_energy(
     n_shots = sum(map(int, counts.values())) if exact else round(total)
     if n_shots < 1:
         raise ValueError(f"counts must total at least one shot, got {total}")
-    return EstimationResult(*_score(params, target, counts, total), n_shots, dict(counts))
+    return EstimationResult(*_score(params, target, counts), n_shots, dict(counts))
 
 
-def _score(params: ModelParams, target: Target, counts: dict[str, float],
-           total: float) -> tuple[float, float]:
-    """(mean, std_error) of valid counts whose float total, summed in dict order
-    as check_counts sums it, is total: estimate_energy without its checks."""
+def _score(params: ModelParams, target: Target, counts: dict[str, float]) -> tuple[float, float]:
+    """(mean, std_error) of valid counts: estimate_energy without its checks."""
     local, interaction = _terms(params)
     coef, const = interaction if target is Target.V else local
     eigenvalues = _EIGENVALUES[target]
-    eig_mean = sum(eigenvalues[key] * c for key, c in counts.items()) / total
+    total = _total(counts.values())
+    # from the int 0, integer tallies add exactly
+    eig_mean = _total((eigenvalues[key] * c for key, c in counts.items()), 0) / total
     # eigenvalues are +/-1, so the population variance is 1 - mean^2
     var = max(1.0 - eig_mean**2, 0.0)
     if total > 1:
@@ -208,8 +207,7 @@ def sample_protocol(
     run passes the record's distribution, ReadoutNoise.recorded of the exact one."""
     (shot_seed,) = _seed_sequence(seed).spawn(1)
     counts = run_shots(dist, n_shots, shot_seed)  # checks n_shots: the tallies total int(n_shots)
-    total = reduce(add, counts.values(), 0.0)  # in dict order, as check_counts sums
-    return EstimationResult(*_score(params, Target(target), counts, total), int(n_shots), counts)
+    return EstimationResult(*_score(params, Target(target), counts), int(n_shots), counts)
 
 
 def run_protocol_E1(

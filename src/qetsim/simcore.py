@@ -12,7 +12,9 @@ A generator at a seed tree's leaf is seeded from its entropy words (_rng).
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from functools import reduce
 import math
+from operator import add
 import numpy as np
 
 # Algebraic identities hold to ATOL_ALGEBRA; decomposition round-trips to ATOL_DECOMP.
@@ -252,7 +254,7 @@ def run_shots(
     if unknown := dist.keys() - BITSTRINGS:
         raise ValueError(f"invalid outcome key {unknown.pop()!r}")
     p = [float(dist.get(key, 0.0)) for key in BITSTRINGS]
-    total = p[0] + p[1] + p[2] + p[3]  # in order: the bits of ndarray.sum's
+    total = _total(p)
     # a non-finite entry leaves a non-finite total, which fails the comparison
     if not abs(total - 1.0) <= ATOL_DECOMP:
         raise NumericalError(f"outcome probabilities {np.array(p)} do not form a distribution")
@@ -293,17 +295,22 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     return dict(zip(BITSTRINGS, totals))
 
 
+def _total(values, start: float = 0.0) -> float:
+    """values added left to right to start, as every qetsim total is: builtin sum
+    compensates float rounding from Python 3.12 on, so its bits vary by version."""
+    return reduce(add, values, start)
+
+
 def check_counts(counts: dict[str, float]) -> float:
-    """Total of a counts map (integer tallies or float weights). Raises
+    """_total of a counts map (integer tallies or float weights). Raises
     ValueError unless every key is an outcome bitstring, every count is finite
     and nonnegative, and the total is positive and finite."""
-    total = 0.0
     for key, c in counts.items():
         if key not in BITSTRINGS:
             raise ValueError(f"invalid outcome key {key!r}")
         if not (math.isfinite(c) and c >= 0):
             raise ValueError(f"count for {key!r} must be finite and nonnegative, got {c}")
-        total += c
+    total = _total(counts.values())
     if not (0.0 < total < math.inf):
         raise ValueError(f"counts must have a positive finite total, got {total}")
     return total

@@ -8,10 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import analysis, cli, protocol
+from qetsim import analysis, protocol
 from qetsim.analysis import (
     HALF_UNIT,
-    ROW_LIMIT,
     ComparisonRow,
     SweepGrid,
     comparison_report,
@@ -117,40 +116,19 @@ def test_heatmap_sign_structure_small_grid():
 @pytest.mark.parametrize("pair", REPORT_PAIRS, ids=str)
 def test_phi_scan_finds_protocol_angle(pair):
     params = ModelParams(*pair)
-    result = phi_scan(params, n_points=2_000)
+    result = phi_scan(params)
     assert result.protocol_phi == pytest.approx(angles(params).phi, abs=1e-15)
     assert result.distance <= result.resolution
     # the scan minimum brackets the true minimum from above
     assert analytic_E1(params) - 1e-12 <= result.min_e1 <= analytic_E1(params) + 1e-5
 
 
-@pytest.mark.parametrize("n_points", [1, 0, -1])
-def test_phi_scan_needs_two_points(n_points):
-    # one angle has no step to report as the resolution
-    with pytest.raises(ValueError, match="n_points"):
-        phi_scan(ModelParams(1.0, 1.0), n_points)
-
-
-def test_phi_scan_takes_an_integral_count_up_to_row_limit(monkeypatch):
-    params = ModelParams(1.0, 1.0)
-    assert phi_scan(params, 10.0) == phi_scan(params, 10)
-    # refused before any array is allocated
-    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("allocated"))
-    for n_points in (2.5, ROW_LIMIT + 1, 10**9, math.nan):
-        with pytest.raises(ValueError, match="n_points"):
-            phi_scan(params, n_points)
-
-
-def test_row_limit_is_stated_once():
-    assert cli.ROW_LIMIT is analysis.ROW_LIMIT
-
-
 def test_phi_scan_starts_at_zero_energy():
     # the first grid angle is 0, where the receiver does nothing
     params = ModelParams(1.0, 1.0)
-    result = phi_scan(params, n_points=500)
+    result = phi_scan(params)
     assert result.min_e1 < 0.0
-    assert result.resolution == pytest.approx((np.pi / 2) / 500)
+    assert result.resolution == pytest.approx((np.pi / 2) / 10**4)
 
 
 def test_evolution_scan_table():
@@ -273,9 +251,10 @@ def test_receiver_energies_at_largest_couplings(capsys):
 
 
 @pytest.mark.parametrize("pair", SCAN_PAIRS, ids=str)
-def test_phi_scan_matches_per_angle_definition(pair):
+def test_phi_scan_matches_per_angle_definition(pair, monkeypatch):
+    monkeypatch.setattr(analysis, "_PHI_POINTS", 64)
     params = ModelParams(*pair)
-    result = phi_scan(params, n_points=64)
+    result = phi_scan(params)
     phis = np.linspace(0.0, np.pi / 2, 64, endpoint=False)
     hams = build_hamiltonians(params)
     energies = [expectation(rho_qet(params, phi), hams.h1 + hams.v) for phi in phis]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,12 @@ def test_measurement_fidelity_is_the_mean_of_the_diagonal():
     ]
     for a in matrices:
         assert measurement_fidelity(a) == float(np.mean(np.diag(a)))
+
+
+def test_measurement_fidelity_of_negative_zeros_is_positive_zero():
+    # np.mean adds from +0.0, so -0.0 entries give +0.0
+    a = np.diag([-0.0] * 4)
+    assert math.copysign(1.0, measurement_fidelity(a)) == math.copysign(1.0, np.mean(np.diag(a))) == 1.0
 
 
 @pytest.mark.parametrize("method", MITIGATION_METHODS)

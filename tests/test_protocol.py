@@ -16,6 +16,7 @@ from qetsim.model import (
     analytic_E1,
     analytic_H1,
     analytic_V,
+    _terms,
 )
 from qetsim.noise import PRESETS
 from qetsim.protocol import (
@@ -125,6 +126,17 @@ def test_sample_protocol_scores_as_estimate_energy(target, shots):
         result = sample_protocol(params, target, dist, shots, seed)
         assert result == estimate_energy(params, target, result.raw_counts)
         assert type(result.n_shots) is int
+
+
+def test_float_weights_score_left_to_right():
+    # V's signed weights 3e16, -2, -5, 8 add from the left, as every total does;
+    # a compensated sum (math.fsum, builtin sum from Python 3.12 on) moves the mean
+    params = ModelParams(1.0, 1.0)
+    (coef, const), signed = _terms(params)[1], [3e16, -2.0, -5.0, 8.0]
+    total = ((3e16 + 2.0) + 5.0) + 8.0
+    result = estimate_energy(params, Target.V, {"00": 3e16, "01": 2.0, "10": 5.0, "11": 8.0})
+    assert result.mean == coef * ((((3e16 - 2.0) - 5.0) + 8.0) / total) + const
+    assert result.mean != coef * (math.fsum(signed) / total) + const
 
 
 def test_combine_E1_adds_errors_by_math_hypot():

@@ -26,6 +26,8 @@ from qetsim.simcore import (
     MeasureZ,
     NumericalError,
     Ry,
+    _total,
+    check_counts,
     distribution_vector,
     evolve,
     evolved_expectations,
@@ -558,6 +560,26 @@ COUNTS_CONSUMERS = {
 def test_counts_consumers_reject_non_finite_counts(consumer, value):
     with pytest.raises(ValueError):
         consumer({"00": 10, "01": value})
+
+
+def test_total_adds_left_to_right_from_zero():
+    # 1e16 + 1.0 rounds back to 1e16; compensated sums (math.fsum, and builtin
+    # sum on Python 3.12 and later) keep the 1.0
+    assert _total([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert _total([]) == 0.0 and type(_total([3, 4])) is float
+    assert math.copysign(1.0, _total([-0.0])) == 1.0
+    # from the int 0, integer tallies add exactly
+    assert _total([2**53, 1, 1], 0) == 2**53 + 2 and _total([2**53, 1, 1]) == 2.0**53
+
+
+@pytest.mark.parametrize("counts, total", [
+    ({"00": 2.0**53, "01": 1.0, "10": 1.0}, 2.0**53),  # each 1.0 rounds away; fsum keeps both
+    ({"00": 2**53, "01": 1, "10": 1}, 2.0**53),  # integer tallies add as floats too
+    ({"01": 0.1, "00": 0.7, "11": 0.2}, 1.0),  # in dict order: reversed, they give 1 - 2**-53
+], ids=str)
+def test_check_counts_returns_the_total(counts, total):
+    assert check_counts(counts) == _total(counts.values()) == total
 
 
 def test_distribution_vector_ordering():
