@@ -9,8 +9,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .model import (
     ModelParams,
     _receiver_energies,
@@ -36,7 +34,7 @@ from .protocol import (
     sample_protocol,
 )
 from .simcore import (BITSTRINGS, NumericalError, _Record, _rng, _total, evolved_expectations,
-                      exact_distribution, shot_count)
+                      exact_distribution, np, shot_count)
 
 
 class SweepGrid(_Record):

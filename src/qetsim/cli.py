@@ -26,8 +26,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .analysis import (
     ANALYTIC,
     EVOLUTION_COLUMNS,
@@ -42,7 +40,7 @@ from .analysis import (
 from .model import REPORT_PAIRS, ModelParams
 from .noise import MITIGATION_METHODS, PRESETS, ReadoutNoise, measurement_fidelity
 from .protocol import EstimationResult, Mode
-from .simcore import BITSTRINGS, NumericalError, shot_count
+from .simcore import BITSTRINGS, NumericalError, np, shot_count
 
 SCHEMA = "qet-report/1"
 DEFAULT_SEED = 12345
@@ -451,9 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one qet call on argv (default sys.argv[1:]); return its exit code.
-    The named subcommand's parser parses argv once. The full parser parses it
-    instead, printing its own usage, help or error, when argv names no
-    subcommand or the subcommand's parser leaves arguments unrecognized."""
+    The named subcommand's parser parses argv once. A first argument that is
+    neither a subcommand nor an option is refused with the full parser's usage.
+    Otherwise the full parser parses argv, printing its own usage, help or error,
+    when argv names no subcommand or the subcommand's parser leaves arguments
+    unrecognized."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv else None
@@ -461,6 +461,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if name in parser.subcommands:
             namespace = argparse.Namespace(command=name)
             args, extras = parser.subcommands[name].parse_known_args(argv[1:], namespace)
+        elif name is not None and not name.startswith("-"):
+            # argparse's own text quotes the choices or not by Python release
+            parser.error(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {', '.join(map(repr, parser.subcommands))})")
         if name not in parser.subcommands or extras:
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -14,21 +14,11 @@ outward so that nothing underflows before the result does. Scaling (h, k) by
 
 from __future__ import annotations
 
+from functools import cache
 import math
 import sys
 
-import numpy as np
-
-from .simcore import (
-    ATOL_DECOMP,
-    DensityMatrix,
-    Observable,
-    PureState,
-    _Record,
-    expectation,
-    is_unitary,
-    on_qubits,
-)
+from .simcore import ATOL_DECOMP, _Record, expectation, is_unitary, np, on_qubits
 
 # Parameter sets shared by the property suites: a coarse (h, k) grid plus the
 # pairs with frozen reference energies. REPORT_PAIRS are the four comparison
@@ -63,10 +53,10 @@ class ModelParams(_Record):
 
 
 class HamiltonianSet(_Record):
-    h0: Observable
-    h1: Observable
-    v: Observable
-    htot: Observable
+    h0: np.ndarray
+    h1: np.ndarray
+    v: np.ndarray
+    htot: np.ndarray
     __hash__ = _Record.__hash__  # which defining __eq__ alone would unset
 
     def __eq__(self, other: object) -> bool:
@@ -90,13 +80,12 @@ class EntropyReport(_Record):
     max_eb_lower_bound: float   # entropy-based lower bound on max extractable energy
 
 
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_I4 = np.eye(4, dtype=complex)
-
-Z0 = on_qubits({0: _Z})
-Z1 = on_qubits({1: _Z})
-X0X1 = on_qubits({0: _X, 1: _X})
+@cache
+def _operators() -> tuple[np.ndarray, ...]:
+    """Z0, Z1, X0X1 and the identity, the Hamiltonians' terms, built on first use."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    return on_qubits({0: z}), on_qubits({1: z}), on_qubits({0: x, 1: x}), np.eye(4, dtype=complex)
 
 
 def _cs(params: ModelParams) -> tuple[float, float]:
@@ -113,13 +102,14 @@ def _terms(params: ModelParams) -> tuple[tuple[float, float], tuple[float, float
 
 def build_hamiltonians(params: ModelParams) -> HamiltonianSet:
     (h, h_const), (two_k, v_const) = _terms(params)
-    h0 = h * Z0 + h_const * _I4
-    h1 = h * Z1 + h_const * _I4
-    v = two_k * X0X1 + v_const * _I4
+    z0, z1, x0x1, i4 = _operators()
+    h0 = h * z0 + h_const * i4
+    h1 = h * z1 + h_const * i4
+    v = two_k * x0x1 + v_const * i4
     return HamiltonianSet(h0=h0, h1=h1, v=v, htot=h0 + h1 + v)
 
 
-def ground_state(params: ModelParams) -> PureState:
+def ground_state(params: ModelParams) -> np.ndarray:
     """Unique ground state of the total Hamiltonian: a|00> - b|11>."""
     a, b = _amplitudes(*_cs(params))
     return np.array([a, 0.0, 0.0, -b], dtype=complex)
@@ -183,13 +173,13 @@ def analytic_V(params: ModelParams) -> float:
     return _receiver_energies(params.h, params.k, params.r)[0]
 
 
-def rho_measured(params: ModelParams) -> DensityMatrix:
+def rho_measured(params: ModelParams) -> np.ndarray:
     """Post-measurement ensemble before the receiver acts: sum of the two
     X-projected ground-state branches."""
     return rho_qet(params, 0.0)
 
 
-def rho_qet(params: ModelParams, phi: float | None = None) -> DensityMatrix:
+def rho_qet(params: ModelParams, phi: float | None = None) -> np.ndarray:
     """Ensemble after the receiver's outcome-conditioned rotation RY(2 mu phi)
     on qubit 1; passing phi other than the protocol angle models a suboptimal
     receiver. The X outcome mu leaves (1, mu) (x) (a, -mu b)/2, which the

@@ -14,7 +14,7 @@ a direct solution with no positive mass raise NumericalError.
 
 from __future__ import annotations
 
-import numpy as np
+from functools import cached_property
 
 from .simcore import (
     ATOL_ALGEBRA,
@@ -25,7 +25,7 @@ from .simcore import (
     _total,
     check_counts,
     distribution_vector,
-    on_qubits,
+    np,
     shot_count,
 )
 
@@ -37,8 +37,9 @@ _COND_LIMIT = 1e6
 
 class ReadoutNoise(_Record):
     """Per-qubit flip probabilities: read1_given0[q] = P(read 1 | true 0),
-    read0_given1[q] = P(read 0 | true 1); response is their read-only 4x4 matrix,
-    response_columns its columns as tuples of plain floats."""
+    read0_given1[q] = P(read 0 | true 1); response_columns holds the columns of
+    their 4x4 matrix as tuples of plain floats, and response, built on first
+    read, the matrix itself, read-only."""
 
     read1_given0: tuple[float, float]
     read0_given1: tuple[float, float]
@@ -49,13 +50,18 @@ class ReadoutNoise(_Record):
         for p in (*self.read1_given0, *self.read0_given1):
             if not (0.0 <= p < 1.0):
                 raise ValueError(f"flip probability must be in [0, 1), got {p}")
-        response = on_qubits({
-            q: np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
-            for q, (p10, p01) in enumerate(zip(self.read1_given0, self.read0_given1))
-        })
+        # the Kronecker product of the per-qubit matrices on plain floats: entry
+        # (2i + j, 2k + l) is the one product a[i][k] b[j][l], as np.kron forms it
+        a, b = ([[float(1.0 - p10), float(p01)], [float(p10), float(1.0 - p01)]]
+                for p10, p01 in zip(self.read1_given0, self.read0_given1))
+        object.__setattr__(self, "response_columns", tuple(
+            tuple(a[i][k] * b[j][l] for i in (0, 1) for j in (0, 1)) for k in (0, 1) for l in (0, 1)))
+
+    @cached_property
+    def response(self) -> np.ndarray:
+        response = np.array(self.response_columns).T
         response.flags.writeable = False
-        object.__setattr__(self, "response", response)
-        object.__setattr__(self, "response_columns", tuple(zip(*response.tolist())))
+        return response
 
     def recorded(self, dist: dict[str, float]) -> dict[str, float]:
         """A p: the distribution of the record when outcomes are drawn from dist.

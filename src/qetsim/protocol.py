@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
-import numpy as np
 
 from .model import ModelParams, _terms, angles
 from .simcore import (
@@ -27,6 +26,7 @@ from .simcore import (
     _total,
     check_counts,
     exact_distribution,
+    np,
     run_shots,
 )
 

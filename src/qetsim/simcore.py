@@ -15,7 +15,30 @@ from dataclasses import FrozenInstanceError
 from functools import reduce
 import math
 from operator import add
-import numpy as np
+import types
+
+
+class _LazyNumpy(types.ModuleType):
+    """numpy, imported on the first attribute read, so that importing qetsim
+    loads no numpy. That read copies numpy's names in, and any other name (a
+    submodule numpy loads on use, such as random) is read from numpy once and
+    kept. The class then becomes ModuleType: a lookup costs what one on numpy
+    does. Each step is idempotent, so threads racing to the first read agree."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        def fetch(attr: str):
+            value = getattr(numpy, attr)
+            setattr(self, attr, value)
+            return value
+
+        vars(self).update(vars(numpy), __getattr__=fetch)
+        self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+np = _LazyNumpy("numpy")  # every qetsim module's numpy: from .simcore import np
 
 # Algebraic identities hold to ATOL_ALGEBRA; decomposition round-trips to ATOL_DECOMP.
 ATOL_ALGEBRA = 1e-12
@@ -33,11 +56,6 @@ def shot_count(n_shots: float) -> int:
     if not (1 <= n_shots < SHOT_LIMIT and int(n_shots) == n_shots):
         raise ValueError(f"n_shots must be an integer in [1, 2**63), got {n_shots}")
     return int(n_shots)
-
-
-PureState = np.ndarray      # shape (4,), complex, unit norm
-DensityMatrix = np.ndarray  # shape (4, 4), complex, Hermitian, trace 1
-Observable = np.ndarray     # shape (4, 4), complex, Hermitian
 
 
 class NumericalError(Exception):
@@ -153,15 +171,12 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(half), math.sin(half)
 
 
-_I2 = np.eye(2, dtype=complex)
-
-
 def on_qubits(ops: dict[int, np.ndarray]) -> np.ndarray:
     """4x4 operator acting as ops[q] (2x2) on qubit q and as the identity on
     a qubit not in ops. Qubit 0 is the high bit of the index 2*b0 + b1, so
     this is the Kronecker product ops[0] (x) ops[1]; broadcasting gives the
     same bits as numpy's kron at a tenth of its per-call cost."""
-    a, b = ops.get(0, _I2), ops.get(1, _I2)
+    a, b = (ops[q] if q in ops else np.eye(2, dtype=complex) for q in (0, 1))
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
@@ -321,7 +336,7 @@ def distribution_vector(dist: dict[str, float]) -> np.ndarray:
     return np.array([float(dist.get(key, 0.0)) for key in BITSTRINGS])
 
 
-def expectation(rho: DensityMatrix, obs: Observable) -> float | np.ndarray:
+def expectation(rho: np.ndarray, obs: np.ndarray) -> float | np.ndarray:
     """Tr[rho  obs], also over the leading axes of a stack of states; every
     imaginary residue must stay below ATOL_DECOMP times obs's scale."""
     return _real_trace(np.trace(rho @ obs, axis1=-2, axis2=-1), obs)
@@ -337,15 +352,15 @@ def _real_trace(tr: np.ndarray, obs: np.ndarray) -> float | np.ndarray:
     return tr.real if tr.ndim else float(tr.real)
 
 
-def _eigh(hamiltonian: Observable) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not is_hermitian(hamiltonian):
         raise NumericalError("evolve requires a Hermitian generator")
     return np.linalg.eigh(hamiltonian)
 
 
 def evolve(
-    rho: DensityMatrix, hamiltonian: Observable, t: float | np.ndarray
-) -> DensityMatrix:
+    rho: np.ndarray, hamiltonian: np.ndarray, t: float | np.ndarray
+) -> np.ndarray:
     """exp(-iHt) rho exp(+iHt) via one exact Hermitian eigendecomposition; an
     array of times gives a stack of states, shape t.shape + (4, 4)."""
     evals, evecs = _eigh(hamiltonian)
@@ -355,7 +370,7 @@ def evolve(
 
 
 def evolved_expectations(
-    rho: DensityMatrix, hamiltonian: Observable, t: float | np.ndarray, observables: tuple
+    rho: np.ndarray, hamiltonian: np.ndarray, t: float | np.ndarray, observables: tuple
 ) -> np.ndarray:
     """Tr[evolve(rho, H, t) O] per time and observable O, forming no state: in H's
     eigenbasis V it is sum_ab p_a conj(p_b) rho'_ab O'_ba, with p = exp(-i lambda t),

@@ -7,12 +7,14 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qetsim import analysis, cli
+from qetsim import analysis, cli, simcore
 from qetsim.analysis import comparison_report, mitigated_run, sampled_calibration_matrix
 from qetsim.model import ModelParams
 from qetsim.noise import MITIGATION_METHODS, PRESETS
@@ -265,12 +267,76 @@ def test_none_seed_draws_fresh_entropy():
     assert np.allclose(matrix.sum(axis=0), 1.0)
 
 
+def _child(code: str) -> str:
+    """stdout of a fresh interpreter running code on this qetsim."""
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; importing it with the CLI would
     # add its import time to every qet call
-    src = str(Path(analysis.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qetsim.cli; print('numpy.random' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert _child("import sys, qetsim.cli; print('numpy.random' in sys.modules)") == "False"
+
+
+# qet calls that end before computing anything: help, an unknown subcommand, and
+# config errors found while the options are read
+EARLY_EXITS = {
+    ("--help",): 0,
+    ("run", "--help"): 0,
+    ("bogus",): 2,
+    ("run", "--target", "V", "--h", "1", "--k", "1", "--shots", "0"): 2,
+    ("sweep", "--grid-h", "0:1:0"): 2,
+    ("evolve", "--h", "1", "--k", "1", "--t-steps", "1"): 2,
+}
+
+
+@pytest.mark.parametrize("block", ["", "sys.modules['numpy'] = None"], ids=["unloaded", "missing"])
+def test_import_and_early_exits_load_no_numpy(block):
+    # numpy loads on first use: importing qetsim and the early exits never use it,
+    # and with numpy unimportable (block) they still give their exit codes
+    code = textwrap.dedent(f"""\
+        import contextlib, io, sys
+        {block}
+        import qetsim, qetsim.cli
+        codes = []
+        for argv in {list(EARLY_EXITS)!r}:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(qetsim.cli.main(list(argv)))
+        print(codes, sys.modules.get("numpy") is not None)""")
+    assert _child(code) == f"{list(EARLY_EXITS.values())} False"
+
+
+def test_numpy_handle_first_use_from_racing_threads():
+    # the first reads, from threads switching every microsecond, all see numpy
+    code = textwrap.dedent("""\
+        import sys, threading, types
+        from qetsim import simcore
+        sys.setswitchinterval(1e-6)
+        barrier, seen = threading.Barrier(8), []
+        def first_use():
+            barrier.wait()
+            seen.append((simcore.np.random, simcore.np.ndarray, simcore.np.linalg))
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        import numpy
+        print(not any(thread.is_alive() for thread in threads),
+              seen == [(numpy.random, numpy.ndarray, numpy.linalg)] * 8,
+              type(simcore.np) is types.ModuleType)""")
+    assert _child(code) == "True True True"
+
+
+def test_numpy_handle_is_numpy_after_first_use(capsys):
+    # after its first read the handle is a plain module holding numpy's names, so
+    # a lookup costs what one on numpy does; it is not registered as numpy
+    assert cli.main(["run", "--target", "V", "--h", "1", "--k", "1", "--shots", "1000"]) == 0
+    assert type(simcore.np) is types.ModuleType
+    assert vars(simcore.np)["random"] is np.random and simcore.np.ndarray is np.ndarray
+    assert sys.modules["numpy"] is np
