@@ -48,6 +48,7 @@ DEFAULT_AXIS = "0.05:2:50"  # each sweep axis: 50 values from 0.05 to 2
 # Most output rows (evolve time steps, sweep cells, points on one lo:hi:n axis)
 # a run may ask for: each row is allocated and computed up front.
 ROW_LIMIT = 10**6
+_CSV_CHUNK = 2**15  # rows per _fixed_point call: its arrays stay a few MB
 SEED_ENV_VAR = "QET_SEED"
 
 
@@ -95,7 +96,8 @@ def render_json(obj: Any, indent: int = 0) -> str:
 def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     """CSV with LF line endings, a header row, and a trailing newline, from
     equally long columns. A column holds only strings, passed through, or
-    only numbers, rendered as format_float renders them."""
+    only numbers, rendered as format_float renders them: by _fixed_point, a
+    chunk at a time, else in one printf-style pass over every cell."""
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
@@ -103,15 +105,61 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     text = [n_rows > 0 and isinstance(column[0], str) for column in columns]
     strings = [j for j, is_text in enumerate(text) if is_text]
     numeric = [j for j, is_text in enumerate(text) if not is_text]
+    numbers = np.array([columns[j] for j in numeric], dtype=float).reshape(len(numeric), n_rows)
+    numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
+    head = ",".join(header) + "\n"
+    if numeric and not strings:
+        chunks = [_fixed_point(numbers[:, i:i + _CSV_CHUNK]) for i in range(0, n_rows, _CSV_CHUNK)]
+        if None not in chunks:
+            return "".join([head, *chunks])
     cells = np.empty((len(columns), n_rows), dtype=object)
     if strings:
         cells[strings] = [columns[j] for j in strings]
-    if numeric:
-        numbers = np.array([columns[j] for j in numeric], dtype=float)
-        numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
-        cells[numeric] = numbers
+    cells[numeric] = numbers
     line = ",".join("%s" if is_text else "%.6f" for is_text in text) + "\n"
-    return ",".join(header) + "\n" + (line * n_rows) % tuple(cells.T.ravel().tolist())
+    return head + (line * n_rows) % tuple(cells.T.ravel().tolist())
+
+
+@functools.cache
+def _text_slots() -> np.ndarray:
+    """_fixed_point's NUL-padded 4-byte slots, as uint32 at 1000 kind + n: "nnn",
+    n as a leading group, with a minus sign, ".nnn", "nnn,", "nnn\n" and empty."""
+    groups, leads = [f"{n:03d}" for n in range(1000)], [str(n) for n in range(1000)]
+    texts = [*groups, *leads, *("-" + n for n in leads), *("." + n for n in groups),
+             *(n + "," for n in groups), *(n + "\n" for n in groups), ""]
+    return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), np.uint32)
+
+
+def _fixed_point(numbers: np.ndarray) -> str | None:
+    """The CSV rows of a (columns, rows) array as "%.6f" prints them, or None if a
+    cell is not finite or is 2^52 / 10^6 or more. %.6f rounds x 10^6 half to even,
+    and y = fl(x 10^6) lies between the same half-integers (all doubles) or on one."""
+    if not (np.abs(numbers) < 2.0**52 / 1e6).all():
+        return None
+    y = np.multiply(numbers.T, 1e6, order="C")
+    rounded = np.rint(y)
+    tie = np.abs(y - rounded) == 0.5
+    if tie.any():  # y on a half-integer: %.6f's digits, once per value (sweep axes repeat)
+        values, inverse = np.unique(numbers.T[tie], return_inverse=True)
+        digits = [float(("%.6f" % x).replace(".", "")) for x in values.tolist()]
+        rounded[tie] = np.array(digits)[inverse]
+    slots = _text_slots()
+    scaled = np.abs(rounded).astype(np.int64)
+    whole, thousandths = scaled // 10**6, scaled // 1000
+    lead = np.where(rounded < 0, 2000, 1000)
+    texts = []
+    for j in reversed(range((len(str(whole.max(initial=0))) + 2) // 3)):
+        upto = whole // 1000**j  # the top group leads, one below is full past a nonzero one
+        index = np.where(upto >= 1000, upto % 1000, lead + upto) if texts else lead + upto
+        if j:  # a group above the leading one is empty
+            index[upto == 0] = 6000
+        texts.append(slots[index])
+    low = scaled - thousandths * 1000
+    low[:, -1] += 1000  # the last column ends its row
+    texts += [slots[3000:][thousandths - whole * 1000], slots[4000:][low]]
+    text = bytearray(4 * len(texts) * y.size)
+    np.stack(texts, axis=-1, out=np.frombuffer(text, np.uint32).reshape(*y.shape, -1))
+    return text.translate(None, b"\0").decode()
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -359,10 +407,7 @@ def cmd_sweep(opts: Options) -> str:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     v_map, h1_map = heatmap(grid)
-    # each axis value heads many rows: render it once
-    h_cells = np.array([format_float(h) for h in grid.h_values], dtype=object)
-    k_cells = np.array([format_float(k) for k in grid.k_values], dtype=object)
-    columns = (np.repeat(h_cells, len(k_cells)), np.tile(k_cells, len(h_cells)))
+    columns = (np.repeat(grid.h_values, len(k_axis)), np.tile(grid.k_values, len(h_axis)))
     return render_csv(("h", "k", "V", "H1"), (*columns, v_map.ravel(), h1_map.ravel()))
 
 
@@ -450,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one qet call on argv (default sys.argv[1:]); return its exit code.
     The named subcommand's parser parses argv once. A first argument that is
-    neither a subcommand nor an option is refused with the full parser's usage.
-    Otherwise the full parser parses argv, printing its own usage, help or error,
-    when argv names no subcommand or the subcommand's parser leaves arguments
-    unrecognized."""
+    neither a subcommand nor an option, such as -1, is refused with the full
+    parser's usage. Otherwise the full parser parses argv, printing its own
+    usage, help or error, when argv names no subcommand or the subcommand's
+    parser leaves arguments unrecognized."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv else None
@@ -461,7 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if name in parser.subcommands:
             namespace = argparse.Namespace(command=name)
             args, extras = parser.subcommands[name].parse_known_args(argv[1:], namespace)
-        elif name is not None and not name.startswith("-"):
+        elif name is not None and (name[:1] != "-" or parser._negative_number_matcher.match(name)):
             # argparse's own text quotes the choices or not by Python release
             parser.error(f"argument command: invalid choice: {name!r} "
                          f"(choose from {', '.join(map(repr, parser.subcommands))})")

@@ -128,13 +128,13 @@ def angles(params: ModelParams) -> ProtocolAngles:
     their defining pair of equations simultaneously, with 0 < phi < pi/4.
     """
     c, s = _cs(params)
-    theta = -float(np.arccos(_amplitudes(c, s)[0]))
-    return ProtocolAngles(theta=theta, phi=float(_protocol_phi(c, s)))
+    # math, not numpy: numpy's SIMD arccos and arctan2 round by the CPU
+    return ProtocolAngles(-math.acos(_amplitudes(c, s)[0]), _protocol_phi(c, s, math.atan2))
 
 
-def _protocol_phi(c, s):
-    """The receiver's angle from a single atan2, over floats or arrays."""
-    return 0.5 * np.arctan2(c * s, c * c + 2.0 * s * s)
+def _protocol_phi(c, s, atan2=None):
+    """The receiver's angle from one atan2, by default np.arctan2 over floats or arrays."""
+    return 0.5 * (atan2 or np.arctan2)(c * s, c * c + 2.0 * s * s)
 
 
 def _receiver_energies(h, k, r, phi=None):
@@ -226,7 +226,7 @@ def entropy_report(params: ModelParams) -> EntropyReport:
     # 2 r c^2 (q - 1)/(q + 2) delta_s / ((1+c) log(2/(1+c)) + (1-c) log(2/(1-c))), whose
     # denominator is 2 delta_s (a2 = (1 - c)/2), with q - 1 = 3 s^2 / (q + 1)
     max_eb_lower_bound = 3.0 * params.h * c * s * s / ((q + 1.0) * (q + 2.0))
-    xi = float(np.arctan(params.k / params.h))
+    xi = math.atan(params.k / params.h)
     return EntropyReport(s_ab, s_ab, xi, e_b, delta_s_lower_bound, max_eb_lower_bound)
 
 

@@ -120,6 +120,13 @@ CSV_NUMBERS = (
     | st.floats().map(np.float64)
     | st.integers(-(2**63), 2**63)
 )
+# numbers the vectorized pass takes, up to about 1e9: multiples of 2^-6, which
+# have six decimals, the doubles nearest six-decimal numbers, and those nearest
+# the ties halfway between them (as drawn sweep axes hold), whose digits come
+# from %.6f itself
+CSV_FIXED = (st.integers(-(2**36), 2**36).map(lambda n: n / 2**6)
+             | st.integers(-(10**15), 10**15).map(lambda n: n / 10**6)
+             | st.integers(-(10**15), 10**15).map(lambda n: (n + 0.5) / 10**6))
 # strings near the numbers' own text, so that a rule meant for numeric cells
 # would have string cells to corrupt
 CSV_STRINGS = st.just("-0.000000") | st.text(alphabet="-0.1e,nai\n")
@@ -130,20 +137,34 @@ def with_columns(header, rows):
     return header, rows, [[row[j] for row in rows] for j in range(len(header))]
 
 
+def array_table(*rows):
+    """An all-numeric table as cmd_evolve passes it: the columns of a float array."""
+    array = np.array(rows, dtype=float)
+    return tuple(f"c{j}" for j in range(array.shape[1])), list(map(tuple, array)), array.T
+
+
 @st.composite
 def csv_tables(draw):
-    # every column holds only strings or only numbers
-    kinds = draw(st.lists(st.sampled_from((CSV_STRINGS, CSV_NUMBERS)), min_size=1, max_size=5))
+    # every column holds only strings or only numbers; half the tables hold
+    # only numbers the vectorized pass takes
+    palette = draw(st.sampled_from(((CSV_STRINGS, CSV_NUMBERS, CSV_FIXED), (CSV_FIXED,))))
+    kinds = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=5))
     rows = draw(st.lists(st.tuples(*kinds), max_size=8))
     header = tuple(f"c{i}" for i in range(len(kinds)))
-    if kinds.count(CSV_NUMBERS) == len(kinds) and draw(st.booleans()):
-        # the shapes cmd_sweep passes: an object array of strings and the
-        # columns of a float array
+    if CSV_STRINGS not in kinds and draw(st.booleans()):
+        # the shapes cmd_evolve passes, the columns of a float array, and
+        # with an object array of strings before them
         array = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
+        if draw(st.booleans()):
+            return header, list(map(tuple, array)), array.T
         labels = draw(st.lists(CSV_STRINGS, min_size=len(rows), max_size=len(rows)))
         rows = [(label, *row) for label, row in zip(labels, array)]
         return ("s", *header), rows, [np.array(labels, dtype=object), *array.T]
     return with_columns(header, rows)
+
+
+TIE = 0.0078125  # 7812.5 millionths: %.6f rounds it half to even
+FIXED_BOUND = 2**52 / 1e6  # from here on the vectorized pass refuses a cell
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -152,9 +173,58 @@ def csv_tables(draw):
 @example(
     with_columns(("s", "x"), [("-0.000000", -0.0), ("-0.0000001", -4.9999995e-7), ("x", -5e-7)])
 )
+@example((("a", "b"), [], np.empty((2, 0))))
+@example(array_table([TIE, 1.0], [-TIE, 1.0]))
+# doubles nearest decimal ties: x 10^6 rounds to the tie, and rint would round
+# it otherwise than %.6f
+@example(array_table([2.5e-6, -2.5e-6], [4.5e-6, 1.25e-5], [123.4567895, 1000.0000005]))
+@example(array_table(*[[np.nextafter(s * TIE, s * t), 1.0] for s in (1, -1) for t in (0, 1)]))
+@example(array_table([np.nextafter(FIXED_BOUND, 0), 1.0], [-np.nextafter(FIXED_BOUND, 0), 1.0]))
+@example(array_table([FIXED_BOUND, 1.0], [-FIXED_BOUND, 1.0]))
+# integer parts of 1 to 10 digits, at each end of their width
+@example(array_table(*[[10**d + 0.25, -(10**d - 0.75)] for d in range(10)]))
+@example(array_table([-5.000001e-7, 1.0]))
+# one cell the vectorized pass refuses in a table it would take
+@example(array_table([1.5, 2.0], [math.nan, 0.25]))
+@example(array_table([1.5, 2.0], [math.inf, 0.25]))
+@example(array_table([1.5, 2.0], [-math.inf, 0.25]))
+@example(array_table([1.5, 2.0], [2.0**63, 0.25]))
 def test_render_csv_matches_per_cell_rendering(table):
     header, rows, columns = table
     assert render_csv(header, columns) == render_csv_per_cell(header, rows)
+
+
+@pytest.fixture
+def fixed_point_results(monkeypatch):
+    """What each cli._fixed_point call returns: None sends the table to the
+    printf-style pass."""
+    results, fixed_point = [], cli._fixed_point
+
+    def recorded(numbers):
+        results.append(fixed_point(numbers))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "_fixed_point", recorded)
+    return results
+
+
+def test_render_csv_in_chunks(monkeypatch, fixed_point_results):
+    # each chunk takes the vectorized pass; a cell refused in the last chunk
+    # sends the whole table to the printf-style pass
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+    header, rows = ("a", "b", "c"), [(i / 8, -i * 1e-3, 1000.0 * i) for i in range(10)]
+    assert render_csv(header, list(zip(*rows))) == render_csv_per_cell(header, rows)
+    assert len(fixed_point_results) == 4 and None not in fixed_point_results
+    rows[-1] = (math.inf, 0.0, 0.0)
+    assert render_csv(header, list(zip(*rows))) == render_csv_per_cell(header, rows)
+    assert fixed_point_results[-1] is None
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["evolve", "--h", "1", "--k", "0.5"]])
+def test_sweep_and_evolve_take_the_vectorized_pass(capsys, fixed_point_results, argv):
+    # their pinned outputs hold no cell the vectorized pass refuses
+    assert invoke(capsys, argv)[0] == 0
+    assert fixed_point_results and None not in fixed_point_results
 
 
 def test_parse_noise_forms():

@@ -182,6 +182,21 @@ def test_phi_range_and_defining_equation(params):
     assert np.tan(2 * phi) * (h**2 + 2 * k**2) == pytest.approx(h * k, abs=1e-10)
 
 
+@pytest.mark.parametrize("h", np.logspace(-3, 7, 21).tolist(), ids="h={}".format)
+def test_angles_and_xi_are_the_math_forms(h):
+    # bit for bit: numpy's arccos, arctan2 and arctan may round otherwise by
+    # the CPU features they dispatch on, and every circuit is built from theta and phi
+    for k in np.logspace(-3, 8, 23).tolist():
+        params = ModelParams(h, k)
+        r = math.hypot(h, k)
+        c, s = h / r, k / r
+        got = angles(params)
+        assert got.theta == -math.acos(s / math.sqrt(2.0 + 2.0 * c))
+        assert got.phi == 0.5 * math.atan2(c * s, c * c + 2.0 * s * s)
+        assert entropy_report(params).xi == math.atan(k / h)
+        assert type(got.theta) is type(got.phi) is float
+
+
 def test_phi_value_at_unit_couplings():
     phi = angles(ModelParams(1.0, 1.0)).phi
     assert np.cos(2 * phi) == pytest.approx(3 / np.sqrt(10), abs=1e-12)

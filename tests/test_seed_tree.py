@@ -289,6 +289,7 @@ EARLY_EXITS = {
     ("--help",): 0,
     ("run", "--help"): 0,
     ("bogus",): 2,
+    ("-1",): 2,
     ("run", "--target", "V", "--h", "1", "--k", "1", "--shots", "0"): 2,
     ("sweep", "--grid-h", "0:1:0"): 2,
     ("evolve", "--h", "1", "--k", "1", "--t-steps", "1"): 2,
