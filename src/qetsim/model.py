@@ -129,12 +129,12 @@ def angles(params: ModelParams) -> ProtocolAngles:
     """
     c, s = _cs(params)
     # math, not numpy: numpy's SIMD arccos and arctan2 round by the CPU
-    return ProtocolAngles(-math.acos(_amplitudes(c, s)[0]), _protocol_phi(c, s, math.atan2))
+    return ProtocolAngles(-math.acos(_amplitudes(c, s)[0]), _protocol_phi(c, s))
 
 
-def _protocol_phi(c, s, atan2=None):
-    """The receiver's angle from one atan2, by default np.arctan2 over floats or arrays."""
-    return 0.5 * (atan2 or np.arctan2)(c * s, c * c + 2.0 * s * s)
+def _protocol_phi(c, s):
+    """The receiver's angle from one atan2: math.atan2 on floats, np.arctan2 on arrays."""
+    return 0.5 * (math.atan2 if isinstance(c, float) else np.arctan2)(c * s, c * c + 2.0 * s * s)
 
 
 def _receiver_energies(h, k, r, phi=None):

@@ -17,6 +17,7 @@ from qetsim.model import (
     GRID_K,
     REFERENCE_PAIRS,
     ModelParams,
+    _receiver_energies,
     _terms,
     analytic_E0,
     analytic_E1,
@@ -183,9 +184,11 @@ def test_phi_range_and_defining_equation(params):
 
 
 @pytest.mark.parametrize("h", np.logspace(-3, 7, 21).tolist(), ids="h={}".format)
-def test_angles_and_xi_are_the_math_forms(h):
+def test_angles_and_xi_are_the_math_forms(h, monkeypatch):
     # bit for bit: numpy's arccos, arctan2 and arctan may round otherwise by
-    # the CPU features they dispatch on, and every circuit is built from theta and phi
+    # the CPU features they dispatch on, and every circuit is built from theta
+    # and phi; the scalar closed forms take angles' phi, never numpy's arctan2
+    monkeypatch.setattr("qetsim.simcore.np.arctan2", None)
     for k in np.logspace(-3, 8, 23).tolist():
         params = ModelParams(h, k)
         r = math.hypot(h, k)
@@ -195,6 +198,9 @@ def test_angles_and_xi_are_the_math_forms(h):
         assert got.phi == 0.5 * math.atan2(c * s, c * c + 2.0 * s * s)
         assert entropy_report(params).xi == math.atan(k / h)
         assert type(got.theta) is type(got.phi) is float
+        v, h1 = _receiver_energies(h, k, r, got.phi)
+        assert (analytic_V(params), analytic_H1(params)) == (v, h1)
+        assert np.array_equal(rho_qet(params), rho_qet(params, got.phi))
 
 
 def test_phi_value_at_unit_couplings():

@@ -290,6 +290,11 @@ EARLY_EXITS = {
     ("run", "--help"): 0,
     ("bogus",): 2,
     ("-1",): 2,
+    ("-",): 2,
+    ("-x y",): 2,
+    ("--seed", "1", "run"): 2,
+    ("--bogus", "bogus"): 2,
+    ("-x", "y"): 2,
     ("run", "--target", "V", "--h", "1", "--k", "1", "--shots", "0"): 2,
     ("sweep", "--grid-h", "0:1:0"): 2,
     ("evolve", "--h", "1", "--k", "1", "--t-steps", "1"): 2,
