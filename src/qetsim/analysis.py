@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 import math
 
 from .model import (
@@ -73,13 +74,22 @@ class PhiScanResult:
     resolution: float  # scan step
 
 
+@cache
+def _phi_tables(points: int) -> np.ndarray:
+    """Rows phi, sin phi and sin 2 phi of phi_scan's angles, read-only: calls share them."""
+    phis = np.linspace(0.0, np.pi / 2, points, endpoint=False)
+    tables = np.array([phis, np.sin(phis), np.sin(2.0 * phis)])
+    tables.flags.writeable = False
+    return tables
+
+
 def phi_scan(params: ModelParams) -> PhiScanResult:
     """Grid search of the receiver-side energy over the rotation angle: every
     angle in one call of the closed-form kernel model._receiver_energies (the
     one heatmap and the analytic energies use), and how far the argmin sits
     from the protocol angle. The scan covers [0, pi/2) in _PHI_POINTS steps."""
-    phis = np.linspace(0.0, np.pi / 2, _PHI_POINTS, endpoint=False)
-    energies = sum(_receiver_energies(params.h, params.k, params.r, phis))
+    phis, *sines = _phi_tables(_PHI_POINTS)
+    energies = sum(_receiver_energies(params.h, params.k, params.r, phis, sines))
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
     return PhiScanResult(

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Callable, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .analysis import (
     ANALYTIC,
@@ -48,7 +48,7 @@ DEFAULT_AXIS = "0.05:2:50"  # each sweep axis: 50 values from 0.05 to 2
 # Most output rows (evolve time steps, sweep cells, points on one lo:hi:n axis)
 # a run may ask for: each row is allocated and computed up front.
 ROW_LIMIT = 10**6
-_CSV_CHUNK = 2**15  # rows per _fixed_point call: its arrays stay a few MB
+_CSV_CELLS = 2**13  # cells per _fixed_point call: its int64 and float64 arrays stay within 64 KiB
 SEED_ENV_VAR = "QET_SEED"
 
 
@@ -97,7 +97,7 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     """CSV with LF line endings, a header row, and a trailing newline, from
     equally long columns. A column holds only strings, passed through, or
     only numbers, rendered as format_float renders them: by _fixed_point, a
-    chunk at a time, else in one printf-style pass over every cell."""
+    chunk of rows at a time, else in one printf-style pass over every cell."""
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
@@ -106,12 +106,13 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     strings = [j for j, is_text in enumerate(text) if is_text]
     numeric = [j for j, is_text in enumerate(text) if not is_text]
     numbers = np.array([columns[j] for j in numeric], dtype=float).reshape(len(numeric), n_rows)
-    numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
     head = ",".join(header) + "\n"
     if numeric and not strings:
-        chunks = [_fixed_point(numbers[:, i:i + _CSV_CHUNK]) for i in range(0, n_rows, _CSV_CHUNK)]
+        step = max(1, _CSV_CELLS // len(numeric))
+        chunks = [_fixed_point(numbers[:, i:i + step]) for i in range(0, n_rows, step)]
         if None not in chunks:
             return "".join([head, *chunks])
+    numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
     cells = np.empty((len(columns), n_rows), dtype=object)
     if strings:
         cells[strings] = [columns[j] for j in strings]
@@ -122,44 +123,50 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
 
 @functools.cache
 def _text_slots() -> np.ndarray:
-    """_fixed_point's NUL-padded 4-byte slots, as uint32 at 1000 kind + n: "nnn",
-    n as a leading group, with a minus sign, ".nnn", "nnn,", "nnn\n" and empty."""
+    """_fixed_point's NUL-padded 4-byte slots, as uint32: ".nnn", "nnn," and "nnn\n" by n,
+    then from 3000 n as a leading group, "nnn", empty, and from the end back "-n"."""
     groups, leads = [f"{n:03d}" for n in range(1000)], [str(n) for n in range(1000)]
-    texts = [*groups, *leads, *("-" + n for n in leads), *("." + n for n in groups),
-             *(n + "," for n in groups), *(n + "\n" for n in groups), ""]
+    texts = [*("." + n for n in groups), *(n + "," for n in groups), *(n + "\n" for n in groups),
+             *leads, *groups, "", *("-" + n for n in reversed(leads))]
     return np.frombuffer(b"".join(t.encode().ljust(4, b"\0") for t in texts), np.uint32)
 
 
 def _fixed_point(numbers: np.ndarray) -> str | None:
-    """The CSV rows of a (columns, rows) array as "%.6f" prints them, or None if a
-    cell is not finite or is 2^52 / 10^6 or more. %.6f rounds x 10^6 half to even,
-    and y = fl(x 10^6) lies between the same half-integers (all doubles) or on one."""
-    if not (np.abs(numbers) < 2.0**52 / 1e6).all():
+    """The CSV rows of a (columns, rows) array as format_float prints them, or None if a
+    cell is not finite or is 2^52 / 10^6 or more. %.6f rounds x 10^6 half to even, and
+    y = fl(x 10^6) lies between the same half-integers (all doubles) or on one."""
+    if not np.abs(numbers).max(initial=0.0) < 2.0**52 / 1e6:
         return None
-    y = np.multiply(numbers.T, 1e6, order="C")
-    rounded = np.rint(y)
-    tie = np.abs(y - rounded) == 0.5
-    if tie.any():  # y on a half-integer: %.6f's digits, once per value (sweep axes repeat)
+    y = np.empty(numbers.shape[::-1])  # rows by columns, filled along contiguous columns
+    rounded = np.rint(np.multiply(numbers, 1e6, out=y.T).T)
+    if np.abs(np.subtract(y, rounded, out=y), out=y).max(initial=0.0) == 0.5:
+        tie = y == 0.5  # y on a half-integer: %.6f's digits, once per value (sweep axes repeat)
         values, inverse = np.unique(numbers.T[tie], return_inverse=True)
         digits = [float(("%.6f" % x).replace(".", "")) for x in values.tolist()]
         rounded[tie] = np.array(digits)[inverse]
-    slots = _text_slots()
-    scaled = np.abs(rounded).astype(np.int64)
-    whole, thousandths = scaled // 10**6, scaled // 1000
-    lead = np.where(rounded < 0, 2000, 1000)
-    texts = []
-    for j in reversed(range((len(str(whole.max(initial=0))) + 2) // 3)):
-        upto = whole // 1000**j  # the top group leads, one below is full past a nonzero one
-        index = np.where(upto >= 1000, upto % 1000, lead + upto) if texts else lead + upto
-        if j:  # a group above the leading one is empty
-            index[upto == 0] = 6000
-        texts.append(slots[index])
-    low = scaled - thousandths * 1000
+    # integers in the floats' memory, each text gathered once its indices are known
+    scaled, whole = y.view(np.int64), rounded.view(np.int64)
+    np.copyto(scaled, rounded, casting="unsafe")
+    sign = scaled >> 63  # -1 where negative: ~n indexes n's slot with a minus sign
+    np.abs(scaled, out=scaled)
+    slots, n_groups = _text_slots(), (len(str(scaled.max(initial=0) // 10**6)) + 2) // 3
+    texts = np.empty((*scaled.shape, n_groups + 2), np.uint32)
+    thousandths = scaled // 1000
+    low = np.subtract(scaled, np.multiply(thousandths, 1000, out=whole), out=scaled)
     low[:, -1] += 1000  # the last column ends its row
-    texts += [slots[3000:][thousandths - whole * 1000], slots[4000:][low]]
-    text = bytearray(4 * len(texts) * y.size)
-    np.stack(texts, axis=-1, out=np.frombuffer(text, np.uint32).reshape(*y.shape, -1))
-    return text.translate(None, b"\0").decode()
+    np.take(slots[1000:], low, out=texts[..., -1], mode="wrap")
+    np.floor_divide(thousandths, 1000, out=whole)
+    mid = np.subtract(thousandths, np.multiply(whole, 1000, out=low), out=thousandths)
+    np.take(slots, mid, out=texts[..., -2], mode="wrap")
+    for j in range(n_groups):
+        upto = np.floor_divide(whole, 1000**j, out=mid)
+        index = np.bitwise_xor(upto, sign, out=low)
+        if j < n_groups - 1:  # the top group leads, one below is full past a nonzero one
+            np.copyto(index, upto % 1000 + 1000, where=upto >= 1000)
+        if j:  # a group above the leading one is empty
+            index[upto == 0] = 2000
+        np.take(slots[3000:], index, out=texts[..., -3 - j], mode="wrap")
+    return texts.tobytes().translate(None, b"\0").decode()
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -469,11 +476,20 @@ _COMMANDS: dict[str, Callable[[Options], str]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """Usage and message, exit 2, with invalid-choice subcommands quoted on every release."""
+        head, tail, _ = message.rpartition(" (choose from ")
+        if tail and head.startswith("argument command: invalid choice:"):
+            message = f"{head}{tail}{', '.join(map(repr, self.subcommands))})"
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qet parser, built on first use and shared by every later main
     call: parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qet",
         description="Exact simulator and estimators for a two-qubit energy "
         "teleportation protocol.",
@@ -494,11 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one qet call on argv (default sys.argv[1:]); return its exit code.
-    The named subcommand's parser parses argv once. A first argument that is
-    neither a subcommand nor an option, such as -1, is refused with the full
-    parser's usage. Otherwise the full parser parses argv, printing its own
-    usage, help or error, when argv names no subcommand or the subcommand's
-    parser leaves arguments unrecognized."""
+    The named subcommand's parser parses argv once. Otherwise the full parser
+    parses argv, printing its own usage, help or error, when argv names no
+    subcommand or the subcommand's parser leaves arguments unrecognized."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     name = argv[0] if argv else None
@@ -506,10 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if name in parser.subcommands:
             namespace = argparse.Namespace(command=name)
             args, extras = parser.subcommands[name].parse_known_args(argv[1:], namespace)
-        elif name is not None and (name[:1] != "-" or parser._negative_number_matcher.match(name)):
-            # argparse's own text quotes the choices or not by Python release
-            parser.error(f"argument command: invalid choice: {name!r} "
-                         f"(choose from {', '.join(map(repr, parser.subcommands))})")
         if name not in parser.subcommands or extras:
             args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -137,15 +137,15 @@ def _protocol_phi(c, s):
     return 0.5 * (math.atan2 if isinstance(c, float) else np.arctan2)(c * s, c * c + 2.0 * s * s)
 
 
-def _receiver_energies(h, k, r, phi=None):
-    """<V> and <H1> after the receiver's rotation RY(2 mu phi), over broadcast
-    floats or arrays of h, k, r = hypot(h, k) and phi (default: the protocol
-    angle). With a^2 - b^2 = -c and ab = s/2 the ensemble's 2k <X0X1> + 2k s and
-    h <Z1> + h c become the forms below, free of cancelling terms."""
+def _receiver_energies(h, k, r, phi=None, sines=None):
+    """<V> and <H1> after the receiver's rotation RY(2 mu phi), over broadcast floats or
+    arrays of h, k, r = hypot(h, k) and phi (default: the protocol angle), or its given
+    sines (sin phi, sin 2 phi). With a^2 - b^2 = -c and ab = s/2 the ensemble's
+    2k <X0X1> + 2k s and h <Z1> + h c become the forms below, free of cancelling terms."""
     c, s = h / r, k / r
     if phi is None:
         phi = _protocol_phi(c, s)
-    sin_phi, sin_2phi = np.sin(phi), np.sin(2.0 * phi)
+    sin_phi, sin_2phi = sines or (np.sin(phi), np.sin(2.0 * phi))
     return (4.0 * k * s * sin_phi * sin_phi - 2.0 * k * c * sin_2phi,
             2.0 * h * c * sin_phi * sin_phi + h * s * sin_2phi)
 

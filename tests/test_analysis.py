@@ -26,6 +26,7 @@ from qetsim.model import (
     GRID_K,
     REPORT_PAIRS,
     ModelParams,
+    _receiver_energies,
     analytic_E1,
     analytic_H1,
     analytic_V,
@@ -261,6 +262,29 @@ def test_phi_scan_matches_per_angle_definition(pair, monkeypatch):
     best = int(np.argmin(energies))
     assert result.best_phi == phis[best]
     _assert_matches(result.min_e1, energies[best], sum(_term_scales(params)))
+
+
+def test_phi_scan_tables_are_built_once_and_change_no_bit(monkeypatch):
+    # the cached sine tables give every bit of a fresh evaluation over the same
+    # angles, on a log grid and at the largest couplings
+    phis = np.linspace(0.0, np.pi / 2, analysis._PHI_POINTS, endpoint=False)
+    axis = np.logspace(-3, 3, 7).tolist()
+    for h, k in [(h, k) for h in axis for k in axis] + [(1e154, 1e153)]:
+        params = ModelParams(h, k)
+        energies = sum(_receiver_energies(h, k, params.r, phis))
+        best, protocol_phi = int(np.argmin(energies)), angles(params).phi
+        assert phi_scan(params) == analysis.PhiScanResult(
+            float(phis[best]), float(energies[best]), protocol_phi,
+            abs(float(phis[best]) - protocol_phi), float(phis[1] - phis[0]))
+    tables = analysis._phi_tables(analysis._PHI_POINTS)
+    assert tables is analysis._phi_tables(analysis._PHI_POINTS)
+    assert not any(table.flags.writeable for table in (tables, *tables))
+    with pytest.raises(ValueError, match="read-only"):
+        tables[1][0] = 1.0
+    # another point count gets tables of its own
+    monkeypatch.setattr(analysis, "_PHI_POINTS", 64)
+    assert phi_scan(ModelParams(1.0, 1.0)).resolution == (np.pi / 2) / 64
+    assert analysis._phi_tables(64).shape == (3, 64)
 
 
 @pytest.mark.parametrize("pair", SCAN_PAIRS + REPORT_PAIRS, ids=str)
