@@ -250,15 +250,15 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
     if len(parts) == 1:
         return (float(parts[0]),)
     if len(parts) == 3:
-        lo, hi = float(parts[0]), float(parts[1])
-        # linspace warns on a non-finite span, and its steps can round past
-        # the largest double on a span within a factor 2 of it
-        if not math.isfinite(2.0 * (hi - lo)):
+        lo, hi, n = float(parts[0]), float(parts[1]), _int_at_least(parts[2])
+        # steps on a span within a factor 2 of the largest double can round past it
+        if not math.isfinite(2.0 * (hi - lo)) or n > ROW_LIMIT:
             raise ValueError(spec)
-        n = _int_at_least(parts[2])
-        if n > ROW_LIMIT:
-            raise ValueError(spec)
-        return tuple(np.linspace(lo, hi, n))
+        # np.linspace's arithmetic, in floats: i / div scales a step that underflows
+        div = max(n - 1, 1)
+        step = (hi - lo) / div
+        axis = [i * step + lo if step else i / div * (hi - lo) + lo for i in range(n)]
+        return (*axis[:-1], hi) if n > 1 else tuple(axis)
     raise ValueError(spec)
 
 

@@ -156,9 +156,9 @@ def combine_E1(h1: EstimationResult, v: EstimationResult) -> EstimationResult:
 
 
 def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.SeedSequence:
-    """The root of seed's tree: a nonnegative int or np.integer becomes a
-    _SeedNode, a node or a caller's SeedSequence passes through, and anything
-    else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
+    """The root of seed's tree: a nonnegative int (told without numpy) or np.integer
+    becomes a _SeedNode, a node or a caller's SeedSequence passes through, and
+    anything else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
     Spawn keys below a root and what they seed:
       sample_protocol             (0,) shots
       e1_parts                    (0,) H1, (1,) V: each a root of its own
@@ -167,7 +167,7 @@ def _seed_sequence(seed: int | np.random.SeedSequence) -> _SeedNode | np.random.
       sampled_calibration_matrix  no spawn: the root seeds all four columns
       comparison_report           (p,) pair p; (p, i<3) sample_protocol of
                                   E0, H1, V; (p, 3+i) their _mitigated"""
-    if isinstance(seed, (int, np.integer)) and seed >= 0:
+    if (isinstance(seed, int) or isinstance(seed, np.integer)) and seed >= 0:
         return _SeedNode(seed)
     if isinstance(seed, (_SeedNode, np.random.SeedSequence)):
         return seed

@@ -6,7 +6,7 @@ States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
 kernel on four plain-float amplitudes. Density matrices and observables are
 4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
 phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
-A generator at a seed tree's leaf is seeded from its entropy words (_rng).
+A seed-tree node (_SeedNode) carries SeedSequence's pool and seeds PCG64 as one.
 """
 
 from __future__ import annotations
@@ -215,20 +215,65 @@ def gate_unitary(step: GateStep) -> np.ndarray:
     return np.array(_apply(step, np.eye(4).tolist())).T
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), on 32-bit words
+_MASK, _MULT_A, _MULT_B, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x931E8875, 0x58F38DED, 0xCA01F9DD, 0x4973F715
+_INIT_A, _INIT_B = 0x43B0D7E5, 0x8B51F9DD
+
+
+def _absorb(pool: list[int], const: int, words, dsts=range(4)) -> int:
+    """SeedSequence's pool[dst] = mix(pool[dst], hashmix(word)), in place, in turn."""
+    for word in words:
+        for dst in dsts:
+            value = word ^ const
+            const = const * _MULT_A & _MASK
+            value = value * const & _MASK
+            value = _MIX_L * pool[dst] - _MIX_R * (value ^ value >> 16) & _MASK
+            pool[dst] = value ^ value >> 16
+    return const
+
+
 class _SeedNode:
-    """A SeedSequence's (entropy, spawn_key, n_children_spawned) without its
-    pool: it spawns as SeedSequence.spawn does, in tuples, and seeds nothing."""
+    """A SeedSequence in plain ints: entropy, spawn_key, n_children_spawned, the mixed
+    pool and the running hash constant. numpy mixes the words past the fourth one at
+    a time, so a child mixes just its last key element into a copy of its parent's pool."""
 
-    __slots__ = ("entropy", "spawn_key", "n_children_spawned")
+    __slots__ = ("entropy", "spawn_key", "n_children_spawned", "pool", "hash_const")
 
-    def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()) -> None:
-        self.entropy, self.spawn_key, self.n_children_spawned = entropy, spawn_key, 0
+    def __init__(self, entropy: int, spawn_key: tuple[int, ...] = (), parent=None) -> None:
+        if parent is not None:
+            pool, const, rest = list(parent.pool), parent.hash_const, _words(spawn_key[-1])
+        else:
+            # the first four words hashed (zero-padded: numpy hashes zeros), then mixed
+            words, pool, const = _words(int(entropy)), [], _INIT_A
+            for word in (words + [0, 0, 0])[:4]:
+                value = word ^ const
+                const = const * _MULT_A & _MASK
+                value = value * const & _MASK
+                pool.append(value ^ value >> 16)
+            for src in range(4):
+                const = _absorb(pool, const, (pool[src],), [dst for dst in range(4) if dst != src])
+            rest = words[4:] + [w for k in spawn_key for w in _words(int(k))]
+        self.entropy, self.spawn_key, self.n_children_spawned = entropy, tuple(spawn_key), 0
+        self.pool, self.hash_const = pool, _absorb(pool, const, rest)
 
     def spawn(self, n_children: int) -> list[_SeedNode]:
-        start = self.n_children_spawned
+        keys = range(self.n_children_spawned, self.n_children_spawned + n_children)
         self.n_children_spawned += n_children
-        keys = range(start, self.n_children_spawned)
-        return [_SeedNode(self.entropy, self.spawn_key + (i,)) for i in keys]
+        return [_SeedNode(self.entropy, self.spawn_key + (i,), self) for i in keys]
+
+    def generate_state(self, n_words: int, dtype="uint32") -> np.ndarray:
+        """SeedSequence.generate_state: n_words uint32 or uint64 words hashed from
+        the pool, a uint64 from two uint32 ones, low first. PCG64 passes np.uint64."""
+        wide = dtype is np.uint64 or np.dtype(dtype) == np.uint64
+        if not wide and np.dtype(dtype) != np.uint32:
+            raise ValueError("only support uint32 or uint64")
+        pool, const, state = self.pool, _INIT_B, [0] * n_words
+        for i in range(n_words << wide):
+            value = pool[i & 3] ^ const
+            const = const * _MULT_B & _MASK
+            value = value * const & _MASK
+            state[i >> wide] |= (value ^ value >> 16) << 32 * (i & wide)
+        return np.array(state, dtype=np.uint64 if wide else np.uint32)
 
 
 def _words(n: int) -> list[int]:
@@ -237,16 +282,10 @@ def _words(n: int) -> list[int]:
 
 
 def _rng(seed: int | _SeedNode | np.random.SeedSequence | np.random.Generator):
-    """The generator at a leaf of a seed tree, seeded from the words numpy
-    assembles for a spawned SeedSequence: the entropy's, zero-padded to the pool
-    size 4 under a spawn key, then each key element's. Same pool, same stream."""
-    if isinstance(seed, _SeedNode):
-        words = _words(int(seed.entropy))
-        if seed.spawn_key:
-            words += [0] * (4 - len(words))
-            for k in seed.spawn_key:
-                words += _words(k)
-        seed = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    """A fresh generator (a Generator is returned as it is). numpy seeds PCG64
+    from any ISeedSequence's generate_state, so a _SeedNode, registered as one
+    here (that needs numpy), seeds it with no numpy SeedSequence built."""
+    np.random.bit_generator.ISeedSequence.register(_SeedNode)
     return np.random.default_rng(seed)
 
 

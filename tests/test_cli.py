@@ -265,8 +265,8 @@ def test_parse_axis_forms():
     assert parse_axis("1.5") == (1.5,)
     axis = parse_axis("0.5:1.5:3")
     assert axis == (0.5, 1.0, 1.5)
-    # linspace would warn on a span that is not finite, or overflow in a step
-    # multiple on 1:1.8e308:1000
+    # a span that is not finite is refused, and so is one whose step multiples
+    # can overflow, as on 1:1.8e308:1000
     for bad in ("1:2", "inf:-inf:2", "nan:1:2", "-1e308:1e308:3", "1:1.7976931348623157e308:1000"):
         with pytest.raises(ValueError):
             parse_axis(bad)
@@ -274,6 +274,36 @@ def test_parse_axis_forms():
     for n in (ROW_LIMIT + 1, 10**30):
         with pytest.raises(ValueError):
             parse_axis(f"0:1:{n}")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _axis_ranges(draw):
+    # spans of every size: equal ends, a subnormal step, descending, 1e+-300
+    lo = draw(FINITE)
+    hi = draw(st.one_of(FINITE, st.just(lo), st.just(-lo),
+                        st.floats(-1e-300, 1e-300).map(lambda d: lo + d)))
+    return lo, hi, draw(st.integers(1, 40) | st.integers(1, 3000))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_axis_ranges())
+@example((0.0, -0.0, 1))
+@example((-0.0, 5e-324, 4))
+@example((1e-310, 1.5e-310, 7))
+def test_parse_axis_equals_linspace(axis_range):
+    # parse_axis builds a range in floats so that a refused sweep loads no
+    # numpy; every bit, signed zeros included, must be np.linspace's
+    lo, hi, n = axis_range
+    if not math.isfinite(2.0 * (hi - lo)):
+        with pytest.raises(ValueError):
+            parse_axis(f"{lo!r}:{hi!r}:{n}")
+        return
+    got = parse_axis(f"{lo!r}:{hi!r}:{n}")
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes()
 
 
 def test_run_reports_analytic_value(capsys):

@@ -1,6 +1,7 @@
 """Seed trees: an int seed and SeedSequence(seed) seed the same draws, a
 caller's SeedSequence advances as the tree in protocol._seed_sequence says,
-and a SeedSequence is built only where a generator is seeded."""
+and a seed-tree node carries numpy's own SeedSequence pool and seeds each
+generator itself, with no numpy SeedSequence built."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import textwrap
 import types
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -88,11 +91,46 @@ LEAF_KEYS = [(), (0,), (0, 0), (5, 1, 0), (2**32,), (2**40, 3)]
 @pytest.mark.parametrize("key", LEAF_KEYS, ids=map(str, LEAF_KEYS))
 @pytest.mark.parametrize("entropy", LEAF_ENTROPIES, ids=map(repr, LEAF_ENTROPIES))
 def test_leaf_seeding_equals_numpy_seeding(entropy, key):
-    # _rng assembles a leaf's entropy words itself; numpy's own assembly must
-    # give the same stream, or a numpy that changed its layout changed ours
-    want = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
-    got = _rng(_SeedNode(entropy, key))
+    # a node mixes its pool and hashes its seeding words itself; numpy's own
+    # SeedSequence must give the same, or a numpy that changed its mixing
+    # changed our streams
+    node, sequence = _SeedNode(entropy, key), np.random.SeedSequence(entropy, spawn_key=key)
+    assert node.pool == sequence.pool.tolist()
+    for dtype in (np.uint32, np.uint64):
+        for n in range(1, 9):
+            got, want = node.generate_state(n, dtype), sequence.generate_state(n, dtype)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert node.generate_state(3).tolist() == sequence.generate_state(3).tolist()
+    got, want = _rng(node), np.random.default_rng(sequence)
     assert got.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
+
+
+def test_seed_node_generate_state_refuses_other_dtypes():
+    for dtype in (np.int32, np.float64, "u2", ">u8"):
+        for seed in (_SeedNode(3), np.random.SeedSequence(3)):
+            with pytest.raises(ValueError, match="only support uint32 or uint64"):
+                seed.generate_state(2, dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    entropy=st.integers(0, 2**256),
+    path=st.lists(st.integers(0, 2**64), max_size=4),
+    spawned=st.integers(1, 3),
+)
+def test_spawned_node_streams_equal_numpy(entropy, path, spawned):
+    # each step spawns `spawned` children from n_children_spawned = the key
+    # element and takes the first, so key elements reach 2**64, past numpy's
+    # uint32 counter; numpy builds the same key directly
+    node = _SeedNode(entropy)
+    for element in path:
+        node.n_children_spawned = element
+        node = node.spawn(spawned)[0]
+    sequence = np.random.SeedSequence(entropy, spawn_key=tuple(path))
+    assert node.spawn_key == sequence.spawn_key and node.pool == sequence.pool.tolist()
+    got, want = np.random.default_rng(node), np.random.default_rng(sequence)
+    assert type(got.bit_generator.seed_seq) is _SeedNode
+    assert got.integers(2**63, size=6).tolist() == want.integers(2**63, size=6).tolist()
 
 
 def _dist(target=Target.V, mode=D):
@@ -172,22 +210,45 @@ def test_caller_seed_sequence_passes_through():
     ids=["noisy one-pair report", "mitigated run E1", "noisy run V", "clean run_protocol"],
 )
 def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_generators):
-    built = {"sequences": 0, "generators": 0}
-    default_rng = np.random.default_rng
+    # an int seed's generators are each seeded by a seed-tree node of their own,
+    # and no np.random.SeedSequence is built, by qetsim or inside PCG64
+    built = []
 
     class Counting(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
-            built["sequences"] += 1
+            built.append(self)
             super().__init__(*args, **kwargs)
 
-    def counting_rng(seed):
-        built["generators"] += 1
-        return default_rng(seed)
-
+    seeds = _generator_seeds(monkeypatch)
     monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     operation()
-    assert built == {"sequences": n_generators, "generators": n_generators}
+    assert len(seeds) == n_generators and built == []
+    assert all(type(seed) is _SeedNode for seed in seeds)
+    assert len({id(seed) for seed in seeds}) == n_generators
+
+
+def test_caller_seed_sequence_seeds_through_numpy(monkeypatch):
+    # a caller's SeedSequence is numpy's: it and the children it spawns seed
+    # every generator themselves
+    seeds = _generator_seeds(monkeypatch)
+    run_protocol(PARAMS, Target.V, D, 1_000, np.random.SeedSequence(3))
+    mitigated_run(PARAMS, Target.V, D, 1_000, np.random.SeedSequence(3), LIMA, "direct")
+    comparison_report([PARAMS], 1_000, np.random.SeedSequence(3), LIMA, "direct")
+    assert len(seeds) == 1 + 2 + 9
+    assert all(type(seed) is np.random.SeedSequence for seed in seeds)
+
+
+def _generator_seeds(monkeypatch) -> list:
+    """The seed sequence of each generator that default_rng builds from now on."""
+    seeds, default_rng = [], np.random.default_rng
+
+    def recording_rng(seed):
+        rng = default_rng(seed)
+        seeds.append(rng.bit_generator.seed_seq)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    return seeds
 
 
 # Raw multinomial draws of numpy's default generator from spawned seed
@@ -297,24 +358,31 @@ EARLY_EXITS = {
     ("-x", "y"): 2,
     ("run", "--target", "V", "--h", "1", "--k", "1", "--shots", "0"): 2,
     ("sweep", "--grid-h", "0:1:0"): 2,
+    ("sweep", "--grid-h", "0:1:3", "--grid-k", "1"): 2,
+    ("sweep", "--grid-h", "0.1:1:1001", "--grid-k", "0.1:1:1000"): 2,
     ("evolve", "--h", "1", "--k", "1", "--t-steps", "1"): 2,
 }
 
 
 @pytest.mark.parametrize("block", ["", "sys.modules['numpy'] = None"], ids=["unloaded", "missing"])
 def test_import_and_early_exits_load_no_numpy(block):
-    # numpy loads on first use: importing qetsim and the early exits never use it,
-    # and with numpy unimportable (block) they still give their exit codes
+    # numpy loads on first use: importing qetsim, the early exits and building
+    # and spawning a seed tree never use it, and with numpy unimportable (block)
+    # they still give their exit codes and nodes
     code = textwrap.dedent(f"""\
         import contextlib, io, sys
         {block}
         import qetsim, qetsim.cli
+        from qetsim.protocol import _seed_sequence, e1_parts
         codes = []
         for argv in {list(EARLY_EXITS)!r}:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(qetsim.cli.main(list(argv)))
-        print(codes, sys.modules.get("numpy") is not None)""")
-    assert _child(code) == f"{list(EARLY_EXITS.values())} False"
+        keys = [node.spawn_key for node in _seed_sequence(7).spawn(6)]
+        keys += [node.spawn_key for _, node in e1_parts(3)]
+        print(codes, keys, sys.modules.get("numpy") is not None)""")
+    keys = [(i,) for i in range(6)] + [(0,), (1,)]
+    assert _child(code) == f"{list(EARLY_EXITS.values())} {keys} False"
 
 
 def test_numpy_handle_first_use_from_racing_threads():
