@@ -159,13 +159,22 @@ def sampled_calibration_matrix(
     basis state through the same noisy readout and tabulate. Noise acts on the record
     only, so state j records j on every shot and column j is one multinomial draw
     over response[:, j]; seed itself seeds the one generator that draws the four in order."""
+    return np.array(_calibration_rows(noise, n_shots, seed))
+
+
+def _calibration_rows(
+    noise: ReadoutNoise,
+    n_shots: int,
+    seed: int | np.random.SeedSequence,
+) -> list[tuple[float, ...]]:
+    """sampled_calibration_matrix's rows, as plain floats."""
     n_shots = shot_count(n_shots)
     rng, columns = _rng(_seed_sequence(seed)), []
     for column in noise.response_columns:
         tally = rng.multinomial(n_shots, column).tolist()
         total = _total(tally)
         columns.append([c / total for c in tally])
-    return np.array(columns).T
+    return [*zip(*columns)]
 
 
 def mitigated_run(
@@ -191,7 +200,9 @@ def mitigated_run(
         )
         return combine_E1(u_h1, u_v), combine_E1(m_h1, m_v), matrix
     dist = exact_distribution(build_circuit(params, target, mode))
-    return _mitigated(params, Target(target), dist, n_shots, seed, noise, method)
+    unmitigated, mitigated, rows = _mitigated(params, Target(target), dist, n_shots, seed,
+                                              noise, method)
+    return unmitigated, mitigated, None if rows is None else np.array(rows)
 
 
 def _mitigated(
@@ -202,10 +213,11 @@ def _mitigated(
     seed: int | np.random.SeedSequence,
     noise: ReadoutNoise | None,
     method: str | None,
-) -> tuple[EstimationResult, EstimationResult, np.ndarray | None]:
-    """mitigated_run of one target, from its circuit's exact distribution. Readout
-    flips each shot's record alone, so the run is one draw on noise.recorded(dist).
-    Without noise there is no readout error to correct: the clean run on dist."""
+) -> tuple[EstimationResult, EstimationResult, list[tuple[float, ...]] | None]:
+    """mitigated_run of one target, from its circuit's exact distribution, with the
+    calibration matrix as rows of plain floats. Readout flips each shot's record
+    alone, so the run is one draw on noise.recorded(dist). Without noise there is
+    no readout error to correct: the clean run on dist."""
     if noise is not None:
         dist = noise.recorded(dist)
     if noise is None or method is None:
@@ -213,15 +225,15 @@ def _mitigated(
         return result, result, None
     run_seed, cal_seed = _seed_sequence(seed).spawn(2)
     unmitigated = sample_protocol(params, target, dist, n_shots, run_seed)
-    cal_matrix = sampled_calibration_matrix(noise, n_shots, cal_seed)
+    rows = _calibration_rows(noise, n_shots, cal_seed)
     # the kernels take the run's own tallies and matrix
     counts = unmitigated.raw_counts
     total = _total(counts.values())
-    corrected = _correct([counts.get(key, 0) / total for key in BITSTRINGS], cal_matrix, method)[0]
+    corrected = _correct([counts.get(key, 0) / total for key in BITSTRINGS], rows, method)[0]
     weights = {key: p * n_shots for key, p in zip(BITSTRINGS, corrected)}
     mean, std_error = _score(params, target, weights)
     # the weights' float total need not round to n_shots past 2**53
-    return unmitigated, EstimationResult(mean, std_error, unmitigated.n_shots, weights), cal_matrix
+    return unmitigated, EstimationResult(mean, std_error, unmitigated.n_shots, weights), rows
 
 
 class ComparisonRow(_Record):

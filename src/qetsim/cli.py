@@ -97,28 +97,25 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     """CSV with LF line endings, a header row, and a trailing newline, from
     equally long columns. A column holds only strings, passed through, or
     only numbers, rendered as format_float renders them: by _fixed_point, a
-    chunk of rows at a time, else in one printf-style pass over every cell."""
+    chunk of rows at a time, else in one printf-style pass over every cell, on
+    Python values, as is any table with a text column."""
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
     text = [n_rows > 0 and isinstance(column[0], str) for column in columns]
-    strings = [j for j, is_text in enumerate(text) if is_text]
-    numeric = [j for j, is_text in enumerate(text) if not is_text]
-    numbers = np.array([columns[j] for j in numeric], dtype=float).reshape(len(numeric), n_rows)
     head = ",".join(header) + "\n"
-    if numeric and not strings:
-        step = max(1, _CSV_CELLS // len(numeric))
+    if text and not any(text):
+        numbers = np.array(columns, dtype=float).reshape(len(columns), n_rows)
+        step = max(1, _CSV_CELLS // len(columns))
         chunks = [_fixed_point(numbers[:, i:i + step]) for i in range(0, n_rows, step)]
         if None not in chunks:
             return "".join([head, *chunks])
-    numbers[np.abs(numbers) <= HALF_UNIT] = 0.0
-    cells = np.empty((len(columns), n_rows), dtype=object)
-    if strings:
-        cells[strings] = [columns[j] for j in strings]
-    cells[numeric] = numbers
+        columns = numbers.tolist()
+    cells = [column if is_text else [0.0 if abs(x) <= HALF_UNIT else x for x in column]
+             for column, is_text in zip(columns, text)]
     line = ",".join("%s" if is_text else "%.6f" for is_text in text) + "\n"
-    return head + (line * n_rows) % tuple(cells.T.ravel().tolist())
+    return head + (line * n_rows) % tuple(cell for row in zip(*cells) for cell in row)
 
 
 @functools.cache
@@ -508,20 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """argv's namespace as the full parser gives it when argv is a subcommand
+    followed only by --key value pairs, each key one of its options or config
+    and no value starting with "-"; else None. A repeated key keeps its last value."""
+    if not argv or argv[0] not in SUBCOMMANDS or len(argv) % 2 == 0:
+        return None
+    values = dict.fromkeys([*SUBCOMMANDS[argv[0]][1], "config"])
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if not (flag[:2] == "--" and flag[2:] in values) or value[:1] == "-":
+            return None
+        values[flag[2:]] = value
+    return argparse.Namespace(command=argv[0], **{k.replace("-", "_"): v for k, v in values.items()})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one qet call on argv (default sys.argv[1:]); return its exit code.
-    The named subcommand's parser parses argv once. Otherwise the full parser
-    parses argv, printing its own usage, help or error, when argv names no
-    subcommand or the subcommand's parser leaves arguments unrecognized."""
-    parser = build_parser()
+    A subcommand followed only by --key value pairs of its own options is read
+    directly; every other argv goes to the full parser, which prints its own
+    usage, help or error."""
     argv = sys.argv[1:] if argv is None else argv
-    name = argv[0] if argv else None
     try:
-        if name in parser.subcommands:
-            namespace = argparse.Namespace(command=name)
-            args, extras = parser.subcommands[name].parse_known_args(argv[1:], namespace)
-        if name not in parser.subcommands or extras:
-            args = parser.parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

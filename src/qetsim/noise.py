@@ -14,6 +14,7 @@ a direct solution with no positive mass raise NumericalError.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .simcore import (
@@ -161,19 +162,40 @@ def _simplex_least_squares(a: list[list[float]], y: list[float]) -> tuple[list[f
         del cols[min(range(len(cols)), key=xf.__getitem__)]
 
 
-def _correct(y: list[float], a: np.ndarray,
+def _varah_cond(rows: list[list[float]]) -> float | None:
+    """An upper bound on the 2-norm condition number of a 4x4 matrix that certifies it below
+    half of _COND_LIMIT, else None: cond <= sqrt(|A|_1 |A|_inf / (alpha beta)), alpha and beta
+    the smallest row and column margins |a_ii| - sum_{j != i} |a_ij|, both positive only for a
+    diagonally dominant matrix (J. M. Varah, Linear Algebra Appl. 11, 1975). Below that bound
+    rounding moves it by under 1e-4 of itself and LAPACK's condition number by under 1e-9, so
+    np.linalg.cond puts every matrix it certifies below the ceiling."""
+    bound = 1.0
+    for lines in (rows, [*zip(*rows)]):
+        sums = [abs(a) + abs(b) + abs(c) + abs(d) for a, b, c, d in lines]
+        norm = max(sums)
+        margin = min(2.0 * abs(line[i]) - s for i, (line, s) in enumerate(zip(lines, sums)))
+        # margin <= |a_ii| <= norm unless 2 |a_ii| overflows; a huge ratio overflows to inf
+        if not 0.0 < margin <= norm:
+            return None
+        bound *= norm / margin
+    return math.sqrt(bound) if bound < (_COND_LIMIT / 2.0) ** 2 else None
+
+
+def _correct(y: list[float], rows: list[list[float]],
              method: str) -> tuple[list[float], list[int], float, float | None, int]:
-    """mitigate's kernel, on frequencies y and a finite 4x4 matrix a: the corrected
-    distribution, the free set (all four outcomes for direct), the mass clipped from
-    negative entries, the condition number (direct only, else None) and the number
-    of linear solves (1 for direct; least squares pins one outcome per further solve)."""
-    rows = a.tolist()
+    """mitigate's kernel, on frequencies y and the rows of a finite 4x4 matrix: the corrected
+    distribution, the free set (all four outcomes for direct), the mass clipped from negative
+    entries, a bound on the condition number (direct only, else None: Varah's bound where it
+    certifies the matrix, else np.linalg.cond's own value) and the number of linear solves
+    (1 for direct; least squares pins one outcome per further solve)."""
     if method == "direct":
-        # np.linalg.cond's 2-norm ratio, without its wrapper layers
-        sv = np.linalg.svd(a, compute_uv=False).tolist()
-        if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
-            raise NumericalError("calibration matrix is singular or ill-conditioned")
-        raw, free, cond = _solve(rows, y), [0, 1, 2, 3], sv[0] / sv[-1]
+        cond = _varah_cond(rows)
+        if cond is None:  # np.linalg.cond's 2-norm ratio, without its wrapper layers
+            sv = np.linalg.svd(np.array(rows), compute_uv=False).tolist()
+            if sv[-1] == 0.0 or sv[0] / sv[-1] >= _COND_LIMIT:
+                raise NumericalError("calibration matrix is singular or ill-conditioned")
+            cond = sv[0] / sv[-1]
+        raw, free = _solve(rows, y), [0, 1, 2, 3]
     elif method == "least-squares":
         (raw, free), cond = _simplex_least_squares(rows, y), None
     else:
@@ -202,4 +224,4 @@ def mitigate(
     if not np.isfinite(a).all():
         raise NumericalError("calibration matrix has a non-finite entry")
     y = [float(counts.get(key, 0.0)) / total for key in BITSTRINGS]
-    return dict(zip(BITSTRINGS, _correct(y, a, method)[0]))
+    return dict(zip(BITSTRINGS, _correct(y, a.tolist(), method)[0]))

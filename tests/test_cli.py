@@ -106,6 +106,17 @@ def test_render_csv_line_endings():
         render_csv(("a", "b"), [("x", "y"), (1.5,)])
 
 
+@pytest.mark.parametrize("columns", [
+    [("x", "y"), (1.5,)], [("x", "y", "z"), (1.5,), ("a", "b")],
+    [(1.0, 2.0), (1.5,)], [(1.0, 2.0, 3.0), (1.5,), (0.5, 2.5)],
+], ids=["text-2", "text-3", "numeric-2", "numeric-3"])
+def test_render_csv_refuses_ragged_columns(columns):
+    # rows are cut from the columns together, so a short column would cut the table short
+    lengths = sorted({len(column) for column in columns})
+    with pytest.raises(ValueError, match=re.escape(f"columns differ in length: {lengths}")):
+        render_csv([f"c{j}" for j in range(len(columns))], columns)
+
+
 def render_csv_per_cell(header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -817,32 +828,79 @@ PARITY_ARGV = [
     ["run", "--", "--h", "1"], [*RUN_ARGS, "--", "--seed", "3"],
     ["sweep", "--grid-h=1", "--grid-k=2"], ["sweep", "--grid", "1"],
     ["evolve", "--h", "1", "--k", "1", "--t-steps", "3"], ["report", "--pairs=1:1", "--shots=10"],
+    # read directly: a repeated flag keeps its last value, an empty value is a value
+    [*RUN_ARGS, "--seed", "8"], ["run", "--out", ""], ["sweep", "--config", "FILE"],
+    # left to the full parser: a value starting with "-", an odd number of tokens, and a
+    # positional that ends in a flag's name
+    ["run", "--h", "-1", "--k", "1"], ["run", "--seed", "--"], ["report", "--pairs", "1:1", "--format"],
+    ["run", "++h", "1"],
 ]
 
 
-@pytest.mark.parametrize("argv", PARITY_ARGV, ids=[shlex.join(a) or "empty" for a in PARITY_ARGV])
-def test_main_parses_argv_as_the_full_parser_does(capsys, monkeypatch, argv):
-    # the reference: the full parser's namespace, or its exit code and output
-    try:
-        expected = vars(build_parser().parse_args(argv))
-    except SystemExit as exc:
-        expected = int(exc.code or 0)
-    reference = capsys.readouterr()
-    seen = []
+def main_namespace(argv):
+    """The namespace main hands to Options for argv, else main's exit code, stdout and stderr."""
+    seen, out, err = [], io.StringIO(), io.StringIO()
 
     class Recording(cli.Options):
         def __init__(self, args):
             seen.append(vars(args))
-            super().__init__(args)
+            raise cli.ConfigError("parsed")
 
-    monkeypatch.setattr(cli, "Options", Recording)
-    code = main(argv)
-    captured = capsys.readouterr()
-    if isinstance(expected, int):
-        assert (code, captured.out, captured.err) == (expected, reference.out, reference.err)
-        assert seen == []
-    else:
-        assert seen == [expected]
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        patch.setattr(cli, "Options", Recording)
+        code = main(argv)
+    return seen[0] if seen else (code, out.getvalue(), err.getvalue())
+
+
+def parser_namespace(argv):
+    """The full parser's namespace for argv, else its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=[shlex.join(a) or "empty" for a in PARITY_ARGV])
+def test_main_parses_argv_as_the_full_parser_does(argv):
+    assert main_namespace(argv) == parser_namespace(argv)
+
+
+@st.composite
+def argv_tokens(draw):
+    """A subcommand, then tokens that are mostly its exact flags, each with a value or not."""
+    command = draw(st.sampled_from(tuple(cli.SUBCOMMANDS)))
+    own = [f"--{key}" for key in (*cli.SUBCOMMANDS[command][1], "config")]
+    exact = st.sampled_from(own)
+    flag = st.one_of(
+        exact, exact, exact,
+        st.sampled_from(sorted(f"--{key}" for key in cli.CONFIG_KEYS if f"--{key}" not in own)),
+        st.sampled_from([f[:-1] for f in own if len(f) > 3]),  # abbreviations
+        exact.map(lambda f: f + "=1"), st.sampled_from(("--", "-h", "++h")),
+    )
+    value = st.sampled_from(("1", "", "-1", "-x", "a b", "lima-like"))
+    pairs = draw(st.lists(st.tuples(flag, value) | flag.map(lambda f: (f,)), max_size=5))
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=argv_tokens())
+def test_main_reads_argv_as_the_full_parser_does(argv):
+    assert main_namespace(argv) == parser_namespace(argv)
+
+
+def test_plain_argv_needs_no_parser(capsys, monkeypatch):
+    expected = invoke(capsys, RUN_ARGS)
+
+    def no_parser():
+        raise AssertionError("main used the full parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert invoke(capsys, RUN_ARGS) == expected
+    assert invoke(capsys, ["sweep", "--grid-h", "1", "--grid-k", "2", "--grid-h", "1:2:3"])[0] == 0
 
 
 def option_help(capsys, command, flag):

@@ -292,12 +292,29 @@ def test_mitigate_least_squares_is_optimal_on_simplex(weights):
         assert best <= float(np.sum((a @ z - y) ** 2)) + 1e-9
 
 
+@pytest.mark.parametrize("method", MITIGATION_METHODS)
+def test_mitigate_takes_a_nested_list(method):
+    a = sampled_calibration_matrix(LIMA, 500, 3)
+    counts = {"00": 700, "01": 100, "10": 150, "11": 50}
+    assert mitigate(counts, a.tolist(), method) == mitigate(counts, a, method)
+    with pytest.raises(ValueError, match="4x4"):
+        mitigate(counts, a.tolist()[:3], method)
+
+
 def test_mitigate_rejects_singular_matrix():
     singular = ReadoutNoise.symmetric(0.5, 0.5).response
     with pytest.raises(NumericalError):
         mitigate({"00": 10}, singular, "direct")
     with pytest.raises(NumericalError):
         mitigate({"00": 10}, singular, "least-squares")
+
+
+def dominant_block(m):
+    """[[1, 1 - m], [1 - m, 1]] beside the 2x2 identity: diagonally dominant by m, with
+    Varah's bound equal to its condition number (2 - m) / m."""
+    a = np.eye(4)
+    a[0, 1] = a[1, 0] = 1.0 - m
+    return a
 
 
 @pytest.mark.parametrize(
@@ -310,6 +327,15 @@ def test_mitigate_rejects_singular_matrix():
         np.full((4, 4), 0.25),
         LIMA.response,
         np.eye(4),
+        np.eye(4)[[1, 0, 3, 2]],  # not diagonally dominant: svd decides
+        # past the ceiling, within rounding of it, and either side of half of it, where
+        # Varah's bound starts to certify; at 1.9999980000480004e-06 the bound rounds to
+        # 999999.99995 and numpy's condition number to 1000000.00005
+        *(dominant_block(m) for m in (1.9e-6, 2 / (1e6 + 1), 1.9999980000480004e-06, 2e-6,
+                                      4e-6, 4.1e-6)),
+        # margins whose product underflows or overflows, and twice a diagonal entry overflowing
+        1e-300 * LIMA.response, 1e300 * LIMA.response, 1e308 * np.eye(4), np.full((4, 4), 1e308),
+        dominant_block(1e-6) * (np.finfo(float).max / 2 * (1 + 2e-7)),
     ],
 )
 def test_mitigate_direct_guard_is_the_condition_number(a):
@@ -321,6 +347,22 @@ def test_mitigate_direct_guard_is_the_condition_number(a):
             mitigate({"00": 3, "11": 1}, a, "direct")
     else:
         assert sum(mitigate({"00": 3, "11": 1}, a, "direct").values()) == pytest.approx(1.0)
+
+
+def test_direct_certifies_calibration_matrices_without_lapack(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    y = [0.4, 0.3, 0.2, 0.1]
+    # Varah's bound is the condition number of the dominant block
+    for m in (1.0, 0.5, 1e-3, 4.1e-6):
+        assert _correct(y, dominant_block(m).tolist(), "direct")[3] == pytest.approx((2 - m) / m)
+    # and certifies the pipeline's own matrices
+    for noise in PRESETS.values():
+        for seed in range(10):
+            rows = sampled_calibration_matrix(noise, 1000, seed).tolist()
+            assert 1.0 <= _correct(y, rows, "direct")[3] < 1.2
 
 
 NON_FINITE = [(method, bad) for method in MITIGATION_METHODS for bad in (np.nan, np.inf, -np.inf)]
@@ -348,6 +390,21 @@ def test_mitigate_direct_rejects_solution_without_positive_mass(a, counts):
     assert np.linalg.cond(a) < 1e6
     with pytest.raises(NumericalError):
         mitigate(counts, a, "direct")
+
+
+def checked_direct(y, a):
+    """_correct's direct record of frequencies y and matrix a, or None when it refuses.
+    It refuses a as ill-conditioned exactly when np.linalg.cond puts a at or past the
+    ceiling, and otherwise records a bound at or above that value, within rounding."""
+    cond = np.linalg.cond(a)
+    try:
+        record = _correct(np.asarray(y, dtype=float).tolist(), a.tolist(), "direct")
+    except NumericalError as exc:
+        assert ("ill-conditioned" in str(exc)) == (cond >= 1e6)
+        return None
+    assert cond < 1e6 and record[3] >= cond * (1.0 - 1e-9)
+    assert record[1] == [0, 1, 2, 3] and record[4] == 1
+    return record
 
 
 def reference_simplex_least_squares(a, y):
@@ -400,6 +457,7 @@ def test_mitigate_matches_numpy_reference(spec, shots):
         draw = rng.multinomial(shots, noise.response @ p)
         counts = {key: int(c) for key, c in zip(BITSTRINGS, draw) if c}
         y = distribution_vector(counts) / check_counts(counts)
+        direct = checked_direct(y, a)
         for method in MITIGATION_METHODS:
             try:
                 want = reference_mitigate(counts, a, method)
@@ -410,17 +468,15 @@ def test_mitigate_matches_numpy_reference(spec, shots):
             got = distribution_vector(mitigate(counts, a, method))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
             # mitigate is its checks plus the kernel
-            record = _correct(y.tolist(), a, method)
+            record = direct if method == "direct" else _correct(y.tolist(), a.tolist(), method)
             assert mitigate(counts, a, method) == dict(zip(BITSTRINGS, record[0]))
-            if method == "direct":
-                assert record[1] == [0, 1, 2, 3] and record[3] == np.linalg.cond(a)
         try:
             free = reference_simplex_least_squares(a, y)[1]
         except NumericalError:
             continue
         # the same outcomes pinned to zero
         assert _simplex_least_squares(a.tolist(), y.tolist())[1] == free
-        assert _correct(y.tolist(), a, "least-squares")[1] == free
+        assert _correct(y.tolist(), a.tolist(), "least-squares")[1] == free
         free_sets.add(len(free))
     # solutions inside the simplex, and past one shot (0/1 matrices) ones that pin
     assert 4 in free_sets and (shots == 1 or len(free_sets) > 1), free_sets
@@ -437,10 +493,10 @@ def test_correct_records_what_mitigation_did(method):
         a = sampled_calibration_matrix(noise, 2000, seed)
         draw = rng.multinomial(2000, noise.response @ rng.dirichlet(np.full(4, 0.3)))
         y = (draw / 2000).tolist()
-        x, free, clipped, cond, solves = _correct(y, a, method)
+        x, free, clipped, cond, solves = _correct(y, a.tolist(), method)
         if method == "direct":
             raw = _solve(a.tolist(), y)
-            assert free == [0, 1, 2, 3] and cond == np.linalg.cond(a) and solves == 1
+            assert checked_direct(y, a) == (x, free, clipped, cond, solves)
             # the clipped entries, against numpy's solver
             reference = np.linalg.solve(a, y)
             assert clipped == pytest.approx(-reference[reference < 0.0].sum(), rel=0, abs=1e-12)
@@ -468,7 +524,7 @@ def test_correct_records_what_mitigation_did(method):
 def test_correct_refuses_what_it_cannot_correct(a, method):
     # the checks that can fire on the pipeline's own matrix live in the kernel
     with pytest.raises(NumericalError):
-        _correct([1.0, 0.0, 0.0, 0.0], a, method)
+        _correct([1.0, 0.0, 0.0, 0.0], a.tolist(), method)
 
 
 def test_mitigate_input_validation():
