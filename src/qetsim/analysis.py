@@ -67,6 +67,7 @@ def heatmap(grid: SweepGrid) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PhiScanResult:
+    """phi_scan's minimising angle and E1 there, against the protocol's phi."""
     best_phi: float
     min_e1: float
     protocol_phi: float

@@ -16,15 +16,18 @@ codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
 from collections.abc import Callable, Sequence
-from json.encoder import encode_basestring_ascii
-from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, NoReturn
+
+try:  # json's C escaper, imported without the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .analysis import (
     ANALYTIC,
@@ -168,6 +171,8 @@ def _fixed_point(numbers: np.ndarray) -> str | None:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments are ignored."""
+    from pathlib import Path
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -189,7 +194,7 @@ class Options:
     --config file, else from its default in SUBCOMMANDS; the seed's default is
     QET_SEED, else 12345."""
 
-    def __init__(self, args: argparse.Namespace) -> None:
+    def __init__(self, args: Any) -> None:
         self._args = args
         self.command = args.command
         self._options = SUBCOMMANDS[args.command][1]
@@ -270,15 +275,12 @@ def parse_pairs(spec: Any) -> list[ModelParams]:
 # An option: (help, cast, default). A tuple cast lists the accepted values, a
 # callable default is computed from the call's other options, and a None
 # default makes the option required.
-Option = tuple[str, Any, Any]
-
-
-def _couplings(default: float | None = None) -> dict[str, Option]:
+def _couplings(default: float | None = None) -> dict[str, tuple]:
     return {"h": ("local field strength", float, default),
             "k": ("coupling strength", float, default)}
 
 
-def _sampling_options(noise: str, mitigation: str, none_ok: bool = True) -> dict[str, Option]:
+def _sampling_options(noise: str, mitigation: str, none_ok: bool = True) -> dict[str, tuple]:
     # none_ok: --noise and --mitigation accept none, and their help offers it
     none = ("none",) if none_ok else ()
     return {
@@ -294,9 +296,9 @@ def _sampling_options(noise: str, mitigation: str, none_ok: bool = True) -> dict
     }
 
 
-_COMMON: dict[str, Option] = {"out": ("also write the output to this file", str, None)}
+_COMMON: dict[str, tuple] = {"out": ("also write the output to this file", str, None)}
 # Each subcommand's help line and its options by flag name.
-SUBCOMMANDS: dict[str, tuple[str, dict[str, Option]]] = {
+SUBCOMMANDS: dict[str, tuple[str, dict[str, tuple]]] = {
     "run": ("sample one observable estimate", {
         **_couplings(), "target": ("observable", ("E0", "H1", "V", "E1"), None),
         **_sampling_options("none", "none"), **_COMMON}),
@@ -473,19 +475,21 @@ _COMMANDS: dict[str, Callable[[Options], str]] = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        """Usage and message, exit 2, with invalid-choice subcommands quoted on every release."""
-        head, tail, _ = message.rpartition(" (choose from ")
-        if tail and head.startswith("argument command: invalid choice:"):
-            message = f"{head}{tail}{', '.join(map(repr, self.subcommands))})"
-        super().error(message)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qet parser, built on first use and shared by every later main
-    call: parse_args keeps no state between calls."""
+    call: parse_args keeps no state between calls. argparse is imported here,
+    so a call that main reads directly loads none of it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            """Usage and message, exit 2, with invalid-choice subcommands quoted on every release."""
+            head, tail, _ = message.rpartition(" (choose from ")
+            if tail and head.startswith("argument command: invalid choice:"):
+                message = f"{head}{tail}{', '.join(map(repr, self.subcommands))})"
+            super().error(message)
+
     parser = _Parser(
         prog="qet",
         description="Exact simulator and estimators for a two-qubit energy "
@@ -505,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
+def _plain_args(argv: Sequence[str]) -> SimpleNamespace | None:
     """argv's namespace as the full parser gives it when argv is a subcommand
     followed only by --key value pairs, each key one of its options or config
     and no value starting with "-"; else None. A repeated key keeps its last value."""
@@ -516,7 +520,7 @@ def _plain_args(argv: Sequence[str]) -> argparse.Namespace | None:
         if not (flag[:2] == "--" and flag[2:] in values) or value[:1] == "-":
             return None
         values[flag[2:]] = value
-    return argparse.Namespace(command=argv[0], **{k.replace("-", "_"): v for k, v in values.items()})
+    return SimpleNamespace(command=argv[0], **{k.replace("-", "_"): v for k, v in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -534,6 +538,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = _COMMANDS[args.command](opts)
         out = opts.raw("out")
         if out is not None:
+            from pathlib import Path
+
             try:
                 Path(out).write_text(text)
             except OSError as exc:

@@ -145,7 +145,8 @@ def _receiver_energies(h, k, r, phi=None, sines=None):
     c, s = h / r, k / r
     if phi is None:
         phi = _protocol_phi(c, s)
-    sin_phi, sin_2phi = sines or (np.sin(phi), np.sin(2.0 * phi))
+    sin = math.sin if isinstance(phi, float) else np.sin  # dispatched as in _protocol_phi
+    sin_phi, sin_2phi = sines or (sin(phi), sin(2.0 * phi))
     return (4.0 * k * s * sin_phi * sin_phi - 2.0 * k * c * sin_2phi,
             2.0 * h * c * sin_phi * sin_phi + h * s * sin_2phi)
 

@@ -44,6 +44,7 @@ class Target(str, Enum):
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """An energy estimate: mean, standard error, shots and the counts it came from."""
     mean: float
     std_error: float
     n_shots: int

@@ -98,6 +98,40 @@ def test_render_json_quotes_strings_as_json_dumps(text):
     assert render_json({text: 1}) == "{\n  " + json.dumps(text) + ": 1\n}"
 
 
+# render_json's bytes for quoted, escaped, non-BMP, surrogate and str-Enum keys and
+# values, as the json-escaped renderer printed them
+NESTED_PAYLOAD = {
+    "": ['"', "\\", {"\x00": "\x1f", "\x7f": None}],
+    "\u00e9": {"\U0001d11e": "\ud800", Mode.DEFERRED: Mode.CONDITIONAL},
+    "plain": ["schema/1", 1.5, 2, True, []],
+}
+NESTED_JSON = r"""{
+  "": [
+    "\"",
+    "\\",
+    {
+      "\u0000": "\u001f",
+      "\u007f": null
+    }
+  ],
+  "\u00e9": {
+    "\ud834\udd1e": "\ud800",
+    "Mode.DEFERRED": "conditional"
+  },
+  "plain": [
+    "schema/1",
+    1.500000,
+    2,
+    true,
+    []
+  ]
+}"""
+
+
+def test_render_json_nested_payload_is_pinned():
+    assert render_json(NESTED_PAYLOAD) == NESTED_JSON
+
+
 def test_render_csv_line_endings():
     text = render_csv(("a", "b"), [("x",), (1.5,)])
     assert text == "a,b\nx,1.500000\n"

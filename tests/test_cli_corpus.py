@@ -7,6 +7,12 @@ no file, so --config and --out are left to test_cli.py. After a change that
 is meant to move output, rewrite the digests and review the diff:
 
     PYTHONPATH=src python tests/test_cli_corpus.py
+
+The corpus also replays with numpy unimportable, in a child interpreter: each
+line that finishes without numpy must give its recorded digest. On an
+interpreter that has no numpy, the same replay is
+
+    PYTHONPATH=src python tests/test_cli_corpus.py --without-numpy
 """
 
 from __future__ import annotations
@@ -17,14 +23,20 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import qetsim
 from qetsim.cli import SEED_ENV_VAR, main
 
 CORPUS = Path(__file__).with_name("cli_corpus.txt")
 DIGESTS = Path(__file__).with_name("cli_corpus.sha256")
 # argparse wraps help text to the terminal width it reads from COLUMNS
 ENVIRONMENT = {"COLUMNS": "80"}
+# corpus lines that finish without numpy: help, and the usage and configuration
+# errors found before anything is computed
+FINISH_WITHOUT_NUMPY = 74
 
 
 def corpus_lines() -> list[str]:
@@ -57,7 +69,41 @@ def test_corpus_output_is_byte_identical(monkeypatch):
     assert not moved, f"{len(moved)} of {len(lines)} corpus lines moved:\n" + "\n".join(moved)
 
 
+def replay_without_numpy() -> tuple[int, int, list[str]]:
+    """(lines that finish, lines, finished lines that moved), with numpy made
+    unimportable in this interpreter: a line that needs it raises ImportError."""
+    sys.modules["numpy"] = None
+    lines, digests, finished, moved = corpus_lines(), recorded(), 0, []
+    for line in lines:
+        try:
+            hexdigest = digest(line)
+        except ImportError:
+            continue
+        finished += 1
+        if hexdigest != digests[line]:
+            moved.append(line)
+    return finished, len(lines), moved
+
+
+def test_corpus_lines_without_numpy_are_byte_identical():
+    src = str(Path(qetsim.__file__).resolve().parents[1])
+    env = {**os.environ, **ENVIRONMENT,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop(SEED_ENV_VAR, None)
+    out = subprocess.run([sys.executable, __file__, "--without-numpy"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert int(out.stdout.split()[0]) >= FINISH_WITHOUT_NUMPY, out.stdout
+
+
 if __name__ == "__main__":
     os.environ.pop(SEED_ENV_VAR, None)
     os.environ.update(ENVIRONMENT)
+    if sys.argv[1:] == ["--without-numpy"]:
+        finished, total, moved = replay_without_numpy()
+        print(f"{finished} of {total} lines finished without numpy, "
+              f"{finished - len(moved)} of them byte-identical", *moved, sep="\n")
+        sys.exit(1 if moved else 0)
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--without-numpy]")
     DIGESTS.write_text("".join(f"{digest(line)}  {line}\n" for line in dict.fromkeys(corpus_lines())))

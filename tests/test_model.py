@@ -185,10 +185,12 @@ def test_phi_range_and_defining_equation(params):
 
 @pytest.mark.parametrize("h", np.logspace(-3, 7, 21).tolist(), ids="h={}".format)
 def test_angles_and_xi_are_the_math_forms(h, monkeypatch):
-    # bit for bit: numpy's arccos, arctan2 and arctan may round otherwise by
+    # bit for bit: numpy's arccos, arctan2, arctan and sin may round otherwise by
     # the CPU features they dispatch on, and every circuit is built from theta
-    # and phi; the scalar closed forms take angles' phi, never numpy's arctan2
+    # and phi; the scalar closed forms take angles' phi and math.sin, never
+    # numpy's arctan2 or sin, and equal the np.sin forms
     monkeypatch.setattr("qetsim.simcore.np.arctan2", None)
+    monkeypatch.setattr("qetsim.simcore.np.sin", None)
     for k in np.logspace(-3, 8, 23).tolist():
         params = ModelParams(h, k)
         r = math.hypot(h, k)
@@ -198,8 +200,10 @@ def test_angles_and_xi_are_the_math_forms(h, monkeypatch):
         assert got.phi == 0.5 * math.atan2(c * s, c * c + 2.0 * s * s)
         assert entropy_report(params).xi == math.atan(k / h)
         assert type(got.theta) is type(got.phi) is float
-        v, h1 = _receiver_energies(h, k, r, got.phi)
-        assert (analytic_V(params), analytic_H1(params)) == (v, h1)
+        v, h1 = _receiver_energies(h, k, r, got.phi, (np.sin(got.phi), np.sin(2.0 * got.phi)))
+        energies = analytic_V(params), analytic_H1(params)
+        assert energies == (v, h1)
+        assert type(energies[0]) is type(energies[1]) is float
         assert np.array_equal(rho_qet(params), rho_qet(params, got.phi))
 
 

@@ -328,12 +328,12 @@ def test_none_seed_draws_fresh_entropy():
     assert np.allclose(matrix.sum(axis=0), 1.0)
 
 
-def _child(code: str) -> str:
-    """stdout of a fresh interpreter running code on this qetsim."""
+def _child(code: str, *flags: str) -> str:
+    """stdout of a fresh interpreter, started with flags, running code on this qetsim."""
     src = str(Path(analysis.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 
@@ -342,6 +342,37 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; importing it with the CLI would
     # add its import time to every qet call
     assert _child("import sys, qetsim.cli; print('numpy.random' in sys.modules)") == "False"
+
+
+# plain --key value calls, each read without the full parser: a JSON run, a
+# noisy JSON report, a CSV report, a sweep and an evolve
+PLAIN_CALLS = [
+    ["run", "--target", "V", "--h", "1", "--k", "1", "--shots", "1000"],
+    ["report", "--pairs", "1:1", "--shots", "1000", "--noise", "lima-like",
+     "--mitigation", "direct", "--format", "json"],
+    ["report", "--pairs", "1:1,0.5:2", "--shots", "1000", "--format", "csv"],
+    ["sweep", "--grid-h", "0.5:1:3", "--grid-k", "1"],
+    ["evolve", "--h", "1", "--k", "0.5", "--t-steps", "5"],
+]
+
+
+def test_plain_calls_import_no_argparse_json_or_pathlib():
+    # argparse (and its gettext) loads only for the full parser, pathlib only for
+    # --config or --out, and strings are escaped by _json without the json
+    # package; -S keeps the modules site imports at start-up out of the count,
+    # and numpy's directory goes after the stdlib on the child's path
+    code = textwrap.dedent(f"""\
+        import contextlib, io, sys
+        sys.path.append({str(Path(np.__file__).resolve().parents[1])!r})
+        import numpy
+        four, before = {{"argparse", "gettext", "json", "pathlib"}}, set(sys.modules)
+        import qetsim.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [qetsim.cli.main(argv) for argv in {PLAIN_CALLS!r}]
+            plain = set(sys.modules) - before
+            qetsim.cli.main(["--help"])
+        print(codes, sorted(before & four), sorted(plain & four), "argparse" in sys.modules)""")
+    assert _child(code, "-S") == f"{[0] * len(PLAIN_CALLS)} [] [] True"
 
 
 # qet calls that end before computing anything: help, an unknown subcommand, and
@@ -366,13 +397,15 @@ EARLY_EXITS = {
 
 @pytest.mark.parametrize("block", ["", "sys.modules['numpy'] = None"], ids=["unloaded", "missing"])
 def test_import_and_early_exits_load_no_numpy(block):
-    # numpy loads on first use: importing qetsim, the early exits and building
-    # and spawning a seed tree never use it, and with numpy unimportable (block)
-    # they still give their exit codes and nodes
+    # numpy loads on first use: importing qetsim, the early exits, building
+    # and spawning a seed tree and the scalar analytic_V and analytic_H1 never
+    # use it, and with numpy unimportable (block) they still give their exit
+    # codes, nodes and floats
     code = textwrap.dedent(f"""\
         import contextlib, io, sys
         {block}
         import qetsim, qetsim.cli
+        from qetsim.model import ModelParams, analytic_H1, analytic_V
         from qetsim.protocol import _seed_sequence, e1_parts
         codes = []
         for argv in {list(EARLY_EXITS)!r}:
@@ -380,9 +413,11 @@ def test_import_and_early_exits_load_no_numpy(block):
                 codes.append(qetsim.cli.main(list(argv)))
         keys = [node.spawn_key for node in _seed_sequence(7).spawn(6)]
         keys += [node.spawn_key for _, node in e1_parts(3)]
-        print(codes, keys, sys.modules.get("numpy") is not None)""")
+        params = ModelParams(1.0, 0.5)
+        energies = [type(f(params)).__name__ for f in (analytic_V, analytic_H1)]
+        print(codes, keys, energies, sys.modules.get("numpy") is not None)""")
     keys = [(i,) for i in range(6)] + [(0,), (1,)]
-    assert _child(code) == f"{list(EARLY_EXITS.values())} {keys} False"
+    assert _child(code) == f"{list(EARLY_EXITS.values())} {keys} ['float', 'float'] False"
 
 
 def test_numpy_handle_first_use_from_racing_threads():
