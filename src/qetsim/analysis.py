@@ -9,6 +9,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 import math
+import sys
 
 from .model import (
     ModelParams,
@@ -90,7 +91,7 @@ def phi_scan(params: ModelParams) -> PhiScanResult:
     one heatmap and the analytic energies use), and how far the argmin sits
     from the protocol angle. The scan covers [0, pi/2) in _PHI_POINTS steps."""
     phis, *sines = _phi_tables(_PHI_POINTS)
-    energies = sum(_receiver_energies(params.h, params.k, params.r, phis, sines))
+    energies = np.add(*_receiver_energies(params.h, params.k, params.r, phis, sines))  # V + H1
     best = int(np.argmin(energies))
     protocol_phi = angles(params).phi
     return PhiScanResult(
@@ -137,7 +138,7 @@ def evolution_scan(params: ModelParams, t_values: np.ndarray) -> np.ndarray:
     largest of these passes HALF_UNIT, this raises NumericalError."""
     t = np.asarray(t_values, dtype=float)
     h, k, t_max = params.h, params.k, np.abs(t).max(initial=0.0)
-    rounding = _ROUNDING_MARGIN * np.finfo(float).eps * max(4.0 * h * h * t_max, h, 2.0 * k)
+    rounding = _ROUNDING_MARGIN * sys.float_info.epsilon * max(4.0 * h * h * t_max, h, 2.0 * k)
     if not rounding <= HALF_UNIT:
         raise NumericalError(f"float64 rounding reaches {rounding:.1e}, past half a printed unit")
     hams = build_hamiltonians(params)

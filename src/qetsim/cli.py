@@ -72,9 +72,9 @@ def render_json(obj: Any, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             return "null"
         return format_float(float(obj))
@@ -93,6 +93,9 @@ def render_json(obj: Any, indent: int = 0) -> str:
             return "[]"
         items = [f"{inner}{render_json(value, indent + 1)}" for value in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    # a numpy scalar exists only once numpy is loaded, so only then is one looked for
+    if sys.modules.get("numpy") is not None and isinstance(obj, (np.integer, np.floating)):
+        return render_json(int(obj) if isinstance(obj, np.integer) else float(obj))
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
@@ -109,7 +112,7 @@ def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
     text = [n_rows > 0 and isinstance(column[0], str) for column in columns]
     head = ",".join(header) + "\n"
     if text and not any(text):
-        numbers = np.array(columns, dtype=float).reshape(len(columns), n_rows)
+        numbers = np.asarray(columns, dtype=float).reshape(len(columns), n_rows)
         step = max(1, _CSV_CELLS // len(columns))
         chunks = [_fixed_point(numbers[:, i:i + step]) for i in range(0, n_rows, step)]
         if None not in chunks:
@@ -154,10 +157,10 @@ def _fixed_point(numbers: np.ndarray) -> str | None:
     thousandths = scaled // 1000
     low = np.subtract(scaled, np.multiply(thousandths, 1000, out=whole), out=scaled)
     low[:, -1] += 1000  # the last column ends its row
-    np.take(slots[1000:], low, out=texts[..., -1], mode="wrap")
+    slots[1000:].take(low, out=texts[..., -1], mode="wrap")
     np.floor_divide(thousandths, 1000, out=whole)
     mid = np.subtract(thousandths, np.multiply(whole, 1000, out=low), out=thousandths)
-    np.take(slots, mid, out=texts[..., -2], mode="wrap")
+    slots.take(mid, out=texts[..., -2], mode="wrap")
     for j in range(n_groups):
         upto = np.floor_divide(whole, 1000**j, out=mid)
         index = np.bitwise_xor(upto, sign, out=low)
@@ -165,7 +168,7 @@ def _fixed_point(numbers: np.ndarray) -> str | None:
             np.copyto(index, upto % 1000 + 1000, where=upto >= 1000)
         if j:  # a group above the leading one is empty
             index[upto == 0] = 2000
-        np.take(slots[3000:], index, out=texts[..., -3 - j], mode="wrap")
+        slots[3000:].take(index, out=texts[..., -3 - j], mode="wrap")
     return texts.tobytes().translate(None, b"\0").decode()
 
 
@@ -257,6 +260,7 @@ def parse_axis(spec: Any) -> tuple[float, ...]:
         if not math.isfinite(2.0 * (hi - lo)) or n > ROW_LIMIT:
             raise ValueError(spec)
         # np.linspace's arithmetic, in floats: i / div scales a step that underflows
+        # (cmd_evolve states the same rule in arrays)
         div = max(n - 1, 1)
         step = (hi - lo) / div
         axis = [i * step + lo if step else i / div * (hi - lo) + lo for i in range(n)]
@@ -412,9 +416,11 @@ def cmd_sweep(opts: Options) -> str:
         grid = SweepGrid(h_axis, k_axis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    v_map, h1_map = heatmap(grid)
-    columns = (np.repeat(grid.h_values, len(k_axis)), np.tile(grid.k_values, len(h_axis)))
-    return render_csv(("h", "k", "V", "H1"), (*columns, v_map.ravel(), h1_map.ravel()))
+    # the h, k, V and H1 columns of every cell, [i_h, i_k] in row order, filled by broadcasting
+    table = np.empty((4, len(h_axis), len(k_axis)))
+    table[0], table[1] = np.array(grid.h_values)[:, None], grid.k_values
+    table[2], table[3] = heatmap(grid)
+    return render_csv(("h", "k", "V", "H1"), table.reshape(4, -1))
 
 
 def cmd_evolve(opts: Options) -> str:
@@ -427,7 +433,12 @@ def cmd_evolve(opts: Options) -> str:
     t_steps = opts.get("t-steps")
     if not 2 <= t_steps <= ROW_LIMIT:
         raise ConfigError(f"t-steps must be in [2, {ROW_LIMIT}], got {t_steps}")
-    t_values = np.linspace(0.0, t_max, t_steps)
+    # np.linspace(0, t-max, t-steps)'s bits in two array passes, by its arithmetic (which
+    # parse_axis states in floats): a step that underflows scales i / div (numpy gh-5437)
+    t_values, div = np.arange(float(t_steps)), t_steps - 1
+    step = t_max / div
+    t_values = t_values * step if step else t_values / div * t_max
+    t_values[-1] = t_max
     rows = evolution_scan(params, t_values)
     return render_csv(EVOLUTION_COLUMNS, rows.T)
 

@@ -192,7 +192,7 @@ def rho_qet(params: ModelParams, phi: float | None = None) -> np.ndarray:
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     p, q = (a * cos_phi + b * sin_phi) / 2.0, (a * sin_phi - b * cos_phi) / 2.0
     plus, minus = np.array([p, q, p, q]), np.array([p, -q, -p, q])
-    return (np.outer(plus, plus) + np.outer(minus, minus)).astype(complex)
+    return (plus[:, None] * plus + minus[:, None] * minus).astype(complex)
 
 
 def nogo_gap(params: ModelParams, w1: np.ndarray) -> float:

@@ -65,17 +65,23 @@ class NumericalError(Exception):
 
 class _Record:
     """Base of the frozen records. The fields are the class's own annotations,
-    set by a generated __init__ that then calls __post_init__, if any; records
-    compare and hash by type and fields and print as Name(field=value, ...)."""
+    set by a generated __init__ that first runs the class's _checks and then
+    calls __post_init__, if any; records compare and hash by type and fields
+    and print as Name(field=value, ...)."""
 
     def __init_subclass__(cls) -> None:
         # one compiled __init__ per class: a generic *args one costs every instance
         cls._fields = tuple(cls.__annotations__)
-        body = [f"_set(self, {name!r}, {name})" for name in cls._fields]
+        body = [*cls._checks(), *(f"_set(self, {name!r}, {name})" for name in cls._fields)]
         body.append("self.__post_init__()" if hasattr(cls, "__post_init__") else "pass")
         code = f"def __init__(self, {', '.join(cls._fields)}):\n    " + "\n    ".join(body)
         exec(code, {"_set": object.__setattr__}, namespace := {})
         cls.__init__ = namespace["__init__"]
+
+    @classmethod
+    def _checks(cls) -> list[str]:
+        """Statements the compiled __init__ runs on its arguments before it sets a field."""
+        return []
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
@@ -99,20 +105,15 @@ class _Record:
 class _Step(_Record):
     """Base of the circuit steps, holding their one validator. Every field but
     theta is a qubit (target, control) or a bit (cbit, control_value,
-    required_value), and is 0 or 1; a control is not its own target."""
+    required_value), and is 0 or 1; a control is not its own target. The
+    checks run in field order, compiled into each class's __init__."""
 
-    def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
-        # named once per class, so that a construction reads only its 0/1 fields
-        cls._bits = tuple(name for name in cls._fields if name != "theta")
-
-    def __post_init__(self) -> None:
-        for name in self._bits:
-            value = getattr(self, name)
-            if value not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-        if getattr(self, "control", None) == self.target:
-            raise ValueError("control and target must differ")
+    @classmethod
+    def _checks(cls) -> list[str]:
+        checks = [f"if {n} not in (0, 1): raise ValueError('{n} must be 0 or 1, got ' + repr({n}))"
+                  for n in cls._fields if n != "theta"]
+        differ = "if control == target: raise ValueError('control and target must differ')"
+        return checks + [differ] if "control" in cls._fields else checks
 
 
 class Ry(_Step):
@@ -164,11 +165,12 @@ class Circuit(_Record):
                 written.add(step.cbit)
 
 
-def _cos_sin(theta: float) -> tuple[float, float]:
-    # (cos, sin) of theta/2, the entries of RY(theta); NaNs for a non-finite
+def _ry(theta: float) -> tuple[float, float, float, float]:
+    # RY(theta)'s factor, from (cos, sin) of theta/2; NaNs for a non-finite
     # angle: math.cos raises on inf, run_shots on NaN
     half = theta / 2.0 if math.isfinite(theta) else math.nan
-    return math.cos(half), math.sin(half)
+    c, s = math.cos(half), math.sin(half)
+    return c, -s, s, c
 
 
 def on_qubits(ops: dict[int, np.ndarray]) -> np.ndarray:
@@ -185,22 +187,23 @@ _PAIRS = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
 _HADAMARD = (1.0 / math.sqrt(2.0),) * 3 + (-1.0 / math.sqrt(2.0),)
 
 
-def _apply(step: GateStep, branches: list[list[float]]) -> list[list[float]]:
-    """Apply a fixed-unitary step in place to each amplitude list of branches,
-    returned: its 2x2 factor (u00, u01, u10, u11) on every pair of the target
-    qubit, or, for a controlled step, on the pair where the control reads v."""
+def _factor(step: GateStep) -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
+    """A fixed-unitary step's 2x2 factor (u00, u01, u10, u11) and the pairs it acts
+    on: every pair of the target qubit, or, for a controlled step, the pair where
+    the control reads v."""
     if isinstance(step, Ry):
-        c, s = _cos_sin(step.theta)
-        u, pairs = (c, -s, s, c), _PAIRS[step.target]
-    elif isinstance(step, Hadamard):
-        u, pairs = _HADAMARD, _PAIRS[step.target]
-    elif isinstance(step, Cnot):
-        u, pairs = (0.0, 1.0, 1.0, 0.0), (_PAIRS[step.target][1],)
-    elif isinstance(step, ControlledRy):
-        c, s = _cos_sin(step.theta)
-        u, pairs = (c, -s, s, c), (_PAIRS[step.target][step.control_value],)
-    else:
-        raise ValueError(f"step {type(step).__name__} has no fixed unitary")
+        return _ry(step.theta), _PAIRS[step.target]
+    if isinstance(step, Hadamard):
+        return _HADAMARD, _PAIRS[step.target]
+    if isinstance(step, Cnot):
+        return (0.0, 1.0, 1.0, 0.0), (_PAIRS[step.target][1],)
+    if isinstance(step, ControlledRy):
+        return _ry(step.theta), (_PAIRS[step.target][step.control_value],)
+    raise ValueError(f"step {type(step).__name__} has no fixed unitary")
+
+
+def _apply(u: tuple[float, ...], pairs, branches: list[list[float]]) -> list[list[float]]:
+    """Apply the 2x2 factor u on pairs in place to each amplitude list of branches, returned."""
     u00, u01, u10, u11 = u
     for amps in branches:
         for i, j in pairs:
@@ -212,7 +215,7 @@ def _apply(step: GateStep, branches: list[list[float]]) -> list[list[float]]:
 
 def gate_unitary(step: GateStep) -> np.ndarray:
     """4x4 unitary of a fixed-unitary step: its action on the basis states."""
-    return np.array(_apply(step, np.eye(4).tolist())).T
+    return np.array(_apply(*_factor(step), np.eye(4).tolist())).T
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), on 32-bit words
@@ -340,9 +343,9 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
             branches = halves[0] + halves[1]
         elif isinstance(step, ClassicallyControlledRy):
             hit = [amps for amps, _, reg in branches if reg[step.cbit] == step.required_value]
-            _apply(Ry(step.theta, step.target), hit)
+            _apply(_ry(step.theta), _PAIRS[step.target], hit)
         else:
-            _apply(step, [amps for amps, _, _ in branches])
+            _apply(*_factor(step), [amps for amps, _, _ in branches])
     totals = [0.0, 0.0, 0.0, 0.0]
     for _, prob, (b0, b1) in branches:
         totals[2 * b0 + b1] += prob

@@ -7,8 +7,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -82,6 +85,37 @@ def test_render_json_empty_containers_render_as_themselves():
 def test_render_json_rejects_unsupported_types(value):
     with pytest.raises(TypeError, match=f"cannot render {type(value).__name__} as JSON"):
         render_json({"a": [value]})
+
+
+# a run-shaped payload as source text, so that a child interpreter builds it too
+RUN_PAYLOAD = """{
+    "schema": "qet-report/1", "command": "run",
+    "config": {"h": 1.0, "k": 0.5, "target": "E1", "mode": "deferred", "shots": 2000,
+               "seed": 2**128 - 1, "noise": "lima-like", "mitigation": "direct"},
+    "analytic": -0.0534, "measurement_fidelity": 0.9837,
+    "unmitigated": {"mean": -1e-9, "std_error": 0.0123456789, "n_shots": 2000},
+    "estimate": {"mean": float("nan"), "std_error": float("inf"), "n_shots": 2000},
+    "deviation_sigma": None,
+    "components": {"H1": {"mean": 0.25, "std_error": 0.0, "n_shots": 1000},
+                   "V": {"mean": -0.3, "std_error": 1e-300, "n_shots": 1000}},
+    "counts": {"00": 1000, "01": 0, "10": 999, "11": 1}, "flags": [True, False, (), {}, []],
+}"""
+
+
+def test_render_json_loads_no_numpy():
+    # numpy scalars are looked for only once numpy is loaded: with numpy
+    # unimportable a child renders the payload's bytes, and numpy's own
+    # integers and floats render as int and fixed-point
+    code = ("import sys; sys.modules['numpy'] = None\nfrom qetsim.cli import render_json\n"
+            f"sys.stdout.write(render_json({RUN_PAYLOAD}))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == render_json(eval(RUN_PAYLOAD))
+    numbers = [np.int64(-3), np.uint8(7), np.float64(0.25), np.float32(-0.5), np.float64(np.nan)]
+    assert render_json(numbers) == "[\n  -3,\n  7,\n  0.250000,\n  -0.500000,\n  null\n]"
 
 
 # quotes, backslashes, control characters, the line separators JavaScript
@@ -349,6 +383,47 @@ def test_parse_axis_equals_linspace(axis_range):
     got = parse_axis(f"{lo!r}:{hi!r}:{n}")
     assert all(type(x) is float for x in got)
     assert np.array(got).tobytes() == np.linspace(lo, hi, n).tobytes()
+
+
+def evolve_axis(monkeypatch, t_max: float, n: int) -> np.ndarray:
+    """The time axis cmd_evolve hands evolution_scan, which stops the call there."""
+    axes = []
+
+    def recorded(params, t_values):
+        axes.append(t_values)
+        raise cli.NumericalError("stop")
+
+    monkeypatch.setattr(cli, "evolution_scan", recorded)
+    assert main(["evolve", "--h", "1", "--k", "1", f"--t-max={t_max!r}", f"--t-steps={n}"]) == 3
+    return axes[0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t_max=st.floats(0.0, 1e300, exclude_min=True), n=st.integers(2, 3000))
+@example(t_max=1.0, n=2)
+@example(t_max=2 * math.pi, n=ROW_LIMIT)
+@example(t_max=5e-324, n=3)  # the step underflows to 0
+@example(t_max=1e-320, n=10**4)
+@example(t_max=1e300, n=101)
+def test_evolve_axis_equals_linspace(t_max, n):
+    # cmd_evolve takes np.linspace's arithmetic in two array passes; every bit
+    # must be linspace's, where the step underflows too
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        axis = evolve_axis(monkeypatch, t_max, n)
+    assert axis.dtype == np.float64 and axis.tobytes() == np.linspace(0.0, t_max, n).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[CSV_FIXED | CSV_NUMBERS] * 4), max_size=12))
+@example([(1.5, -0.25, 2.0, 1e-7), (math.nan, 0.5, -math.inf, 3.0)])
+def test_render_csv_takes_an_array_as_its_columns(rows):
+    # cmd_sweep passes one (4, n) float array and cmd_evolve its transpose, which
+    # render_csv reads uncopied; either prints what the same columns print as
+    # tuples, in either pass
+    array = np.array(rows, dtype=float).reshape(len(rows), 4).T
+    header, columns = ("h", "k", "V", "H1"), tuple(map(tuple, array.tolist()))
+    for block in (np.ascontiguousarray(array), array):
+        assert render_csv(header, block) == render_csv(header, columns)
 
 
 def test_run_reports_analytic_value(capsys):

@@ -13,6 +13,12 @@ line that finishes without numpy must give its recorded digest. On an
 interpreter that has no numpy, the same replay is
 
     PYTHONPATH=src python tests/test_cli_corpus.py --without-numpy
+
+On x86, the sweep and evolve lines replay once more in a child interpreter at
+numpy's baseline dispatch (NPY_ENABLE_CPU_FEATURES=X86_V2), without its AVX2
+and AVX-512 kernels, as
+
+    NPY_ENABLE_CPU_FEATURES=X86_V2 PYTHONPATH=src python tests/test_cli_corpus.py --exact
 """
 
 from __future__ import annotations
@@ -22,10 +28,13 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qetsim
 from qetsim.cli import SEED_ENV_VAR, main
@@ -37,6 +46,9 @@ ENVIRONMENT = {"COLUMNS": "80"}
 # corpus lines that finish without numpy: help, and the usage and configuration
 # errors found before anything is computed
 FINISH_WITHOUT_NUMPY = 74
+# the subcommands whose numbers come from numpy's array kernels
+EXACT_COMMANDS = ("sweep", "evolve")
+EXACT_LINES = 45
 
 
 def corpus_lines() -> list[str]:
@@ -85,15 +97,38 @@ def replay_without_numpy() -> tuple[int, int, list[str]]:
     return finished, len(lines), moved
 
 
-def test_corpus_lines_without_numpy_are_byte_identical():
+def replay_exact() -> tuple[int, list[str]]:
+    """(sweep and evolve lines, those that moved), replayed in this interpreter."""
+    digests = recorded()
+    lines = [line for line in corpus_lines() if line.split()[0] in EXACT_COMMANDS]
+    return len(lines), [line for line in lines if digest(line) != digests[line]]
+
+
+def replay_in_child(flag: str, **env: str) -> str:
+    """stdout of this file run with flag in a child interpreter, which must exit 0."""
     src = str(Path(qetsim.__file__).resolve().parents[1])
-    env = {**os.environ, **ENVIRONMENT,
+    env = {**os.environ, **ENVIRONMENT, **env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     env.pop(SEED_ENV_VAR, None)
-    out = subprocess.run([sys.executable, __file__, "--without-numpy"], env=env,
+    out = subprocess.run([sys.executable, __file__, flag], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
-    assert int(out.stdout.split()[0]) >= FINISH_WITHOUT_NUMPY, out.stdout
+    return out.stdout
+
+
+def test_corpus_lines_without_numpy_are_byte_identical():
+    stdout = replay_in_child("--without-numpy")
+    assert int(stdout.split()[0]) >= FINISH_WITHOUT_NUMPY, stdout
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="X86_V2 names an x86 dispatch level")
+def test_exact_lines_at_baseline_dispatch_are_byte_identical():
+    # the kernels numpy dispatches (sin, hypot, arctan2, exp) may round otherwise
+    # on AVX2 and AVX-512; the child reports the float64 sin it runs
+    stdout = replay_in_child("--exact", NPY_ENABLE_CPU_FEATURES="X86_V2")
+    head = f"{EXACT_LINES} sweep and evolve lines, float64 sin at baseline(X86_V2), "
+    assert stdout.startswith(head), stdout
 
 
 if __name__ == "__main__":
@@ -104,6 +139,14 @@ if __name__ == "__main__":
         print(f"{finished} of {total} lines finished without numpy, "
               f"{finished - len(moved)} of them byte-identical", *moved, sep="\n")
         sys.exit(1 if moved else 0)
+    if sys.argv[1:] == ["--exact"]:
+        from numpy.lib.introspect import opt_func_info
+
+        total, moved = replay_exact()
+        sin = opt_func_info(func_name="^sin$", signature="float64")["sin"]["dd"]["current"]
+        print(f"{total} sweep and evolve lines, float64 sin at {sin}, "
+              f"{total - len(moved)} of them byte-identical", *moved, sep="\n")
+        sys.exit(1 if moved else 0)
     if sys.argv[1:]:
-        sys.exit(f"usage: {sys.argv[0]} [--without-numpy]")
+        sys.exit(f"usage: {sys.argv[0]} [--without-numpy | --exact]")
     DIGESTS.write_text("".join(f"{digest(line)}  {line}\n" for line in dict.fromkeys(corpus_lines())))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,8 +201,28 @@ BAD_FIELDS = [
     "step,name,bad", BAD_FIELDS, ids=[f"{type(s).__name__}.{n}={v}" for s, n, v in BAD_FIELDS]
 )
 def test_step_index_validation(step, name, bad):
-    with pytest.raises(ValueError, match=name):
+    # a bad value is 2 or -1, or a 0/1 control that equals its target
+    message = f"{name} must be 0 or 1, got {bad!r}"
+    if bad in (0, 1):
+        message = "control and target must differ"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         rebuilt(step, **{name: bad})
+
+
+@pytest.mark.parametrize("step", STEPS, ids=[type(s).__name__ for s in STEPS])
+def test_step_checks_run_in_field_order(step):
+    # each 0/1 field refuses 2 and NaN; with two bad fields the first one raises
+    bits = [name for name in step._fields if name != "theta"]
+    for i, name in enumerate(bits):
+        for bad in (2, math.nan):
+            later = dict.fromkeys(bits[i + 1:], -1)
+            with pytest.raises(ValueError, match=f"^{name} must be 0 or 1, got {bad!r}$"):
+                rebuilt(step, **{name: bad}, **later)
+    # bools and floats equal to 0 and 1 are accepted, and kept as given
+    for zero_one in ((False, True), (0.0, 1.0)):
+        same = rebuilt(step, **{name: zero_one[getattr(step, name)] for name in bits})
+        assert same == step
+        assert [type(getattr(same, name)) for name in bits] == [type(zero_one[0])] * len(bits)
 
 
 def test_distinct_steps_compare_unequal():
