@@ -6,7 +6,8 @@ States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
 kernel on four plain-float amplitudes. Density matrices and observables are
 4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
 phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
-A seed-tree node (_SeedNode) carries SeedSequence's pool and seeds PCG64 as one.
+A seed-tree node (_SeedNode) carries SeedSequence's pool and the PCG64 state it
+seeds; each node's stream reseeds its thread's one generator.
 """
 
 from __future__ import annotations
@@ -221,6 +222,9 @@ def gate_unitary(step: GateStep) -> np.ndarray:
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), on 32-bit words
 _MASK, _MULT_A, _MULT_B, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x931E8875, 0x58F38DED, 0xCA01F9DD, 0x4973F715
 _INIT_A, _INIT_B = 0x43B0D7E5, 0x8B51F9DD
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
+_thread = None  # a threading.local: each thread's one generator, made on its first node draw
 
 
 def _absorb(pool: list[int], const: int, words, dsts=range(4)) -> int:
@@ -264,19 +268,30 @@ class _SeedNode:
         self.n_children_spawned += n_children
         return [_SeedNode(self.entropy, self.spawn_key + (i,), self) for i in keys]
 
-    def generate_state(self, n_words: int, dtype="uint32") -> np.ndarray:
-        """SeedSequence.generate_state: n_words uint32 or uint64 words hashed from
-        the pool, a uint64 from two uint32 ones, low first. PCG64 passes np.uint64."""
-        wide = dtype is np.uint64 or np.dtype(dtype) == np.uint64
-        if not wide and np.dtype(dtype) != np.uint32:
-            raise ValueError("only support uint32 or uint64")
+    def _state_words(self, n_words: int, wide: bool) -> list[int]:
+        """generate_state's words as Python ints."""
         pool, const, state = self.pool, _INIT_B, [0] * n_words
         for i in range(n_words << wide):
             value = pool[i & 3] ^ const
             const = const * _MULT_B & _MASK
             value = value * const & _MASK
             state[i >> wide] |= (value ^ value >> 16) << 32 * (i & wide)
-        return np.array(state, dtype=np.uint64 if wide else np.uint32)
+        return state
+
+    def generate_state(self, n_words: int, dtype="uint32") -> np.ndarray:
+        """SeedSequence.generate_state: n_words uint32 or uint64 words hashed from
+        the pool, a uint64 from two uint32 ones, low first. PCG64 passes np.uint64."""
+        wide = dtype is np.uint64 or np.dtype(dtype) == np.uint64
+        if not wide and np.dtype(dtype) != np.uint32:
+            raise ValueError("only support uint32 or uint64")
+        return np.array(self._state_words(n_words, wide), dtype=np.uint64 if wide else np.uint32)
+
+    def pcg64_state(self) -> tuple[int, int]:
+        """(state, inc) of a PCG64 seeded by this node: numpy's pcg64_set_seed, i.e.
+        pcg_setseq_128_srandom_r on generate_state(4, np.uint64) read high word first."""
+        w0, w1, w2, w3 = self._state_words(4, True)
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        return (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def _words(n: int) -> list[int]:
@@ -285,11 +300,28 @@ def _words(n: int) -> list[int]:
 
 
 def _rng(seed: int | _SeedNode | np.random.SeedSequence | np.random.Generator):
-    """A fresh generator (a Generator is returned as it is). numpy seeds PCG64
-    from any ISeedSequence's generate_state, so a _SeedNode, registered as one
-    here (that needs numpy), seeds it with no numpy SeedSequence built."""
-    np.random.bit_generator.ISeedSequence.register(_SeedNode)
-    return np.random.default_rng(seed)
+    """A generator seeded by seed. A _SeedNode sets the calling thread's one PCG64
+    Generator to np.random.default_rng(node)'s state; it is valid until the next _rng
+    call in the thread, and run_shots, analysis._calibration_rows and noise.apply_noise
+    each finish their draws first. Any other seed goes to np.random.default_rng, which
+    returns a Generator as it is; an int n is not made a node, though _SeedNode(n) holds
+    SeedSequence(n)'s pool and would draw the same stream."""
+    global _thread
+    if type(seed) is not _SeedNode:
+        return np.random.default_rng(seed)
+    try:
+        rng = _thread.rng
+    except AttributeError:  # the thread's first node draw (the process's: _thread is None)
+        if _thread is None:
+            import threading
+            _thread = threading.local()  # threads racing here may drop one: none shares a generator
+        # numpy seeds PCG64 from any ISeedSequence: a registered node builds no SeedSequence
+        np.random.bit_generator.ISeedSequence.register(_SeedNode)
+        rng = _thread.rng = np.random.Generator(np.random.PCG64(seed))
+    state, inc = seed.pcg64_state()
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def run_shots(

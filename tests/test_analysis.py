@@ -59,6 +59,7 @@ from qetsim.protocol import (
 from qetsim.simcore import (
     BITSTRINGS,
     NumericalError,
+    _SeedNode,
     distribution_vector,
     evolve,
     exact_distribution,
@@ -489,8 +490,10 @@ def test_sampled_calibration_matrix_rejects_bad_shot_counts(monkeypatch, n_shots
         raise AssertionError("a generator was seeded")
 
     # a noise-free run calibrates nothing, whatever its method, and still
-    # checks its shot count before it samples
+    # checks its shot count before it samples: a generator is built by numpy
+    # or, for a seed-tree node, reseeded to the node's PCG64 state
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    monkeypatch.setattr(_SeedNode, "pcg64_state", no_sampling)
     with pytest.raises(ValueError):
         if noise is None:
             mitigated_run(ModelParams(1.0, 1.0), Target.V, Mode.DEFERRED, n_shots, 0, None,

@@ -1,7 +1,8 @@
 """Seed trees: an int seed and SeedSequence(seed) seed the same draws, a
 caller's SeedSequence advances as the tree in protocol._seed_sequence says,
-and a seed-tree node carries numpy's own SeedSequence pool and seeds each
-generator itself, with no numpy SeedSequence built."""
+and a seed-tree node carries numpy's own SeedSequence pool and sets its
+thread's one generator to the PCG64 state numpy would seed from it, with no
+numpy SeedSequence or generator built per stream."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import types
 from pathlib import Path
 
@@ -112,13 +114,25 @@ def test_seed_node_generate_state_refuses_other_dtypes():
                 seed.generate_state(2, dtype)
 
 
+# multinomial pvals: spread ones, and ones with zeros, a subnormal and an entry
+# within 1e-12 of 1, in any order
+PVALS = st.one_of(
+    st.lists(st.floats(0, 1), min_size=4, max_size=4).filter(any).map(
+        lambda w: [x / sum(w) for x in w]),
+    st.tuples(st.floats(0, 1e-12), st.floats(5e-324, 2**-1022, exclude_max=True)).map(
+        lambda t: [1.0 - t[0] - t[1], t[0], t[1], 0.0]),
+).flatmap(st.permutations)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     entropy=st.integers(0, 2**256),
     path=st.lists(st.integers(0, 2**64), max_size=4),
     spawned=st.integers(1, 3),
+    n=st.integers(1, 2**63 - 1),
+    pvals=PVALS,
 )
-def test_spawned_node_streams_equal_numpy(entropy, path, spawned):
+def test_spawned_node_streams_equal_numpy(entropy, path, spawned, n, pvals):
     # each step spawns `spawned` children from n_children_spawned = the key
     # element and takes the first, so key elements reach 2**64, past numpy's
     # uint32 counter; numpy builds the same key directly
@@ -128,9 +142,52 @@ def test_spawned_node_streams_equal_numpy(entropy, path, spawned):
         node = node.spawn(spawned)[0]
     sequence = np.random.SeedSequence(entropy, spawn_key=tuple(path))
     assert node.spawn_key == sequence.spawn_key and node.pool == sequence.pool.tolist()
-    got, want = np.random.default_rng(node), np.random.default_rng(sequence)
-    assert type(got.bit_generator.seed_seq) is _SeedNode
+    # another node's stream first, left with half a 64-bit word buffered: the
+    # reseed must start the node's stream as a freshly seeded PCG64 does
+    other = _rng(_SeedNode(entropy + 1))
+    other.random(3, dtype=np.float32)
+    assert other.bit_generator.state["has_uint32"] == 1
+    got, want = _rng(node), np.random.default_rng(sequence)
+    assert got is other
+    assert got.multinomial(n, pvals).tolist() == want.multinomial(n, pvals).tolist()
     assert got.integers(2**63, size=6).tolist() == want.integers(2**63, size=6).tolist()
+    # a node handed to numpy seeds PCG64 itself, as an ISeedSequence
+    seeded = np.random.default_rng(node)
+    assert type(seeded.bit_generator.seed_seq) is _SeedNode
+    assert seeded.bit_generator.state == np.random.default_rng(sequence).bit_generator.state
+
+
+def test_two_threads_streams_equal_numpy():
+    # each thread reseeds a generator of its own: 200 streams drawn by two
+    # threads at once, switching every microsecond, equal the same streams
+    # drawn one after another, and numpy's
+    nodes = _SeedNode(2024).spawn(200)
+
+    def draw(rng):
+        return rng.multinomial(10**6, PVALS_1D).tolist() + rng.integers(2**63, size=4).tolist()
+
+    serial = [draw(_rng(node)) for node in nodes]
+    concurrent, barrier = [None] * len(nodes), threading.Barrier(2)
+
+    def worker(start):
+        barrier.wait(timeout=60)
+        for i in range(start, len(nodes), 2):
+            concurrent[i] = draw(_rng(nodes[i]))
+
+    threads = [threading.Thread(target=worker, args=(start,)) for start in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert concurrent == serial
+    assert serial == [draw(np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(i,))))
+                      for i in range(len(nodes))]
 
 
 def _dist(target=Target.V, mode=D):
@@ -210,21 +267,34 @@ def test_caller_seed_sequence_passes_through():
     ids=["noisy one-pair report", "mitigated run E1", "noisy run V", "clean run_protocol"],
 )
 def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_generators):
-    # an int seed's generators are each seeded by a seed-tree node of their own,
-    # and no np.random.SeedSequence is built, by qetsim or inside PCG64
-    built = []
+    # an int seed's streams are each set from a seed-tree node of their own on
+    # the thread's one generator: no np.random.SeedSequence is built, by qetsim
+    # or inside PCG64, and numpy builds no generator per stream
+    built, generators, nodes = [], [], []
 
     class Counting(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
+    def counting_generator(bit_generator, generator=np.random.Generator):
+        generators.append(bit_generator)
+        return generator(bit_generator)
+
+    def recording_state(node, pcg64_state=_SeedNode.pcg64_state):
+        nodes.append(node)
+        return pcg64_state(node)
+
     seeds = _generator_seeds(monkeypatch)
     monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    monkeypatch.setattr(np.random, "Generator", counting_generator)
+    monkeypatch.setattr(_SeedNode, "pcg64_state", recording_state)
+    monkeypatch.setattr(simcore, "_thread", None)  # so this thread builds its generator here
     operation()
-    assert len(seeds) == n_generators and built == []
-    assert all(type(seed) is _SeedNode for seed in seeds)
-    assert len({id(seed) for seed in seeds}) == n_generators
+    assert len(nodes) == n_generators and built == [] and seeds == []
+    assert all(type(node) is _SeedNode for node in nodes)
+    assert len({(node.entropy, node.spawn_key) for node in nodes}) == n_generators
+    assert len(generators) == 1
 
 
 def test_caller_seed_sequence_seeds_through_numpy(monkeypatch):
@@ -316,7 +386,9 @@ def test_invalid_seed_raises_before_sampling(monkeypatch, run, seed, error):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a generator was seeded")
 
+    # numpy builds a generator, or a seed-tree node reseeds its thread's one
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    monkeypatch.setattr(_SeedNode, "pcg64_state", no_sampling)
     with pytest.raises(error):
         run(seed)
 
