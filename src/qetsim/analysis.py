@@ -29,14 +29,13 @@ from .protocol import (
     Mode,
     Target,
     _score,
-    _seed_sequence,
     build_circuit,
     combine_E1,
     e1_parts,
     sample_protocol,
 )
-from .simcore import (BITSTRINGS, NumericalError, _Record, _rng, _total, evolved_expectations,
-                      exact_distribution, np, shot_count)
+from .simcore import (BITSTRINGS, NumericalError, _multinomials, _Record, _seed_sequence, _total,
+                      evolved_expectations, exact_distribution, np, shot_count)
 
 
 class SweepGrid(_Record):
@@ -160,7 +159,7 @@ def sampled_calibration_matrix(
     """Response matrix estimated the way an experiment would: read n_shots of each
     basis state through the same noisy readout and tabulate. Noise acts on the record
     only, so state j records j on every shot and column j is one multinomial draw
-    over response[:, j]; seed itself seeds the one generator that draws the four in order."""
+    over response[:, j]; seed itself seeds the one stream that draws the four in order."""
     return np.array(_calibration_rows(noise, n_shots, seed))
 
 
@@ -171,9 +170,8 @@ def _calibration_rows(
 ) -> list[tuple[float, ...]]:
     """sampled_calibration_matrix's rows, as plain floats."""
     n_shots = shot_count(n_shots)
-    rng, columns = _rng(_seed_sequence(seed)), []
-    for column in noise.response_columns:
-        tally = rng.multinomial(n_shots, column).tolist()
+    columns = []
+    for tally in _multinomials(seed, [(n_shots, column) for column in noise.response_columns]):
         total = _total(tally)
         columns.append([c / total for c in tally])
     return [*zip(*columns)]

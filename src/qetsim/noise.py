@@ -21,8 +21,8 @@ from .simcore import (
     ATOL_ALGEBRA,
     BITSTRINGS,
     NumericalError,
+    _multinomials,
     _Record,
-    _rng,
     _total,
     check_counts,
     distribution_vector,
@@ -98,9 +98,8 @@ def apply_noise(
         if c != int(c):
             raise ValueError(f"counts must be integers, got {key}={c}")
     shot_count(sum(int(c) for c in counts.values()))  # the total, drawn as int64 tallies
-    rng = _rng(seed)
-    draws = [rng.multinomial(int(counts[key]), noise.response[:, BITSTRINGS.index(key)]).tolist()
-             for key in sorted(counts)]
+    draws = _multinomials(seed, [(int(counts[key]), noise.response_columns[BITSTRINGS.index(key)])
+                                 for key in sorted(counts)])
     return {key: c for key, c in zip(BITSTRINGS, map(sum, zip(*draws))) if c > 0}
 
 

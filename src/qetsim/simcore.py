@@ -6,8 +6,9 @@ States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
 kernel on four plain-float amplitudes. Density matrices and observables are
 4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
 phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
-A seed-tree node (_SeedNode) carries SeedSequence's pool and the PCG64 state it
-seeds; each node's stream reseeds its thread's one generator.
+Every tally is drawn by _multinomials: a seed-tree node (_SeedNode) carries
+SeedSequence's pool and hashes its own seeding words, and each stream, a node's
+or a caller's SeedSequence's, reseeds its thread's one PCG64 generator.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ _MASK, _MULT_A, _MULT_B, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x931E8875, 0x58F38DED, 0x
 _INIT_A, _INIT_B = 0x43B0D7E5, 0x8B51F9DD
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
-_thread = None  # a threading.local: each thread's one generator, made on its first node draw
+_thread = None  # a threading.local: each thread's one generator, made on its first draw
 
 
 def _absorb(pool: list[int], const: int, words, dsts=range(4)) -> int:
@@ -269,7 +270,8 @@ class _SeedNode:
         return [_SeedNode(self.entropy, self.spawn_key + (i,), self) for i in keys]
 
     def _state_words(self, n_words: int, wide: bool) -> list[int]:
-        """generate_state's words as Python ints."""
+        """SeedSequence.generate_state(n_words, np.uint64 if wide else np.uint32) as
+        Python ints; a wide word is two 32-bit ones, low first."""
         pool, const, state = self.pool, _INIT_B, [0] * n_words
         for i in range(n_words << wide):
             value = pool[i & 3] ^ const
@@ -278,50 +280,68 @@ class _SeedNode:
             state[i >> wide] |= (value ^ value >> 16) << 32 * (i & wide)
         return state
 
-    def generate_state(self, n_words: int, dtype="uint32") -> np.ndarray:
-        """SeedSequence.generate_state: n_words uint32 or uint64 words hashed from
-        the pool, a uint64 from two uint32 ones, low first. PCG64 passes np.uint64."""
-        wide = dtype is np.uint64 or np.dtype(dtype) == np.uint64
-        if not wide and np.dtype(dtype) != np.uint32:
-            raise ValueError("only support uint32 or uint64")
-        return np.array(self._state_words(n_words, wide), dtype=np.uint64 if wide else np.uint32)
-
-    def pcg64_state(self) -> tuple[int, int]:
-        """(state, inc) of a PCG64 seeded by this node: numpy's pcg64_set_seed, i.e.
-        pcg_setseq_128_srandom_r on generate_state(4, np.uint64) read high word first."""
-        w0, w1, w2, w3 = self._state_words(4, True)
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        return (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
-
 
 def _words(n: int) -> list[int]:
     """n as little-endian 32-bit words ([0] for 0), as SeedSequence splits it."""
     return [n] if n < 2**32 else [n >> s & 0xFFFFFFFF for s in range(0, n.bit_length(), 32)]
 
 
-def _rng(seed: int | _SeedNode | np.random.SeedSequence | np.random.Generator):
-    """A generator seeded by seed. A _SeedNode sets the calling thread's one PCG64
-    Generator to np.random.default_rng(node)'s state; it is valid until the next _rng
-    call in the thread, and run_shots, analysis._calibration_rows and noise.apply_noise
-    each finish their draws first. Any other seed goes to np.random.default_rng, which
-    returns a Generator as it is; an int n is not made a node, though _SeedNode(n) holds
-    SeedSequence(n)'s pool and would draw the same stream."""
+def _seed_sequence(
+    seed: int | _SeedNode | np.random.SeedSequence | None,
+) -> _SeedNode | np.random.SeedSequence:
+    """The root of seed's tree: a nonnegative int (told without numpy) or np.integer
+    becomes a _SeedNode, a node or a caller's SeedSequence passes through, and
+    anything else goes to SeedSequence as before (None: fresh entropy; -1, 1.5, "7": raise).
+    Spawn keys below a root and what they seed:
+      sample_protocol             (0,) shots
+      e1_parts                    (0,) H1, (1,) V: each a root of its own
+      _mitigated                  the root seeds sample_protocol; with noise and a
+                                  method, (0,) sample_protocol and (1,) calibration
+      sampled_calibration_matrix  no spawn: the root seeds all four columns
+      comparison_report           (p,) pair p; (p, i<3) sample_protocol of
+                                  E0, H1, V; (p, 3+i) their _mitigated"""
+    if type(seed) is _SeedNode:
+        return seed
+    if (isinstance(seed, int) or isinstance(seed, np.integer)) and seed >= 0:
+        return _SeedNode(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def _pcg64_state(words: list[int]) -> tuple[int, int]:
+    """(state, inc) of a PCG64 seeded by the 64-bit words w0..w3 of a seed's
+    generate_state(4, np.uint64): numpy's pcg64_set_seed, i.e.
+    pcg_setseq_128_srandom_r on the words read high word first."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _multinomials(seed, draws: list[tuple[int, list[float]]]) -> list[list[int]]:
+    """The tallies of Generator.multinomial(n, pvals) for each (n, pvals) of draws,
+    in turn on one stream, as lists of ints. A caller's Generator draws them itself.
+    Any other seed's stream is the one numpy's PCG64 seeded from seed would draw: the
+    calling thread's one PCG64 Generator is set to the state seeded from the four
+    64-bit words of the root _seed_sequence(seed), which a _SeedNode hashes itself."""
     global _thread
-    if type(seed) is not _SeedNode:
-        return np.random.default_rng(seed)
-    try:
-        rng = _thread.rng
-    except AttributeError:  # the thread's first node draw (the process's: _thread is None)
-        if _thread is None:
-            import threading
-            _thread = threading.local()  # threads racing here may drop one: none shares a generator
-        # numpy seeds PCG64 from any ISeedSequence: a registered node builds no SeedSequence
-        np.random.bit_generator.ISeedSequence.register(_SeedNode)
-        rng = _thread.rng = np.random.Generator(np.random.PCG64(seed))
-    state, inc = seed.pcg64_state()
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        root = _seed_sequence(seed)
+        words = (root._state_words(4, True) if type(root) is _SeedNode
+                 else root.generate_state(4, np.uint64).tolist())
+        state, inc = _pcg64_state(words)
+        try:
+            rng = _thread.rng
+        except AttributeError:  # the thread's first draw (the process's: _thread is None)
+            if _thread is None:  # threads racing here may drop one: none shares a generator
+                import threading
+                _thread = threading.local()
+            rng = _thread.rng = np.random.Generator(np.random.PCG64(0))
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+    return [rng.multinomial(n, pvals).tolist() for n, pvals in draws]
 
 
 def run_shots(
@@ -348,8 +368,8 @@ def run_shots(
     if not abs(total - 1.0) <= ATOL_DECOMP:
         raise NumericalError(f"outcome probabilities {np.array(p)} do not form a distribution")
     # numpy rejects leading entries summing past 1 + 1e-12, tighter than the guard
-    tallies = _rng(seed).multinomial(n_shots, [v / total for v in p])
-    return {key: c for key, c in zip(BITSTRINGS, tallies.tolist()) if c > 0}
+    (tallies,) = _multinomials(seed, [(n_shots, [v / total for v in p])])
+    return {key: c for key, c in zip(BITSTRINGS, tallies) if c > 0}
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from qetsim import analysis, protocol
+from qetsim import analysis, protocol, simcore
 from qetsim.analysis import (
     HALF_UNIT,
     ComparisonRow,
@@ -59,7 +59,6 @@ from qetsim.protocol import (
 from qetsim.simcore import (
     BITSTRINGS,
     NumericalError,
-    _SeedNode,
     distribution_vector,
     evolve,
     exact_distribution,
@@ -490,10 +489,9 @@ def test_sampled_calibration_matrix_rejects_bad_shot_counts(monkeypatch, n_shots
         raise AssertionError("a generator was seeded")
 
     # a noise-free run calibrates nothing, whatever its method, and still
-    # checks its shot count before it samples: a generator is built by numpy
-    # or, for a seed-tree node, reseeded to the node's PCG64 state
-    monkeypatch.setattr(np.random, "default_rng", no_sampling)
-    monkeypatch.setattr(_SeedNode, "pcg64_state", no_sampling)
+    # checks its shot count before it samples: every stream an int seed draws
+    # sets the thread's generator to the PCG64 state of its seeding words
+    monkeypatch.setattr(simcore, "_pcg64_state", no_sampling)
     with pytest.raises(ValueError):
         if noise is None:
             mitigated_run(ModelParams(1.0, 1.0), Target.V, Mode.DEFERRED, n_shots, 0, None,

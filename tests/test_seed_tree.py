@@ -1,8 +1,8 @@
 """Seed trees: an int seed and SeedSequence(seed) seed the same draws, a
-caller's SeedSequence advances as the tree in protocol._seed_sequence says,
-and a seed-tree node carries numpy's own SeedSequence pool and sets its
-thread's one generator to the PCG64 state numpy would seed from it, with no
-numpy SeedSequence or generator built per stream."""
+caller's SeedSequence advances as the tree in simcore._seed_sequence says, a
+seed-tree node carries numpy's own SeedSequence pool and seeding words, and
+every stream, a node's or a SeedSequence's, sets its thread's one generator to
+the PCG64 state numpy would seed from it, with no generator built per stream."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import pytest
 from qetsim import analysis, cli, simcore
 from qetsim.analysis import comparison_report, mitigated_run, sampled_calibration_matrix
 from qetsim.model import ModelParams
-from qetsim.noise import MITIGATION_METHODS, PRESETS
+from qetsim.noise import MITIGATION_METHODS, PRESETS, apply_noise
 from qetsim.protocol import (
     Mode,
     Target,
@@ -32,7 +32,7 @@ from qetsim.protocol import (
     run_protocol_E1,
     sample_protocol,
 )
-from qetsim.simcore import _rng, _SeedNode, exact_distribution
+from qetsim.simcore import _multinomials, _SeedNode, exact_distribution, run_shots
 
 LIMA = PRESETS["lima-like"]
 PARAMS = ModelParams(1.0, 0.5)
@@ -98,20 +98,15 @@ def test_leaf_seeding_equals_numpy_seeding(entropy, key):
     # changed our streams
     node, sequence = _SeedNode(entropy, key), np.random.SeedSequence(entropy, spawn_key=key)
     assert node.pool == sequence.pool.tolist()
-    for dtype in (np.uint32, np.uint64):
+    for wide, dtype in ((False, np.uint32), (True, np.uint64)):
         for n in range(1, 9):
-            got, want = node.generate_state(n, dtype), sequence.generate_state(n, dtype)
-            assert got.dtype == want.dtype and got.tolist() == want.tolist()
-    assert node.generate_state(3).tolist() == sequence.generate_state(3).tolist()
-    got, want = _rng(node), np.random.default_rng(sequence)
-    assert got.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
+            assert node._state_words(n, wide) == sequence.generate_state(n, dtype).tolist()
+    assert _draw(node) == _draw(np.random.default_rng(sequence))
 
 
-def test_seed_node_generate_state_refuses_other_dtypes():
-    for dtype in (np.int32, np.float64, "u2", ">u8"):
-        for seed in (_SeedNode(3), np.random.SeedSequence(3)):
-            with pytest.raises(ValueError, match="only support uint32 or uint64"):
-                seed.generate_state(2, dtype)
+def _draw(seed):
+    """Two multinomial tallies on seed's one stream, the second past 2**62 shots."""
+    return _multinomials(seed, [(10**6, PVALS_1D), (2**62 + 3, PVALS_1D[::-1])])
 
 
 # multinomial pvals: spread ones, and ones with zeros, a subnormal and an entry
@@ -144,50 +139,44 @@ def test_spawned_node_streams_equal_numpy(entropy, path, spawned, n, pvals):
     assert node.spawn_key == sequence.spawn_key and node.pool == sequence.pool.tolist()
     # another node's stream first, left with half a 64-bit word buffered: the
     # reseed must start the node's stream as a freshly seeded PCG64 does
-    other = _rng(_SeedNode(entropy + 1))
-    other.random(3, dtype=np.float32)
-    assert other.bit_generator.state["has_uint32"] == 1
-    got, want = _rng(node), np.random.default_rng(sequence)
-    assert got is other
-    assert got.multinomial(n, pvals).tolist() == want.multinomial(n, pvals).tolist()
-    assert got.integers(2**63, size=6).tolist() == want.integers(2**63, size=6).tolist()
-    # a node handed to numpy seeds PCG64 itself, as an ISeedSequence
-    seeded = np.random.default_rng(node)
-    assert type(seeded.bit_generator.seed_seq) is _SeedNode
-    assert seeded.bit_generator.state == np.random.default_rng(sequence).bit_generator.state
+    _multinomials(_SeedNode(entropy + 1), [(n, pvals)])
+    rng = simcore._thread.rng
+    rng.random(3, dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = _multinomials(node, [(n, pvals), (n, PVALS_1D)])
+    assert simcore._thread.rng is rng
+    assert got == _multinomials(np.random.default_rng(sequence), [(n, pvals), (n, PVALS_1D)])
 
 
 def test_two_threads_streams_equal_numpy():
-    # each thread reseeds a generator of its own: 200 streams drawn by two
+    # each thread reseeds a generator of its own: 200 streams of seed-tree
+    # nodes, then 200 of a caller's SeedSequence children, drawn by two
     # threads at once, switching every microsecond, equal the same streams
     # drawn one after another, and numpy's
-    nodes = _SeedNode(2024).spawn(200)
+    for root in (_SeedNode(2024), np.random.SeedSequence(2024)):
+        seeds = root.spawn(200)
+        serial = [_draw(seed) for seed in seeds]
+        concurrent, barrier = [None] * len(seeds), threading.Barrier(2)
 
-    def draw(rng):
-        return rng.multinomial(10**6, PVALS_1D).tolist() + rng.integers(2**63, size=4).tolist()
+        def worker(start):
+            barrier.wait(timeout=60)
+            for i in range(start, len(seeds), 2):
+                concurrent[i] = _draw(seeds[i])
 
-    serial = [draw(_rng(node)) for node in nodes]
-    concurrent, barrier = [None] * len(nodes), threading.Barrier(2)
-
-    def worker(start):
-        barrier.wait(timeout=60)
-        for i in range(start, len(nodes), 2):
-            concurrent[i] = draw(_rng(nodes[i]))
-
-    threads = [threading.Thread(target=worker, args=(start,)) for start in (0, 1)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert concurrent == serial
-    assert serial == [draw(np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(i,))))
-                      for i in range(len(nodes))]
+        threads = [threading.Thread(target=worker, args=(start,)) for start in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
+        assert serial == [_draw(np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(i,))))
+                          for i in range(len(seeds))]
 
 
 def _dist(target=Target.V, mode=D):
@@ -267,58 +256,75 @@ def test_caller_seed_sequence_passes_through():
     ids=["noisy one-pair report", "mitigated run E1", "noisy run V", "clean run_protocol"],
 )
 def test_one_seed_sequence_per_generator(monkeypatch, capsys, operation, n_generators):
-    # an int seed's streams are each set from a seed-tree node of their own on
-    # the thread's one generator: no np.random.SeedSequence is built, by qetsim
-    # or inside PCG64, and numpy builds no generator per stream
-    built, generators, nodes = [], [], []
+    # an int seed's streams are each set from the words of a seed-tree node of
+    # their own on the thread's one generator: qetsim builds no
+    # np.random.SeedSequence and calls no default_rng
+    built = []
 
     class Counting(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-    def counting_generator(bit_generator, generator=np.random.Generator):
-        generators.append(bit_generator)
-        return generator(bit_generator)
-
-    def recording_state(node, pcg64_state=_SeedNode.pcg64_state):
-        nodes.append(node)
-        return pcg64_state(node)
-
-    seeds = _generator_seeds(monkeypatch)
+    words, generators = _streams(monkeypatch)
     monkeypatch.setattr(np.random, "SeedSequence", Counting)
-    monkeypatch.setattr(np.random, "Generator", counting_generator)
-    monkeypatch.setattr(_SeedNode, "pcg64_state", recording_state)
-    monkeypatch.setattr(simcore, "_thread", None)  # so this thread builds its generator here
     operation()
-    assert len(nodes) == n_generators and built == [] and seeds == []
-    assert all(type(node) is _SeedNode for node in nodes)
-    assert len({(node.entropy, node.spawn_key) for node in nodes}) == n_generators
+    assert len(words) == len(set(words)) == n_generators and built == []
     assert len(generators) == 1
 
 
+# Each use of a caller's seed and the streams it draws, all from one root
+CALLER_SEEDED = {
+    "run_shots": (lambda s: run_shots(_dist(), 1_000, s), 1),
+    "apply_noise": (lambda s: apply_noise({"00": 600, "11": 400}, LIMA, s), 1),
+    "sampled_calibration_matrix": (lambda s: sampled_calibration_matrix(LIMA, 1_000, s), 1),
+    "run_protocol": (lambda s: run_protocol(PARAMS, Target.V, D, 1_000, s), 1),
+    "mitigated_run": (lambda s: mitigated_run(PARAMS, Target.V, D, 1_000, s, LIMA, "direct"), 2),
+    "comparison_report": (lambda s: comparison_report([PARAMS], 1_000, s, LIMA, "direct"), 9),
+}
+
+
 def test_caller_seed_sequence_seeds_through_numpy(monkeypatch):
-    # a caller's SeedSequence is numpy's: it and the children it spawns seed
-    # every generator themselves
-    seeds = _generator_seeds(monkeypatch)
-    run_protocol(PARAMS, Target.V, D, 1_000, np.random.SeedSequence(3))
-    mitigated_run(PARAMS, Target.V, D, 1_000, np.random.SeedSequence(3), LIMA, "direct")
-    comparison_report([PARAMS], 1_000, np.random.SeedSequence(3), LIMA, "direct")
-    assert len(seeds) == 1 + 2 + 9
-    assert all(type(seed) is np.random.SeedSequence for seed in seeds)
+    # a caller's SeedSequence is numpy's, and so is the fresh one None builds:
+    # numpy's generate_state of it or of the children it spawns gives each
+    # stream's words, set on the thread's one generator, with no default_rng call
+    words, generators = _streams(monkeypatch)
+    for fresh in (lambda: np.random.SeedSequence(3), lambda: None):
+        for use, n_streams in CALLER_SEEDED.values():
+            words.clear()
+            use(fresh())
+            assert len(words) == len(set(words)) == n_streams
+    assert len(generators) == 1
+    root = np.random.SeedSequence(3)
+    for use in ("run_shots", "apply_noise", "sampled_calibration_matrix", "run_protocol"):
+        words.clear()
+        CALLER_SEEDED[use][0](np.random.SeedSequence(3))
+        seeding = root.spawn(1)[0] if use == "run_protocol" else root
+        assert words == [tuple(seeding.generate_state(4, np.uint64).tolist())]
 
 
-def _generator_seeds(monkeypatch) -> list:
-    """The seed sequence of each generator that default_rng builds from now on."""
-    seeds, default_rng = [], np.random.default_rng
+def _streams(monkeypatch) -> tuple[list, list]:
+    """The seeding words of each stream set from now on, and each Generator
+    built, in a thread that has built none; default_rng raises."""
+    words, generators, pcg64_state = [], [], simcore._pcg64_state
 
-    def recording_rng(seed):
-        rng = default_rng(seed)
-        seeds.append(rng.bit_generator.seed_seq)
-        return rng
+    class Counting(np.random.Generator):
+        def __init__(self, bit_generator):
+            generators.append(self)
+            super().__init__(bit_generator)
 
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
-    return seeds
+    def recording_state(seeding):
+        words.append(tuple(seeding))
+        return pcg64_state(seeding)
+
+    def no_default_rng(*args, **kwargs):
+        raise AssertionError("np.random.default_rng was called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    monkeypatch.setattr(simcore, "_pcg64_state", recording_state)
+    monkeypatch.setattr(simcore, "_thread", None)  # so this thread builds its generator here
+    return words, generators
 
 
 # Raw multinomial draws of numpy's default generator from spawned seed
@@ -359,8 +365,12 @@ def test_numpy_multinomial_stream_is_pinned():
         )
 
 
-INVALID_SEEDS = [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("7", TypeError)]
+# a bit generator is not a seed (a Generator is, where a draw is made on it directly)
+INVALID_SEEDS = [(-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError), ("7", TypeError),
+                 (np.random.PCG64(3), TypeError)]
 SEEDED = {
+    "run_shots": lambda s: run_shots(_dist(), 100, s),
+    "apply_noise": lambda s: apply_noise({"00": 60, "11": 40}, LIMA, s),
     "sample_protocol noisy": lambda s: sample_protocol(
         PARAMS, Target.V, LIMA.recorded(_dist()), 100, s
     ),
@@ -380,15 +390,16 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed, error", INVALID_SEEDS, ids=["-1", "int64(-1)", "1.5", "str"])
+@pytest.mark.parametrize("seed, error", INVALID_SEEDS,
+                         ids=["-1", "int64(-1)", "1.5", "str", "PCG64"])
 @pytest.mark.parametrize("run", SEEDED.values(), ids=SEEDED.keys())
 def test_invalid_seed_raises_before_sampling(monkeypatch, run, seed, error):
     def no_sampling(*args, **kwargs):
         raise AssertionError("a generator was seeded")
 
-    # numpy builds a generator, or a seed-tree node reseeds its thread's one
-    monkeypatch.setattr(np.random, "default_rng", no_sampling)
-    monkeypatch.setattr(_SeedNode, "pcg64_state", no_sampling)
+    # every stream but a caller Generator's sets the thread's generator to the
+    # PCG64 state of its seeding words
+    monkeypatch.setattr(simcore, "_pcg64_state", no_sampling)
     with pytest.raises(error):
         run(seed)
 
