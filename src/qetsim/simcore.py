@@ -2,19 +2,22 @@
 expectation values, and Hamiltonian time evolution.
 
 States are length-4 vectors ordered by basis |q0 q1> in {00,01,10,11}
-(index = 2*b0 + b1); exact_distribution and gate_unitary share one scalar
-kernel on four plain-float amplitudes. Density matrices and observables are
-4x4 complex arrays; evolved_expectations reads Tr[rho(t) O] off H's eigenbasis
-phases, forming no rho(t). Counts map 2-bit outcome strings "b0b1" to tallies.
-Every tally is drawn by _multinomials: a seed-tree node (_SeedNode) carries
-SeedSequence's pool and hashes its own seeding words, and each stream, a node's
-or a caller's SeedSequence's, reseeds its thread's one PCG64 generator.
+(index = 2*b0 + b1). exact_distribution runs the plain-float straight-line
+function compiled once per circuit shape (_kernel); it and gate_unitary take
+each step's 2x2 factor and amplitude pairs from _GATES. Density matrices and
+observables are 4x4 complex arrays; evolved_expectations reads Tr[rho(t) O]
+off H's eigenbasis phases, forming no rho(t). Counts map 2-bit outcome strings
+"b0b1" to tallies. Every tally is drawn by _multinomials: a seed-tree node
+(_SeedNode) carries SeedSequence's pool and hashes its own seeding words, and
+each stream, a node's or a caller's SeedSequence's, reseeds its thread's one
+PCG64 generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import count
 import math
 from operator import add
 import types
@@ -108,14 +111,17 @@ class _Step(_Record):
     """Base of the circuit steps, holding their one validator. Every field but
     theta is a qubit (target, control) or a bit (cbit, control_value,
     required_value), and is 0 or 1; a control is not its own target. The
-    checks run in field order, compiled into each class's __init__."""
+    checks run in field order, compiled into each class's __init__, which then
+    sets _shape: the class and the fields but theta, what enumeration compiles."""
 
     @classmethod
     def _checks(cls) -> list[str]:
+        bits = [n for n in cls._fields if n != "theta"]
         checks = [f"if {n} not in (0, 1): raise ValueError('{n} must be 0 or 1, got ' + repr({n}))"
-                  for n in cls._fields if n != "theta"]
+                  for n in bits]
         differ = "if control == target: raise ValueError('control and target must differ')"
-        return checks + [differ] if "control" in cls._fields else checks
+        shape = f"_set(self, '_shape', (type(self), {', '.join(bits)}))"
+        return checks + [differ, shape] if "control" in bits else checks + [shape]
 
 
 class Ry(_Step):
@@ -158,13 +164,11 @@ class Circuit(_Record):
     steps: tuple[GateStep, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        written: set[int] = set()
-        for step in self.steps:
-            if isinstance(step, ClassicallyControlledRy) and step.cbit not in written:
-                raise ValueError(f"classical bit {step.cbit} read before any measurement wrote it")
-            if isinstance(step, MeasureZ):
-                written.add(step.cbit)
+        steps = tuple(self.steps)
+        object.__setattr__(self, "steps", steps)
+        # its steps' shapes, whose kernel checks that a bit is written before it is read
+        object.__setattr__(self, "_shape", shape := tuple([step._shape for step in steps]))
+        _kernel(shape)
 
 
 def _ry(theta: float) -> tuple[float, float, float, float]:
@@ -189,35 +193,32 @@ _PAIRS = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
 _HADAMARD = (1.0 / math.sqrt(2.0),) * 3 + (-1.0 / math.sqrt(2.0),)
 
 
-def _factor(step: GateStep) -> tuple[tuple[float, ...], tuple[tuple[int, int], ...]]:
-    """A fixed-unitary step's 2x2 factor (u00, u01, u10, u11) and the pairs it acts
-    on: every pair of the target qubit, or, for a controlled step, the pair where
-    the control reads v."""
-    if isinstance(step, Ry):
-        return _ry(step.theta), _PAIRS[step.target]
-    if isinstance(step, Hadamard):
-        return _HADAMARD, _PAIRS[step.target]
-    if isinstance(step, Cnot):
-        return (0.0, 1.0, 1.0, 0.0), (_PAIRS[step.target][1],)
-    if isinstance(step, ControlledRy):
-        return _ry(step.theta), (_PAIRS[step.target][step.control_value],)
-    raise ValueError(f"step {type(step).__name__} has no fixed unitary")
-
-
-def _apply(u: tuple[float, ...], pairs, branches: list[list[float]]) -> list[list[float]]:
-    """Apply the 2x2 factor u on pairs in place to each amplitude list of branches, returned."""
-    u00, u01, u10, u11 = u
-    for amps in branches:
-        for i, j in pairs:
-            x, y = amps[i], amps[j]
-            amps[i] = u00 * x + u01 * y
-            amps[j] = u10 * x + u11 * y
-    return branches
+# per step class: its 2x2 factor (u00, u01, u10, u11), from theta (no argument for a
+# fixed one), and its pairs, from its other fields: every pair of the target qubit, or
+# the pair where the control reads v; a measurement's are where its target reads 0, 1
+_GATES = {
+    Ry: (_ry, lambda target: _PAIRS[target]),
+    Hadamard: (lambda: _HADAMARD, lambda target: _PAIRS[target]),
+    Cnot: (lambda: (0.0, 1.0, 1.0, 0.0), lambda control, target: (_PAIRS[target][1],)),
+    ControlledRy: (_ry, lambda control, value, target: (_PAIRS[target][value],)),
+    ClassicallyControlledRy: (_ry, lambda cbit, value, target: _PAIRS[target]),
+    MeasureZ: (None, lambda target, cbit: _PAIRS[1 - target]),
+}
 
 
 def gate_unitary(step: GateStep) -> np.ndarray:
-    """4x4 unitary of a fixed-unitary step: its action on the basis states."""
-    return np.array(_apply(*_factor(step), np.eye(4).tolist())).T
+    """4x4 unitary of a fixed-unitary step: its factor on its pairs of each basis state."""
+    cls, *fields = step._shape
+    if cls in (MeasureZ, ClassicallyControlledRy):
+        raise ValueError(f"step {cls.__name__} has no fixed unitary")
+    factor, pairs = _GATES[cls]
+    u00, u01, u10, u11 = factor(step.theta) if "theta" in cls._fields else factor()
+    columns = np.eye(4).tolist()
+    for amps in columns:
+        for i, j in pairs(*map(int, fields)):
+            x, y = amps[i], amps[j]
+            amps[i], amps[j] = u00 * x + u01 * y, u10 * x + u11 * y
+    return np.array(columns).T
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), on 32-bit words
@@ -269,15 +270,15 @@ class _SeedNode:
         self.n_children_spawned += n_children
         return [_SeedNode(self.entropy, self.spawn_key + (i,), self) for i in keys]
 
-    def _state_words(self, n_words: int, wide: bool) -> list[int]:
-        """SeedSequence.generate_state(n_words, np.uint64 if wide else np.uint32) as
-        Python ints; a wide word is two 32-bit ones, low first."""
-        pool, const, state = self.pool, _INIT_B, [0] * n_words
-        for i in range(n_words << wide):
+    def _state_words(self) -> list[int]:
+        """SeedSequence.generate_state(4, np.uint64) as Python ints, each 64-bit
+        word made of two 32-bit ones, low first."""
+        pool, const, state = self.pool, _INIT_B, [0, 0, 0, 0]
+        for i in range(8):
             value = pool[i & 3] ^ const
             const = const * _MULT_B & _MASK
             value = value * const & _MASK
-            state[i >> wide] |= (value ^ value >> 16) << 32 * (i & wide)
+            state[i >> 1] |= (value ^ value >> 16) << 32 * (i & 1)
         return state
 
 
@@ -325,11 +326,11 @@ def _multinomials(seed, draws: list[tuple[int, list[float]]]) -> list[list[int]]
     calling thread's one PCG64 Generator is set to the state seeded from the four
     64-bit words of the root _seed_sequence(seed), which a _SeedNode hashes itself."""
     global _thread
-    if isinstance(seed, np.random.Generator):
+    if type(seed) is not _SeedNode and isinstance(seed, np.random.Generator):
         rng = seed
     else:
         root = _seed_sequence(seed)
-        words = (root._state_words(4, True) if type(root) is _SeedNode
+        words = (root._state_words() if type(root) is _SeedNode
                  else root.generate_state(4, np.uint64).tolist())
         state, inc = _pcg64_state(words)
         try:
@@ -374,34 +375,68 @@ def run_shots(
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """Exact terminal classical-register distribution, all four bitstrings
-    included. Each measurement branch is a record (amps, prob, register):
+    included: the kernel of the circuit's shape, compiled on first sight."""
+    return _kernel(circuit._shape)(circuit.steps)
+
+
+@lru_cache(maxsize=256)
+def _kernel(shape: tuple) -> types.FunctionType:
+    """The straight-line function of a circuit shape (its steps' _shape), which
+    takes the steps. Each measurement branch is a record (amps, prob, register):
     four unnormalized real amplitudes indexed 2*b0 + b1, the squared norm when
-    last measured (gates keep norms) and the bits (b0, b1). An outcome of
-    conditional probability below 1e-15 keeps zero amplitudes and adds 0."""
-    branches = [([1.0, 0.0, 0.0, 0.0], 1.0, (0, 0))]
-    for step in circuit.steps:
-        if isinstance(step, MeasureZ):
+    last measured (gates keep norms) and the bits (b0, b1). The shape fixes all
+    but the values, so the records are built here with a name for each value (or
+    the literal 0.0 a measurement left), and the function does the float
+    operations on them in order. An outcome of conditional probability below
+    1e-15 keeps zero amplitudes and adds 0. Raises ValueError if a classically
+    controlled rotation reads a bit no measurement wrote."""
+    names, lines, space, written = (f"v{i}" for i in count()), ["v = 1.0"], {}, set()
+    branches = [(["v", "0.0", "0.0", "0.0"], "1.0", (0, 0))]
+    for k, (cls, *fields) in enumerate(shape):
+        factor, pairs = _GATES[cls]
+        fields = [*map(int, fields)]
+        if cls is MeasureZ:
             halves: tuple[list, list] = ([], [])
             for amps, prob, reg in branches:
-                for outcome, (i, j) in enumerate(_PAIRS[1 - step.target]):
-                    x, y = amps[i], amps[j]
-                    p = x * x + y * y
-                    if p < 1e-15 * prob:
-                        x = y = p = 0.0
-                    kept = [0.0, 0.0, 0.0, 0.0]
+                for outcome, (i, j) in enumerate(pairs(*fields)):
+                    x, y, p = amps[i], amps[j], next(names)
+                    zeroed = " = ".join(a for a in (x, y, p) if a != "0.0")
+                    lines += [f"{p} = {x} * {x} + {y} * {y}",
+                              f"if {p} < 1e-15 * {prob}: {zeroed} = 0.0"]
+                    kept = ["0.0"] * 4
                     kept[i], kept[j] = x, y
-                    bits = (outcome, reg[1]) if step.cbit == 0 else (reg[0], outcome)
+                    bits = (outcome, reg[1]) if fields[1] == 0 else (reg[0], outcome)
                     halves[outcome].append((kept, p, bits))
             branches = halves[0] + halves[1]
-        elif isinstance(step, ClassicallyControlledRy):
-            hit = [amps for amps, _, reg in branches if reg[step.cbit] == step.required_value]
-            _apply(_ry(step.theta), _PAIRS[step.target], hit)
+            written.add(fields[1])
+            continue
+        if cls is ClassicallyControlledRy:
+            cbit, value, _ = fields
+            if cbit not in written:
+                raise ValueError(f"classical bit {cbit} read before any measurement wrote it")
+            hit = [amps for amps, _, reg in branches if reg[cbit] == value]
         else:
-            _apply(*_factor(step), [amps for amps, _, _ in branches])
-    totals = [0.0, 0.0, 0.0, 0.0]
+            hit = [amps for amps, _, _ in branches]
+        if "theta" in cls._fields:
+            u = [next(names) for _ in range(4)]
+            space[f"u{k}"] = factor
+            lines.append(f"{', '.join(u)} = u{k}(s{k}.theta)")
+        else:
+            u = [f"({v!r})" for v in factor()]
+        for amps in hit:
+            for i, j in pairs(*fields):
+                x, y = amps[i], amps[j]
+                amps[i], amps[j] = next(names), next(names)
+                lines += [f"{amps[i]} = {u[0]} * {x} + {u[1]} * {y}",
+                          f"{amps[j]} = {u[2]} * {x} + {u[3]} * {y}"]
+    totals = [["0.0"] for _ in BITSTRINGS]
     for _, prob, (b0, b1) in branches:
-        totals[2 * b0 + b1] += prob
-    return dict(zip(BITSTRINGS, totals))
+        totals[2 * b0 + b1].append(prob)
+    result = ", ".join(f"{key!r}: {' + '.join(t)}" for key, t in zip(BITSTRINGS, totals))
+    steps = ", ".join(f"s{k}" for k in range(len(shape)))
+    lines = [f"[{steps}] = steps", *lines, f"return {{{result}}}"]
+    exec("def kernel(steps):\n    " + "\n    ".join(lines), space)
+    return space["kernel"]
 
 
 def _total(values, start: float = 0.0) -> float:

@@ -98,9 +98,7 @@ def test_leaf_seeding_equals_numpy_seeding(entropy, key):
     # changed our streams
     node, sequence = _SeedNode(entropy, key), np.random.SeedSequence(entropy, spawn_key=key)
     assert node.pool == sequence.pool.tolist()
-    for wide, dtype in ((False, np.uint32), (True, np.uint64)):
-        for n in range(1, 9):
-            assert node._state_words(n, wide) == sequence.generate_state(n, dtype).tolist()
+    assert node._state_words() == sequence.generate_state(4, np.uint64).tolist()
     assert _draw(node) == _draw(np.random.default_rng(sequence))
 
 
@@ -419,6 +417,14 @@ def _child(code: str, *flags: str) -> str:
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+def test_import_compiles_no_kernel():
+    # enumeration compiles each circuit shape when a circuit first has it,
+    # never on import (the protocol's fixed steps are not circuits)
+    assert _child("import qetsim.cli, qetsim.simcore as s; print(s._kernel.cache_info())") == (
+        "CacheInfo(hits=0, misses=0, maxsize=256, currsize=0)"
+    )
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

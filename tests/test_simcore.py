@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qetsim import simcore
@@ -526,16 +526,16 @@ _ANGLES = st.one_of(
 
 
 @st.composite
-def _random_circuits(draw):
+def _random_circuits(draw, angles=_ANGLES, max_steps=10):
     # every step kind on both qubits; a classically controlled rotation reads
     # a bit some earlier measurement wrote, and later measurements may
     # overwrite it
     steps, written = [], []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, max_steps))):
         kind = draw(st.sampled_from(
             ["ry", "h", "cnot", "cry", "measure", "ccry"]
         ))
-        q, theta = draw(st.sampled_from([0, 1])), draw(_ANGLES)
+        q, theta = draw(st.sampled_from([0, 1])), draw(angles)
         if kind == "ccry" and not written:
             kind = "measure"
         if kind == "ry":
@@ -564,6 +564,103 @@ def test_exact_distribution_matches_per_branch_reference(circuit):
     assert list(dist) == list(BITSTRINGS)
     for key in BITSTRINGS:
         assert abs(dist[key] - expected[key]) < 1e-12
+
+
+def _loop_distribution(circuit):
+    # enumeration interpreted step by step on amplitude lists updated in
+    # place, with the library's factors: the bits every compiled kernel gives
+    def apply(u, pairs, branches):
+        u00, u01, u10, u11 = u
+        for amps in branches:
+            for i, j in pairs:
+                x, y = amps[i], amps[j]
+                amps[i] = u00 * x + u01 * y
+                amps[j] = u10 * x + u11 * y
+
+    pairs = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
+    branches = [([1.0, 0.0, 0.0, 0.0], 1.0, (0, 0))]
+    for step in circuit.steps:
+        every = [amps for amps, _, _ in branches]
+        if isinstance(step, MeasureZ):
+            halves = ([], [])
+            for amps, prob, reg in branches:
+                for outcome, (i, j) in enumerate(pairs[1 - step.target]):
+                    x, y = amps[i], amps[j]
+                    p = x * x + y * y
+                    if p < 1e-15 * prob:
+                        x = y = p = 0.0
+                    kept = [0.0, 0.0, 0.0, 0.0]
+                    kept[i], kept[j] = x, y
+                    bits = (outcome, reg[1]) if step.cbit == 0 else (reg[0], outcome)
+                    halves[outcome].append((kept, p, bits))
+            branches = halves[0] + halves[1]
+        elif isinstance(step, ClassicallyControlledRy):
+            hit = [amps for amps, _, reg in branches if reg[step.cbit] == step.required_value]
+            apply(simcore._ry(step.theta), pairs[step.target], hit)
+        elif isinstance(step, Ry):
+            apply(simcore._ry(step.theta), pairs[step.target], every)
+        elif isinstance(step, Hadamard):
+            apply(simcore._HADAMARD, pairs[step.target], every)
+        elif isinstance(step, Cnot):
+            apply((0.0, 1.0, 1.0, 0.0), (pairs[step.target][1],), every)
+        else:
+            apply(simcore._ry(step.theta), (pairs[step.target][step.control_value],), every)
+    totals = [0.0, 0.0, 0.0, 0.0]
+    for _, prob, (b0, b1) in branches:
+        totals[2 * b0 + b1] += prob
+    return dict(zip(BITSTRINGS, totals))
+
+
+# signed zeros, +-pi, the non-finite angles, the ends of the float range and an
+# angle whose outcome probability, 2.5e-21, falls below the 1e-15 cut
+_EDGE_ANGLES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, np.pi, -np.pi, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 1e-10]
+    ),
+    st.floats(-4 * np.pi, 4 * np.pi),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(circuit=_random_circuits(_EDGE_ANGLES, 12))
+# a 2.5e-21 outcome, cut; one of 2.5e-21 under a branch of 1e-14, kept, as the
+# cut is relative; four branches per register, whose order rounds the totals
+@example(circuit=Circuit((Ry(1e-10, 0), MeasureZ(0, 0), MeasureZ(1, 1))))
+@example(circuit=Circuit((Ry(2e-7, 0), MeasureZ(0, 0), Ry(1e-3, 1), MeasureZ(1, 1))))
+@example(circuit=Circuit((
+    Ry(0.1, 0), MeasureZ(0, 0), Hadamard(0), MeasureZ(0, 0), Hadamard(0), MeasureZ(0, 0),
+    MeasureZ(1, 1),
+)))
+def test_exact_distribution_is_the_step_loop_bit_for_bit(circuit):
+    # repr tells -0.0 from 0.0 and nan from inf; a NaN's sign bit is not
+    # compared, as CPython's float operations leave it to the machine code
+    assert repr(exact_distribution(circuit)) == repr(_loop_distribution(circuit))
+
+
+def test_protocol_circuits_compile_five_kernels():
+    # one kernel per shape, not per circuit or angle: E0 is the same circuit
+    # in both modes, and a circuit's construction compiles its shape
+    simcore._kernel.cache_clear()
+    for h, k in ((1.0, 0.5), (1.5, 0.2)):
+        for target, mode in PROTOCOL_CIRCUITS:
+            exact_distribution(build_circuit(ModelParams(h, k), target, mode))
+    assert simcore._kernel.cache_info().misses == simcore._kernel.cache_info().currsize == 5
+
+
+def test_kernel_cache_keeps_its_bound():
+    # more shapes than the cache holds, each nine rotations on the qubits the
+    # bits of i name: it keeps at most its bound, and the first shape, dropped
+    # by then, compiles again to the same bits while the last is still held
+    bound = simcore._kernel.cache_info().maxsize
+    circuits = []
+    for i in range(bound + 20):
+        steps = (Ry(0.3 * j - 1.0, i >> j & 1) for j in range(9))
+        circuits.append(Circuit((*steps, MeasureZ(0, 0), MeasureZ(1, 1))))
+        assert simcore._kernel.cache_info().currsize <= bound
+    misses = simcore._kernel.cache_info().misses
+    for circuit in (circuits[0], circuits[-1]):
+        assert repr(exact_distribution(circuit)) == repr(_loop_distribution(circuit))
+    assert simcore._kernel.cache_info().misses == misses + 1
 
 
 # every public consumer of a counts map, each fed one non-finite count
